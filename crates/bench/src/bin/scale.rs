@@ -18,7 +18,7 @@
 //!                 "seconds": [...],     // whole-phase wall clock
 //!                 "cover_seconds": [...],     // step (i)
 //!                 "selection_seconds": [...], // step (ii)
-//!                 "h_build_seconds": [...],   // step (iii) CSR freeze
+//!                 "h_build_seconds": [...],   // step (iii), ≈ 0
 //!                 "query_seconds": [...],     // step (iv)
 //!                 "redundant_seconds": [...]  // step (v)
 //!               },

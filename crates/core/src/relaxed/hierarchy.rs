@@ -45,14 +45,17 @@
 //!    effect is a slight shift in which query edges get added, not a
 //!    weaker guarantee (EXPERIMENTS.md records the shift).
 //!
-//! Each phase freezes `Q` into a [`CsrGraph`] snapshot before answering
-//! its queries — the repo's "mutate on `WeightedGraph`, measure on
-//! `CsrGraph`" rule, which the seed path violated by querying the live
-//! adjacency-list `H`.
+//! Each phase queries the live `Q` in place. The paper's lazy updating
+//! needs every query of phase `i` to see the same `H_{i-1}`, and `Q` is
+//! only mutated by [`PhaseEngine::absorb_kept`] *after* the phase's queries
+//! and redundancy sweeps — so it is fixed for the whole phase without a
+//! snapshot. The [`Contraction`] keeps the bucket-width statistics up to
+//! date as it absorbs edges, so a phase starts its searches in O(1)
+//! instead of copying or rescanning the whole quotient.
 
 use super::cover::ClusterCover;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, Contraction, CsrGraph, Edge, NodeId, WeightedGraph};
+use tc_graph::{par, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// Geometric growth factor `Λ` between cover levels: a level built at
 /// radius `ρ` serves every phase with radius in `[ρ, Λ·ρ]`. Larger values
@@ -152,23 +155,17 @@ impl PhaseEngine {
         self.rebuilds
     }
 
-    /// Freezes the quotient into an immutable CSR snapshot (plus its
-    /// bucket configuration) for the phase's query fan-out.
-    pub fn freeze(&self) -> (CsrGraph, BucketConfig) {
-        let csr = CsrGraph::from(self.contraction().quotient());
-        let config = BucketConfig::for_graph(&csr);
-        (csr, config)
-    }
-
-    /// Step (iv): answers the phase's spanner-path queries on the frozen
-    /// snapshot. Entry `k` is `true` when query edge `k` must be added —
-    /// i.e. `sp_H(u, v) > t·w(u, v)` on the contracted `H`. The queries
-    /// are independent (all measured on the same frozen snapshot), so they
-    /// fan out over `TC_THREADS` workers with a reusable scratch each;
-    /// the in-order merge keeps the verdict vector deterministic.
-    pub fn answer_queries(
+    /// Step (iv): answers the phase's spanner-path queries on `quotient`
+    /// (the live `self.contraction().quotient()`; tests also pass a CSR
+    /// copy of it as the oracle). Entry `k` is `true` when query edge `k`
+    /// must be added — i.e. `sp_H(u, v) > t·w(u, v)` on the contracted
+    /// `H`. The queries are independent (all measured on the same,
+    /// unchanging quotient), so they fan out over `TC_THREADS` workers
+    /// with a reusable scratch each; the in-order merge keeps the verdict
+    /// vector deterministic.
+    pub fn answer_queries<G: GraphView + Sync>(
         &self,
-        csr: &CsrGraph,
+        quotient: &G,
         config: &BucketConfig,
         query_edges: &[Edge],
         t: f64,
@@ -185,7 +182,7 @@ impl PhaseEngine {
                 return true;
             }
             scratch
-                .shortest_path_within(csr, su, sv, remaining, config)
+                .shortest_path_within(quotient, su, sv, remaining, config)
                 .is_none()
         })
     }
@@ -209,9 +206,11 @@ impl PhaseEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::super::redundant::{analyze_redundancy_contracted, ball_rows};
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use tc_graph::CsrGraph;
 
     /// A random connected-ish weighted graph with weights in
     /// `[w_lo, w_hi)`.
@@ -289,6 +288,86 @@ mod tests {
             engine.contraction().quotient().sorted_edges(),
             bulk.quotient().sorted_edges()
         );
+    }
+
+    /// Bit patterns of a ball row, so `-0.0`/`0.0` or a one-ulp drift
+    /// would fail the comparison.
+    fn row_bits(rows: &[Vec<(u32, f64)>]) -> Vec<Vec<(u32, u64)>> {
+        rows.iter()
+            .map(|row| row.iter().map(|&(j, d)| (j, d.to_bits())).collect())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Querying the live quotient with the contraction's running
+        /// bucket configuration answers exactly what the CSR copy of the
+        /// same quotient with a freshly scanned configuration answers: the
+        /// step-(iv) verdicts, the step-(v) ball rows bit for bit, and the
+        /// resulting conflicts. The absorbed edges include weight
+        /// replacements, so the running statistics differ from a fresh
+        /// scan's the way they do in a long run.
+        #[test]
+        fn live_quotient_answers_match_the_csr_oracle(
+            seed in 0u64..400,
+            n in 6usize..40,
+            p in 0.08f64..0.35,
+            extra in 0usize..40,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
+            let mut engine = PhaseEngine::new();
+            engine.prepare(&g, 0.25);
+            let mut kept = Vec::new();
+            for _ in 0..extra {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v && !g.has_edge(u, v) {
+                    let e = Edge::new(u, v, rng.gen_range(0.6..1.2));
+                    g.add(e);
+                    kept.push(e);
+                }
+            }
+            engine.absorb_kept(kept);
+
+            let contraction = engine.contraction();
+            let live = contraction.quotient();
+            let live_config = contraction.bucket_config();
+            let csr = CsrGraph::from(live);
+            let csr_config = BucketConfig::for_graph(&csr);
+
+            let queries: Vec<Edge> = (0..12)
+                .filter_map(|_| {
+                    let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    (u != v).then(|| Edge::new(u, v, rng.gen_range(0.6..1.2)))
+                })
+                .collect();
+            let t = 1.0 + rng.gen_range(0.1..2.0);
+            prop_assert_eq!(
+                engine.answer_queries(live, &live_config, &queries, t),
+                engine.answer_queries(&csr, &csr_config, &queries, t)
+            );
+
+            let k = contraction.supernode_count();
+            let supers: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.6)).collect();
+            let mut super_index = vec![u32::MAX; k];
+            for (i, &s) in supers.iter().enumerate() {
+                super_index[s] = i as u32;
+            }
+            let budget = rng.gen_range(0.0..3.0);
+            prop_assert_eq!(
+                row_bits(&ball_rows(live, &live_config, &supers, &super_index, budget)),
+                row_bits(&ball_rows(&csr, &csr_config, &supers, &super_index, budget))
+            );
+
+            let t1 = 1.0 + rng.gen_range(0.05..1.0);
+            let on_live = analyze_redundancy_contracted(&queries, contraction, live, &live_config, t1);
+            let on_csr = analyze_redundancy_contracted(&queries, contraction, &csr, &csr_config, t1);
+            prop_assert_eq!(on_live.involved, on_csr.involved);
+            prop_assert_eq!(
+                on_live.conflict_graph.sorted_edges(),
+                on_csr.conflict_graph.sorted_edges()
+            );
+        }
     }
 
     proptest! {

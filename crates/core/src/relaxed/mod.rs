@@ -22,11 +22,13 @@
 //! `hierarchy` engine: covers are kept frozen across geometric *levels*
 //! of phases and rebuilt on the previous level's contraction, and the
 //! cluster graph is maintained incrementally as a quotient
-//! ([`tc_graph::Contraction`]) that each phase freezes into a CSR snapshot
-//! for its query fan-out. The per-phase cost then tracks the shrinking
-//! cluster count instead of `n` — see `docs/PERFORMANCE.md`, "Phase
-//! engine". [`build_cluster_graph`] remains the per-phase oracle that the
-//! engine's equivalence tests and the distributed path build on.
+//! ([`tc_graph::Contraction`]) that each phase queries in place — it only
+//! changes after the phase's queries and redundancy sweeps, so it is the
+//! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
+//! per-phase cost then tracks the work of the phase's queries instead of
+//! `n` — see `docs/PERFORMANCE.md`, "Phase engine".
+//! [`build_cluster_graph`] remains the per-phase oracle that the engine's
+//! equivalence tests and the distributed path build on.
 //!
 //! The distributed algorithm ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy)) runs exactly this
 //! phase structure, replacing each step with its message-passing
@@ -103,8 +105,11 @@ pub struct PhaseTiming {
     pub cover_seconds: f64,
     /// Step (ii): query-edge selection (0 for phase 0).
     pub selection_seconds: f64,
-    /// Step (iii): freezing the cluster-graph quotient into its CSR
-    /// snapshot (0 for phase 0).
+    /// Step (iii): readying the cluster graph `H_{i-1}` for the phase's
+    /// queries (0 for phase 0). The quotient is queried in place, so this
+    /// only derives its bucket configuration from running statistics and
+    /// is ≈ 0; the field stays so per-step records keep one column per
+    /// paper step.
     pub h_build_seconds: f64,
     /// Step (iv): answering the spanner-path queries (0 for phase 0).
     pub query_seconds: f64,
@@ -398,7 +403,7 @@ impl RelaxedGreedy {
     /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
     /// cluster graph, query answering, redundant-edge removal — steps (i),
     /// (iii), (iv) and (v) running through the hierarchical [`PhaseEngine`]
-    /// (frozen level covers, incremental contraction, CSR snapshots).
+    /// (frozen level covers, an incremental contraction queried in place).
     #[allow(clippy::too_many_arguments)]
     fn process_long_edges<P: PointAccess + ?Sized>(
         &self,
@@ -434,20 +439,23 @@ impl RelaxedGreedy {
         timing.selection_seconds = step.elapsed().as_secs_f64();
 
         // Step (iii): the cluster graph H_{i-1}, represented by the
-        // engine's incrementally maintained quotient and frozen here into
-        // an immutable CSR snapshot for this phase's queries.
+        // engine's incrementally maintained quotient. It is not touched
+        // again until absorb_kept() below, so it stays fixed for the
+        // phase's queries without a snapshot; only the bucket
+        // configuration is derived here, in O(1).
         let step = Instant::now();
-        let (csr, csr_config) = engine.freeze();
+        let config = engine.contraction().bucket_config();
         timing.h_build_seconds = step.elapsed().as_secs_f64();
 
-        // Step (iv): answer the spanner-path queries on the snapshot. The
+        // Step (iv): answer the spanner-path queries on the quotient. The
         // bin's queries are all asked on the same *frozen* H (lazy
         // updates), so they are independent; the engine fans them over
         // TC_THREADS workers and merges verdicts in query order, keeping
         // the spanner's insertion order identical to a sequential loop.
         let step = Instant::now();
+        let quotient = engine.contraction().quotient();
         let needs_edge =
-            engine.answer_queries(&csr, &csr_config, &selection.query_edges, self.params.t);
+            engine.answer_queries(quotient, &config, &selection.query_edges, self.params.t);
         let mut added: Vec<Edge> = Vec::new();
         for (edge, needed) in selection.query_edges.iter().zip(needs_edge) {
             if needed {
@@ -468,8 +476,8 @@ impl RelaxedGreedy {
         let removals = contracted_redundant_removals(
             &added,
             engine.contraction(),
-            &csr,
-            &csr_config,
+            quotient,
+            &config,
             self.params.t1,
         );
         let mut keep = vec![true; added.len()];

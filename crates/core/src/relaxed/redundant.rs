@@ -17,7 +17,7 @@
 //! which is what the stretch argument needs.
 
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{mis, Contraction, CsrGraph, Edge, NodeId, WeightedGraph};
+use tc_graph::{mis, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// The conflict structure among the edges added in one phase.
 #[derive(Debug, Clone)]
@@ -99,10 +99,11 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 }
 
 /// [`analyze_redundancy`] with path lengths measured on the *contracted*
-/// cluster graph instead of the full `n`-node `H`: `csr` is the frozen
-/// CSR snapshot of `contraction.quotient()` (one node per cluster), and a
-/// non-centre endpoint `x` reaches the quotient through its projection,
-/// so `sp_H(x, y) = offset(x) + sp_Q(super(x), super(y)) + offset(y)`.
+/// cluster graph instead of the full `n`-node `H`: `quotient` is
+/// `contraction.quotient()` (one node per cluster) or any view with the
+/// same edges, such as a CSR copy, and a non-centre endpoint `x` reaches
+/// the quotient through its projection, so
+/// `sp_H(x, y) = offset(x) + sp_Q(super(x), super(y)) + offset(y)`.
 /// Every non-centre node of the full `H` has exactly one edge (to its
 /// centre), so this equality is exact — the contracted analysis finds the
 /// same conflicts `H` would, without ever materialising `H`.
@@ -115,10 +116,10 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 /// conflict. At 10^6 nodes the dense form allocated gigabytes per phase
 /// and its scattered lookups dominated the whole build (see
 /// docs/PERFORMANCE.md, "Phase engine").
-pub fn analyze_redundancy_contracted(
+pub fn analyze_redundancy_contracted<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
-    csr: &CsrGraph,
+    quotient: &G,
     config: &BucketConfig,
     t1: f64,
 ) -> RedundancyAnalysis {
@@ -144,25 +145,7 @@ pub fn analyze_redundancy_contracted(
     }
     let k = supers.len();
 
-    // One sparse row per distinct endpoint supernode: the (index, dist)
-    // pairs of the other endpoint supernodes inside its budgeted ball,
-    // sorted by index for binary-search lookup. Each node is settled at
-    // most once per sweep with a distance bitwise identical to the
-    // bounded Dijkstra's, so sorting makes the row independent of the
-    // (unspecified) visit order.
-    let mut rows: Vec<Vec<(u32, f64)>> = Vec::with_capacity(k);
-    let mut scratch = BucketScratch::new();
-    for &s in &supers {
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        scratch.for_each_within(csr, s, budget, config, |v, d| {
-            let j = super_index[v];
-            if j != u32::MAX {
-                row.push((j, d));
-            }
-        });
-        row.sort_unstable_by_key(|&(j, _)| j);
-        rows.push(row);
-    }
+    let rows = ball_rows(quotient, config, &supers, &super_index, budget);
     let sp_quotient = |i: usize, j: usize| -> f64 {
         match rows[i].binary_search_by_key(&(j as u32), |&(x, _)| x) {
             Ok(pos) => rows[i][pos].1,
@@ -235,6 +218,37 @@ pub fn analyze_redundancy_contracted(
     }
 }
 
+/// One sparse row per endpoint supernode `supers[i]`: the `(index, dist)`
+/// pairs of the endpoint supernodes (indexed through `super_index`) inside
+/// its `budget` ball on `quotient`, sorted by index for binary-search
+/// lookup. Each node is settled at most once per sweep with a distance
+/// bitwise identical to the bounded Dijkstra's, so sorting makes the row
+/// independent of the (unspecified) visit order — and of the quotient's
+/// representation and bucket width.
+pub(super) fn ball_rows<G: GraphView>(
+    quotient: &G,
+    config: &BucketConfig,
+    supers: &[usize],
+    super_index: &[u32],
+    budget: f64,
+) -> Vec<Vec<(u32, f64)>> {
+    let mut scratch = BucketScratch::new();
+    supers
+        .iter()
+        .map(|&s| {
+            let mut row: Vec<(u32, f64)> = Vec::new();
+            scratch.for_each_within(quotient, s, budget, config, |v, d| {
+                let j = super_index[v];
+                if j != u32::MAX {
+                    row.push((j, d));
+                }
+            });
+            row.sort_unstable_by_key(|&(j, _)| j);
+            row
+        })
+        .collect()
+}
+
 /// The shared pairing loop of the two analyses: tests both endpoint
 /// pairings of every edge pair against the mutual-redundancy conditions
 /// and records conflicts.
@@ -300,16 +314,16 @@ pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64)
 }
 
 /// [`sequential_redundant_removals`] on the contracted cluster graph: the
-/// hierarchical phase engine's step (v), measuring on the frozen quotient
-/// CSR snapshot instead of a materialised `H`.
-pub fn contracted_redundant_removals(
+/// hierarchical phase engine's step (v), measuring on the phase's quotient
+/// instead of a materialised `H`.
+pub fn contracted_redundant_removals<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
-    csr: &CsrGraph,
+    quotient: &G,
     config: &BucketConfig,
     t1: f64,
 ) -> Vec<usize> {
-    let analysis = analyze_redundancy_contracted(added, contraction, csr, config, t1);
+    let analysis = analyze_redundancy_contracted(added, contraction, quotient, config, t1);
     if analysis.is_trivial() {
         return Vec::new();
     }
@@ -433,10 +447,9 @@ mod tests {
 
     fn assert_contracted_matches_oracle(added: &[Edge], h: &WeightedGraph, t1: f64) {
         let c = identity_contraction(h);
-        let csr = CsrGraph::from(c.quotient());
-        let config = BucketConfig::for_graph(&csr);
+        let config = c.bucket_config();
         let oracle = analyze_redundancy(added, h, t1);
-        let contracted = analyze_redundancy_contracted(added, &c, &csr, &config, t1);
+        let contracted = analyze_redundancy_contracted(added, &c, c.quotient(), &config, t1);
         assert_eq!(oracle.involved, contracted.involved);
         assert_eq!(
             oracle.conflict_graph.sorted_edges(),
@@ -444,7 +457,7 @@ mod tests {
         );
         assert_eq!(
             sequential_redundant_removals(added, h, t1),
-            contracted_redundant_removals(added, &c, &csr, &config, t1)
+            contracted_redundant_removals(added, &c, c.quotient(), &config, t1)
         );
     }
 

@@ -16,7 +16,13 @@
 //! The structure is deliberately generic: it knows nothing about covers or
 //! phases, only about an assignment `node → supernode`, per-node offsets,
 //! and a stream of absorbed edges.
+//!
+//! The quotient is searched in place between absorptions, so the
+//! contraction also keeps the weight statistics a bucket search needs
+//! ([`Contraction::bucket_config`]) up to date in O(1) per absorbed edge
+//! instead of rescanning every quotient edge before each batch of queries.
 
+use crate::bucket::BucketConfig;
 use crate::{Edge, NodeId, WeightedGraph};
 
 /// A quotient graph over a supernode assignment, maintained incrementally.
@@ -41,6 +47,11 @@ pub struct Contraction {
     supernode_of: Vec<u32>,
     offset: Vec<f64>,
     quotient: WeightedGraph,
+    /// Running sum of the quotient's edge weights.
+    weight_sum: f64,
+    /// Upper bound on the quotient's largest edge weight: the largest
+    /// weight ever recorded (a replacement only ever lowers a weight).
+    max_weight: f64,
 }
 
 impl Contraction {
@@ -72,6 +83,8 @@ impl Contraction {
             supernode_of,
             offset,
             quotient: WeightedGraph::new(supernodes),
+            weight_sum: 0.0,
+            max_weight: 0.0,
         }
     }
 
@@ -118,6 +131,21 @@ impl Contraction {
         &self.quotient
     }
 
+    /// The bucket configuration for searches on [`Self::quotient`], from
+    /// running statistics: Δ is the mean quotient edge weight (equal to a
+    /// fresh scan's up to rounding) and the ring spans the largest weight
+    /// any quotient edge ever had, an upper bound on the current maximum.
+    /// Distances are exact minima whatever Δ is, so this differs from
+    /// [`BucketConfig::for_graph`] only in speed, never in results — and
+    /// costs O(1) instead of a scan of every quotient edge.
+    pub fn bucket_config(&self) -> BucketConfig {
+        let mean = match self.quotient.edge_count() {
+            0 => 0.0,
+            edges => self.weight_sum / edges as f64,
+        };
+        BucketConfig::new(mean, self.max_weight)
+    }
+
     /// Absorbs one edge of the underlying graph. A crossing edge adds (or
     /// cheapens) the quotient edge between its endpoints' supernodes; an
     /// intra-supernode edge is a no-op. Returns whether the quotient
@@ -131,8 +159,10 @@ impl Contraction {
         let value = self.offset[e.u] + e.weight + self.offset[e.v];
         match self.quotient.edge_weight(su, sv) {
             Some(current) if current <= value => false,
-            _ => {
+            previous => {
                 self.quotient.add_edge(su, sv, value);
+                self.weight_sum += value - previous.unwrap_or(0.0);
+                self.max_weight = self.max_weight.max(value);
                 true
             }
         }
@@ -143,6 +173,7 @@ impl Contraction {
 mod tests {
     use super::*;
     use crate::dijkstra::shortest_path_to;
+    use crate::GraphView;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -187,6 +218,21 @@ mod tests {
     }
 
     #[test]
+    fn weight_stats_track_additions_and_replacements() {
+        let mut c = Contraction::new(vec![0, 0, 1, 1, 2], vec![0.0, 0.5, 0.25, 0.0, 0.0], 3);
+        assert_eq!((c.weight_sum, c.max_weight), (0.0, 0.0));
+        c.absorb(Edge::new(1, 2, 1.0)); // 0-1 at 1.75
+        c.absorb(Edge::new(3, 4, 0.5)); // 1-2 at 0.5
+        assert_eq!((c.weight_sum, c.max_weight), (1.75 + 0.5, 1.75));
+        assert_eq!(c.bucket_config().delta(), (1.75 + 0.5) / 2.0);
+        // Replacing the heaviest edge lowers the mean; the max bound keeps
+        // the old, now loose, value.
+        c.absorb(Edge::new(0, 3, 1.0)); // 0-1 at 1.0
+        assert_eq!((c.weight_sum, c.max_weight), (1.0 + 0.5, 1.75));
+        assert_eq!(c.bucket_config().delta(), (1.0 + 0.5) / 2.0);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_assignment_is_rejected() {
         let _ = Contraction::new(vec![0, 2], vec![0.0, 0.0], 2);
@@ -200,6 +246,41 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Under a stream of absorptions full of weight replacements, the
+        /// running statistics agree with a fresh scan of the quotient: the
+        /// max bound is at least the true max, and the mean (Δ) equals
+        /// [`BucketConfig::for_graph`]'s up to rounding.
+        #[test]
+        fn running_weight_stats_match_a_fresh_scan(
+            seed in 0u64..500,
+            n in 2usize..30,
+            supernodes in 1usize..8,
+            absorbed in 0usize..120,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let assignment: Vec<u32> =
+                (0..n).map(|_| rng.gen_range(0..supernodes) as u32).collect();
+            let offsets: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..0.5)).collect();
+            let mut c = Contraction::new(assignment, offsets, supernodes);
+            for _ in 0..absorbed {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if u != v {
+                    c.absorb(Edge::new(u, v, rng.gen_range(0.01..2.0)));
+                }
+            }
+            let mut true_max = 0.0_f64;
+            c.quotient().for_each_edge(|e| true_max = true_max.max(e.weight));
+            prop_assert!(c.max_weight >= true_max);
+            // Both Δs are the mean (the weights here keep the ring far
+            // below its slot cap, which would widen Δ).
+            let running = c.bucket_config().delta();
+            let scanned = BucketConfig::for_graph(c.quotient()).delta();
+            prop_assert!(
+                (running - scanned).abs() <= 1e-12 * scanned,
+                "running mean {running} vs scanned {scanned}"
+            );
+        }
+
         /// Quotient distances between representatives never underestimate
         /// the true distances in the underlying graph — every quotient
         /// edge corresponds to a real walk through the representatives.
