@@ -3,11 +3,11 @@
 //! For each requested size the harness generates a seeded uniform
 //! deployment at constant expected degree, builds the UBG through the
 //! SoA/grid path, runs the relaxed greedy construction with per-phase
-//! timing, and appends one record to `BENCH_scale.json` in the current
-//! directory:
+//! timing and then the distributed construction on the same UBG, and
+//! appends one record to `BENCH_scale.json` in the current directory:
 //!
 //! ```text
-//! { "schema": "tc-scale/2",
+//! { "schema": "tc-scale/3",
 //!   "target_degree": 8.0, "seed": 2006,
 //!   "runs": [ { "n", "dim", "side",
 //!               "ubg_edges", "spanner_edges", "max_degree",
@@ -23,7 +23,11 @@
 //!                 "redundant_seconds": [...]  // step (v)
 //!               },
 //!               "peak_rss_kb",           // VmHWM, null off-Linux
-//!               "ubg_edge_hash", "spanner_edge_hash" } ] }
+//!               "ubg_edge_hash", "spanner_edge_hash",
+//!               "distributed": {         // DistributedRelaxedGreedy
+//!                 "seconds", "rounds", "normalized_rounds",
+//!                 "mis_messages", "spanner_edges", "max_degree",
+//!                 "spanner_edge_hash", "peak_rss_kb" } } ] }
 //! ```
 //!
 //! The per-phase breakdown is stored as parallel arrays (one line each in
@@ -42,7 +46,9 @@
 //! Peak RSS is read from `/proc/self/status` (`VmHWM`) after each run; it
 //! is a process-lifetime high-water mark, so per-size attribution is only
 //! meaningful for the run that raised it — sizes are run in ascending
-//! order so the last record's value is the 10^6 figure. Edge hashes are
+//! order so the last record's value is the 10^6 figure. The sequential
+//! `peak_rss_kb` is read before the distributed construction runs; the
+//! distributed one after it, so it covers both constructions. Edge hashes are
 //! stable FNV-1a fingerprints of the sorted `(u, v, weight-bits)` stream,
 //! comparable across runs and machines.
 //!
@@ -57,7 +63,7 @@ use std::time::Instant;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::{CsrGraph, WeightedGraph};
 use tc_spanner::relaxed::PhaseTiming;
-use tc_spanner::{RelaxedGreedy, SpannerParams};
+use tc_spanner::{DistributedRelaxedGreedy, RelaxedGreedy, SpannerParams};
 use tc_ubg::{generators, UbgBuilder};
 
 const SEED: u64 = 2006;
@@ -93,6 +99,21 @@ impl PhaseBreakdown {
     }
 }
 
+/// The distributed construction (Section 3) on the same UBG.
+#[derive(Serialize)]
+struct DistributedRun {
+    seconds: f64,
+    rounds: usize,
+    /// `rounds / (log n · log* n)`, the ratio the paper bounds.
+    normalized_rounds: f64,
+    /// Messages of the MIS protocols (cover and conflict MIS).
+    mis_messages: usize,
+    spanner_edges: usize,
+    max_degree: usize,
+    spanner_edge_hash: String,
+    peak_rss_kb: Option<u64>,
+}
+
 #[derive(Serialize)]
 struct ScaleRun {
     n: usize,
@@ -110,6 +131,7 @@ struct ScaleRun {
     peak_rss_kb: Option<u64>,
     ubg_edge_hash: String,
     spanner_edge_hash: String,
+    distributed: DistributedRun,
 }
 
 #[derive(Serialize)]
@@ -222,6 +244,28 @@ fn run_one(n: usize) -> ScaleRun {
 
     let (stretch, stretch_samples) = sampled_stretch(ubg.graph(), &result.spanner, params.t);
     eprintln!("[scale] n={n} sampled stretch {stretch:.4} over {stretch_samples} base edges");
+    let sequential_peak_rss_kb = peak_rss_kb();
+
+    let t3 = Instant::now();
+    let dist = DistributedRelaxedGreedy::new(params).run(&ubg);
+    let dist_seconds = t3.elapsed().as_secs_f64();
+    eprintln!(
+        "[scale] n={n} distributed: {} edges, max degree {}, {} rounds ({:.1} log n log* n), {dist_seconds:.2}s",
+        dist.result.spanner.edge_count(),
+        dist.result.spanner.max_degree(),
+        dist.rounds,
+        dist.normalized_rounds()
+    );
+    let distributed = DistributedRun {
+        seconds: dist_seconds,
+        rounds: dist.rounds,
+        normalized_rounds: dist.normalized_rounds(),
+        mis_messages: dist.messages,
+        spanner_edges: dist.result.spanner.edge_count(),
+        max_degree: dist.result.spanner.max_degree(),
+        spanner_edge_hash: edge_hash(&dist.result.spanner),
+        peak_rss_kb: peak_rss_kb(),
+    };
 
     ScaleRun {
         n,
@@ -236,9 +280,10 @@ fn run_one(n: usize) -> ScaleRun {
         sampled_stretch: stretch,
         stretch_samples,
         phases: PhaseBreakdown::from_timings(&timings),
-        peak_rss_kb: peak_rss_kb(),
+        peak_rss_kb: sequential_peak_rss_kb,
         ubg_edge_hash: edge_hash(ubg.graph()),
         spanner_edge_hash: edge_hash(&result.spanner),
+        distributed,
     }
 }
 
@@ -329,7 +374,7 @@ fn main() {
     // mark) is dominated by the final, largest run.
     sizes.sort_unstable();
     let report = ScaleReport {
-        schema: "tc-scale/2",
+        schema: "tc-scale/3",
         seed: SEED,
         target_degree: TARGET_DEGREE,
         epsilon: EPSILON,

@@ -45,10 +45,13 @@ impl Scale {
         }
     }
 
+    /// Sizes of the round-complexity sweeps (E4, F2). The distributed
+    /// construction runs on the phase engine, so the paper sweep reaches
+    /// 10^5 nodes in seconds.
     fn rounds_node_counts(&self) -> Vec<usize> {
         match self {
             Scale::Smoke => vec![40, 80],
-            Scale::Paper => vec![50, 100, 200, 400, 800, 1600],
+            Scale::Paper => vec![50, 100, 200, 400, 800, 1600, 6400, 25_600, 102_400],
         }
     }
 

@@ -26,14 +26,13 @@
 use crate::params::SpannerParams;
 use crate::relaxed::{
     build_cluster_graph, is_covered, sequential_redundant_removals, BinPartition, ClusterCover,
-    PhaseStats, SpannerResult,
+    PhaseStats, PointCountMismatch, RelaxedGreedy, SpannerResult,
 };
-use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tc_geometry::PointAccess;
-use tc_graph::{components, dijkstra, Edge, WeightedGraph};
+use tc_graph::{dijkstra, Edge, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// Which mechanisms of the relaxed greedy construction are enabled.
@@ -121,28 +120,42 @@ pub fn run_ablation(
 ) -> SpannerResult {
     let weighting = EdgeWeighting::Euclidean;
     let graph = weighting.weighted_graph(ubg);
+    // weighted_graph() derives the graph from ubg.points(), so the counts
+    // agree by construction.
     run_ablation_on(ubg.points(), &graph, params, weighting, config)
+        // tc-lint: allow(panic-hygiene)
+        .expect("the UBG's own points match its graph by construction")
 }
 
 /// Like [`run_ablation`] but on an explicit (points, weighted graph) pair.
+///
+/// # Errors
+///
+/// Returns [`PointCountMismatch`] if `points` does not have exactly one
+/// point per graph vertex.
 pub fn run_ablation_on<P: PointAccess + ?Sized>(
     points: &P,
     graph: &WeightedGraph,
     params: SpannerParams,
     weighting: EdgeWeighting,
     config: AblationConfig,
-) -> SpannerResult {
+) -> Result<SpannerResult, PointCountMismatch> {
     let n = graph.node_count();
-    assert_eq!(points.len(), n, "one point per graph vertex is required");
+    if points.len() != n {
+        return Err(PointCountMismatch {
+            points: points.len(),
+            nodes: n,
+        });
+    }
     let mut phases = Vec::new();
     let mut spanner = WeightedGraph::new(n);
     if n == 0 || graph.is_edgeless() {
-        return SpannerResult {
+        return Ok(SpannerResult {
             spanner,
             params,
             weighting,
             phases,
-        };
+        });
     }
     let w0 = weighting.weight_of_distance(params.alpha) / n as f64;
     let bins = BinPartition::new(graph, w0, params.r);
@@ -150,30 +163,11 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
     for bin_index in bins.non_empty_bins() {
         let bin_edges = bins.bin(bin_index);
         if bin_index == 0 {
-            let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
-            let mut added = 0;
-            for component in components::connected_components(&g0) {
-                if component.len() < 2 {
-                    continue;
-                }
-                let partial = seq_greedy_on_subset(&g0, &component, params.t);
-                for e in partial.edges() {
-                    spanner.add(e);
-                    added += 1;
-                }
-            }
-            phases.push(PhaseStats {
-                bin: 0,
-                bin_upper: bins.upper(0),
-                edges_in_bin: bin_edges.len(),
-                clusters: 0,
-                covered_edges: 0,
-                same_cluster_edges: 0,
-                candidate_edges: bin_edges.len(),
-                query_edges: bin_edges.len(),
-                added_edges: added,
-                removed_redundant: 0,
-            });
+            phases.push(RelaxedGreedy::new(params).process_short_edges(
+                &mut spanner,
+                bin_edges,
+                &bins,
+            ));
             continue;
         }
 
@@ -266,12 +260,12 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
         });
     }
 
-    SpannerResult {
+    Ok(SpannerResult {
         spanner,
         params,
         weighting,
         phases,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -291,6 +285,28 @@ mod tests {
 
     fn params() -> SpannerParams {
         SpannerParams::for_epsilon(0.5, 1.0).unwrap()
+    }
+
+    #[test]
+    fn run_ablation_on_rejects_a_point_count_mismatch() {
+        let ubg = sample(4, 20);
+        let graph = EdgeWeighting::Euclidean.weighted_graph(&ubg);
+        let too_few = vec![tc_geometry::Point::new2(0.0, 0.0); 19];
+        let err = run_ablation_on(
+            too_few.as_slice(),
+            &graph,
+            params(),
+            EdgeWeighting::Euclidean,
+            AblationConfig::full(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            PointCountMismatch {
+                points: 19,
+                nodes: 20
+            }
+        );
     }
 
     #[test]

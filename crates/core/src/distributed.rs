@@ -1,48 +1,63 @@
 //! The distributed relaxed greedy algorithm (Section 3 of the paper).
 //!
-//! The distributed algorithm runs the same phase structure as the
-//! sequential relaxed greedy, with each step replaced by its local,
-//! message-passing counterpart:
+//! The distributed algorithm runs the phase structure of the sequential
+//! relaxed greedy with each step replaced by its local, message-passing
+//! counterpart — on the *same* phase loop as [`RelaxedGreedy`] (the
+//! hierarchical engine of `relaxed::hierarchy`), with its own phase rules.
 //!
-//! * **Phase 0** (Section 3.1): each node learns its closed 1-hop
-//!   neighbourhood, identifies its clique component of `G_0`, runs
-//!   `SEQ-GREEDY` locally and announces its incident spanner edges —
-//!   `O(1)` rounds.
+//! **Per level rebuild** (`O(log n)` of them: the phase radius
+//! `δ·W_{i-1}` grows geometrically over the `O(log n)` weight bins, and a
+//! level is rebuilt only when the radius outgrows it by a constant
+//! factor):
+//!
 //! * **Cluster cover** (Section 3.2.1): the "within `δ·W_{i-1}`" graph `J`
 //!   is a UBG of constant doubling dimension (Lemma 15); an MIS of `J`
 //!   yields the cluster centres and every other node attaches to the
 //!   reachable centre with the highest identifier — `O(log* n)` rounds in
 //!   the paper via Kuhn–Moscibroda–Wattenhofer; here the rounds of the
 //!   stand-in MIS protocol are *measured* (see DESIGN.md, substitution 2).
+//!   Between rebuilds every node keeps its cluster and its distance to the
+//!   centre locally — every later edge weighs more than twice the cover
+//!   radius, so no path inside a cluster changes — and nothing is
+//!   communicated: the `cover/*` charges are made on rebuild phases only.
+//!
+//! **Per phase:**
+//!
+//! * **Phase 0** (Section 3.1): each node learns its closed 1-hop
+//!   neighbourhood, identifies its clique component of `G_0`, runs
+//!   `SEQ-GREEDY` locally and announces its incident spanner edges —
+//!   `O(1)` rounds.
 //! * **Query-edge selection, cluster graph, query answering** (Sections
 //!   3.2.2–3.2.4): each requires gathering information from a constant
 //!   number of hops — `O(1)` rounds, charged at the hop bounds the paper
 //!   derives.
 //! * **Redundant-edge removal** (Section 3.2.5): an MIS on the conflict
 //!   graph of mutually redundant edges (a UBG of constant doubling
-//!   dimension, Lemma 20).
+//!   dimension, Lemma 20), then a one-round announcement.
 //!
-//! Rather than shipping every byte through the simulator, the driver
-//! reuses the verified sequential phase components for the *data* and
-//! charges a [`RoundLedger`] for the *communication*, at exactly the hop
-//! bounds proved in the paper; the two MIS invocations per phase are run
-//! as genuine message-passing protocols on [`tc_simnet::SyncNetwork`] and
-//! their measured rounds are charged. This keeps the output identical in
-//! structure to the sequential algorithm (so the spanner guarantees carry
-//! over) while producing an honest round count for the complexity
-//! experiment (E4).
+//! **Rounds.** `O(log n)` phases each charge `O(1)` hop rounds plus at
+//! most one `O(log* n)` conflict MIS, and `O(log n)` rebuilds each charge
+//! one `O(log* n)` cover MIS relayed over `O(1)` hops: `O(log n · log* n)`
+//! in total, the paper's bound.
+//!
+//! The engine computes the *data*; a [`RoundLedger`] is charged for the
+//! *communication* at exactly the hop bounds proved in the paper, and the
+//! two MIS invocations run as genuine message-passing protocols on
+//! [`tc_simnet::SyncNetwork`] whose measured rounds are charged. The
+//! output thus keeps the sequential algorithm's structure (so the
+//! spanner guarantees carry over) with an honest round count for the
+//! complexity experiment (E4).
 
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    analyze_redundancy, build_cluster_graph, removals_from_mis, select_query_edges, BinPartition,
-    ClusterCover, PhaseStats, PointCountMismatch, SpannerResult,
+    BinPartition, ClusterCover, PhaseRules, PhaseStats, PointCountMismatch, RelaxedGreedy,
+    SpannerResult,
 };
-use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{components, par, Edge, NodeId, WeightedGraph};
+use tc_graph::{par, NodeId, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
 
@@ -63,6 +78,15 @@ pub enum MisProtocol {
         /// Seed for the per-node random priorities.
         seed: u64,
     },
+}
+
+impl MisProtocol {
+    fn run(self, graph: &WeightedGraph) -> mis::MisResult {
+        match self {
+            MisProtocol::Rank => mis::rank_mis(graph, None),
+            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
+        }
+    }
 }
 
 /// The outcome of a distributed construction: the spanner plus the full
@@ -148,13 +172,6 @@ impl DistributedRelaxedGreedy {
         &self.params
     }
 
-    fn run_mis(&self, graph: &WeightedGraph) -> mis::MisResult {
-        match self.mis_protocol {
-            MisProtocol::Rank => mis::rank_mis(graph, None),
-            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
-        }
-    }
-
     /// Runs the distributed construction on a realised α-UBG.
     pub fn run(&self, ubg: &UnitBallGraph) -> DistributedSpannerResult {
         let graph = self.weighting.weighted_graph(ubg);
@@ -177,121 +194,145 @@ impl DistributedRelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<DistributedSpannerResult, PointCountMismatch> {
-        let n = graph.node_count();
-        if points.len() != n {
-            return Err(PointCountMismatch {
-                points: points.len(),
-                nodes: n,
-            });
-        }
-        let mut ledger = RoundLedger::new();
-        let mut phases: Vec<PhaseStats> = Vec::new();
-        let mut spanner = WeightedGraph::new(n);
-        let alpha_w = self
-            .weighting
-            .weight_of_distance(self.params.alpha)
-            .max(f64::MIN_POSITIVE);
+        let mut rules = self.rules();
+        let result = self
+            .sequential()
+            .run_with_rules(points, graph, &mut rules, None)?;
+        Ok(rules.finish(result))
+    }
 
-        if n > 0 && !graph.is_edgeless() {
-            let w0 = alpha_w / n as f64;
-            let bins = BinPartition::new(graph, w0, self.params.r);
-            for bin_index in bins.non_empty_bins() {
-                let bin_edges = bins.bin(bin_index);
-                if bin_index == 0 {
-                    let stats = self.process_short_edges_distributed(
-                        &mut spanner,
-                        bin_edges,
-                        &bins,
-                        &mut ledger,
-                    );
-                    phases.push(stats);
-                } else {
-                    let stats = self.process_long_edges_distributed(
-                        points,
-                        &mut spanner,
-                        bin_edges,
-                        &bins,
-                        bin_index,
-                        alpha_w,
-                        &mut ledger,
-                    );
-                    phases.push(stats);
-                }
+    /// The sequential construction whose phase loop this one runs on.
+    fn sequential(&self) -> RelaxedGreedy {
+        RelaxedGreedy::new(self.params).with_weighting(self.weighting)
+    }
+
+    fn rules(&self) -> DistributedRules {
+        DistributedRules {
+            params: self.params,
+            protocol: self.mis_protocol,
+            alpha_w: self
+                .weighting
+                .weight_of_distance(self.params.alpha)
+                .max(f64::MIN_POSITIVE),
+            ledger: RoundLedger::new(),
+            cover_mis: None,
+            conflict_mis: None,
+        }
+    }
+}
+
+/// Step (i) of a level rebuild, Section 3.2.1: the graph `J` joining the
+/// nodes within spanner distance `radius` of each other, a
+/// message-passing MIS of `J` as the centres, and every other node
+/// attached to a reachable centre. Returns the cover and the MIS protocol's
+/// measured communication.
+fn mis_cover(
+    spanner: &WeightedGraph,
+    radius: f64,
+    protocol: MisProtocol,
+) -> (ClusterCover, CommStats) {
+    let n = spanner.node_count();
+    let config = BucketConfig::for_graph(spanner);
+    // Each source's J-neighbours come from a radius-bounded visitor
+    // sweep — O(nodes reached) per source, never O(n) — fanned over
+    // TC_THREADS workers in fixed chunks. Sorting each chunk and merging
+    // in chunk order reproduces the sequential (u, v) insertion order
+    // exactly, for any thread count.
+    let chunks: Vec<(usize, usize)> = (0..n)
+        .step_by(J_SWEEP_CHUNK)
+        .map(|start| (start, (start + J_SWEEP_CHUNK).min(n)))
+        .collect();
+    let per_chunk: Vec<Vec<(usize, usize)>> = par::par_map_with(
+        &chunks,
+        0,
+        BucketScratch::new,
+        |scratch, _idx, &(start, end)| {
+            let mut local: Vec<(usize, usize)> = Vec::new();
+            for u in start..end {
+                scratch.for_each_within(spanner, u, radius, &config, |v, _d| {
+                    if v > u {
+                        local.push((u, v));
+                    }
+                });
             }
-        }
+            local.sort_unstable();
+            local
+        },
+    );
+    let mut j_graph = WeightedGraph::new(n);
+    for (u, v) in per_chunk.into_iter().flatten() {
+        j_graph.add_edge(u, v, 1.0);
+    }
+    let centers = protocol.run(&j_graph);
+    (
+        ClusterCover::from_centers(spanner, &centers.mis, radius),
+        centers.stats,
+    )
+}
 
-        let total = ledger.total();
-        Ok(DistributedSpannerResult {
-            result: SpannerResult {
-                spanner,
-                params: self.params,
-                weighting: self.weighting,
-                phases,
-            },
+/// The distributed phase rules: message-passing MIS covers and conflict
+/// MIS, and the round ledger the finished phases are charged to.
+struct DistributedRules {
+    params: SpannerParams,
+    protocol: MisProtocol,
+    /// The weight of an edge of length `α`, the hop-bound unit.
+    alpha_w: f64,
+    ledger: RoundLedger,
+    /// The current phase's cover MIS, if it rebuilt the level.
+    cover_mis: Option<CommStats>,
+    /// The current phase's conflict MIS, if its conflict graph was
+    /// non-trivial.
+    conflict_mis: Option<CommStats>,
+}
+
+impl DistributedRules {
+    /// Packages the spanner with the ledger's totals.
+    fn finish(self, result: SpannerResult) -> DistributedSpannerResult {
+        let n = result.spanner.node_count();
+        let total = self.ledger.total();
+        DistributedSpannerResult {
+            result,
             rounds: total.rounds,
             messages: total.messages,
             nodes: n,
             log_n: log2_ceil(n),
             log_star_n: log_star(n),
-            ledger,
-        })
-    }
-
-    /// Phase 0, Theorem 14: processing `E_0` takes `O(1)` rounds — one to
-    /// learn the closed neighbourhood (with pairwise distances), one to
-    /// announce the locally computed clique-spanner edges.
-    fn process_short_edges_distributed(
-        &self,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        ledger: &mut RoundLedger,
-    ) -> PhaseStats {
-        let n = spanner.node_count();
-        let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
-        let mut added = 0;
-        // The sweep is over G_0 (short edges only), whose components are
-        // cliques of 1-hop neighbourhoods (Lemma 1) — global on a graph
-        // that is itself local, not on the input.
-        // tc-lint: allow(locality)
-        for component in components::connected_components(&g0) {
-            if component.len() < 2 {
-                continue;
-            }
-            let partial = seq_greedy_on_subset(&g0, &component, self.params.t);
-            for e in partial.edges() {
-                spanner.add(e);
-                added += 1;
-            }
-        }
-        ledger.charge_rounds("phase0/gather-neighbourhood", 1);
-        ledger.charge_rounds("phase0/announce-spanner-edges", 1);
-        PhaseStats {
-            bin: 0,
-            bin_upper: bins.upper(0),
-            edges_in_bin: bin_edges.len(),
-            clusters: 0,
-            covered_edges: 0,
-            same_cluster_edges: 0,
-            candidate_edges: bin_edges.len(),
-            query_edges: bin_edges.len(),
-            added_edges: added,
-            removed_redundant: 0,
+            ledger: self.ledger,
         }
     }
+}
 
-    /// Phase `i ≥ 1`, Sections 3.2.1–3.2.5.
-    #[allow(clippy::too_many_arguments)]
-    fn process_long_edges_distributed<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        bin_index: usize,
-        alpha_w: f64,
-        ledger: &mut RoundLedger,
-    ) -> PhaseStats {
+impl PhaseRules for DistributedRules {
+    fn level_cover(
+        &mut self,
+        spanner: &WeightedGraph,
+        radius: f64,
+        _previous: &[NodeId],
+    ) -> ClusterCover {
+        let (cover, stats) = mis_cover(spanner, radius, self.protocol);
+        self.cover_mis = Some(stats);
+        cover
+    }
+
+    fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+        let result = self.protocol.run(conflict_graph);
+        self.conflict_mis = Some(result.stats);
+        result.mis
+    }
+
+    /// Charges the phase's communication. Phase 0, Theorem 14: one round
+    /// to learn the closed neighbourhood (with pairwise distances), one to
+    /// announce the locally computed clique-spanner edges. Phase `i ≥ 1`,
+    /// Sections 3.2.1–3.2.5: the level cover (rebuild phases only), then
+    /// the constant-hop gathers and the conflict MIS of every phase.
+    fn phase_done(&mut self, bins: &BinPartition, stats: &PhaseStats) {
+        let bin_index = stats.bin;
+        let ledger = &mut self.ledger;
+        if bin_index == 0 {
+            ledger.charge_rounds("phase0/gather-neighbourhood", 1);
+            ledger.charge_rounds("phase0/announce-spanner-edges", 1);
+            return;
+        }
         let w_prev = bins.upper(bin_index - 1);
         let radius = self.params.delta * w_prev;
         let label = |step: &str| format!("phase{bin_index}/{step}");
@@ -299,6 +340,7 @@ impl DistributedRelaxedGreedy {
         // Hop bounds the paper derives (Sections 2.2.4 and 3.2): nodes at
         // spanner distance D are at most 2D/α hops apart in G, because any
         // two nodes two hops apart on a shortest path are more than α apart.
+        let alpha_w = self.alpha_w;
         let hops_for =
             |distance: f64| -> usize { ((2.0 * distance / alpha_w).ceil() as usize).max(1) };
         let cover_gather_hops = hops_for(radius);
@@ -307,133 +349,44 @@ impl DistributedRelaxedGreedy {
         let query_answer_hops =
             ((2.0 * (2.0 * self.params.delta + 1.0) / self.params.alpha).ceil() as usize).max(1);
 
-        // Step (i): cluster cover via MIS on the derived graph J
-        // (x ~ y iff sp_{G'_{i-1}}(x, y) <= radius).
-        let n = spanner.node_count();
-        let mut j_graph = WeightedGraph::new(n);
-        let spanner_config = BucketConfig::for_graph(spanner);
-        // Each source's J-neighbours come from a radius-bounded visitor
-        // sweep — O(nodes reached) per source, never O(n) — fanned over
-        // TC_THREADS workers in fixed chunks. Sorting each chunk and
-        // merging in chunk order reproduces the sequential (u, v)
-        // insertion order exactly, for any thread count.
-        let chunks: Vec<(usize, usize)> = (0..n)
-            .step_by(J_SWEEP_CHUNK)
-            .map(|start| (start, (start + J_SWEEP_CHUNK).min(n)))
-            .collect();
-        let per_chunk: Vec<Vec<(usize, usize)>> = par::par_map_with(
-            &chunks,
-            0,
-            BucketScratch::new,
-            |scratch, _idx, &(start, end)| {
-                let mut local: Vec<(usize, usize)> = Vec::new();
-                for u in start..end {
-                    scratch.for_each_within(spanner, u, radius, &spanner_config, |v, _d| {
-                        if v > u {
-                            local.push((u, v));
-                        }
-                    });
-                }
-                local.sort_unstable();
-                local
-            },
-        );
-        for chunk_edges in per_chunk {
-            for (u, v) in chunk_edges {
-                j_graph.add_edge(u, v, 1.0);
-            }
+        // Step (i), rebuild phases only: J is gathered over
+        // `cover_gather_hops` hops of G, and each MIS round over J is
+        // simulated by relaying through that many hops.
+        if let Some(mis) = self.cover_mis.take() {
+            ledger.charge_rounds(label("cover/gather"), cover_gather_hops);
+            ledger.charge(
+                label("cover/mis"),
+                CommStats {
+                    rounds: mis.rounds * cover_gather_hops,
+                    ..mis
+                },
+            );
+            ledger.charge_rounds(label("cover/attach"), 1);
         }
-        let mis_result = self.run_mis(&j_graph);
-        let centers: Vec<NodeId> = mis_result.mis.clone();
-        let cover = ClusterCover::from_centers(spanner, &centers, radius);
-        ledger.charge_rounds(label("cover/gather"), cover_gather_hops);
-        ledger.charge(
-            label("cover/mis"),
-            CommStats {
-                // Each MIS round over J is simulated by relaying through at
-                // most `cover_gather_hops` hops of G.
-                rounds: mis_result.stats.rounds * cover_gather_hops,
-                messages: mis_result.stats.messages,
-                max_messages_per_node_round: mis_result.stats.max_messages_per_node_round,
-            },
-        );
-        ledger.charge_rounds(label("cover/attach"), 1);
-
-        // Step (ii): query-edge selection (cluster heads gather all bin
-        // edges between their cluster and any other, discard covered ones,
-        // pick the minimiser per cluster pair).
-        let selection = select_query_edges(
-            points,
-            &self.params,
-            self.weighting,
-            spanner,
-            &cover,
-            bin_edges,
-        );
+        // Steps (ii)–(iv): cluster heads gather the bin edges between their
+        // cluster and any other, the cluster graph, and the query answers.
         ledger.charge_rounds(label("query-selection/gather"), query_select_hops);
-
-        // Step (iii): cluster graph construction.
-        let (h, _h_stats) = build_cluster_graph(spanner, &cover, w_prev, self.params.delta);
         ledger.charge_rounds(label("cluster-graph/gather"), cluster_graph_hops);
-
-        // Step (iv): answer the spanner-path queries.
-        let h_config = BucketConfig::for_graph(&h);
-        let mut h_scratch = BucketScratch::new();
-        let mut added: Vec<Edge> = Vec::new();
-        for edge in &selection.query_edges {
-            let budget = self.params.t * edge.weight;
-            if h_scratch
-                .shortest_path_within(&h, edge.u, edge.v, budget, &h_config)
-                .is_none()
-            {
-                added.push(*edge);
-            }
-        }
-        for e in &added {
-            spanner.add(*e);
-        }
         ledger.charge_rounds(label("queries/answer"), query_answer_hops);
-
-        // Step (v): redundant-edge removal via MIS on the conflict graph.
-        let analysis = analyze_redundancy(&added, &h, self.params.t1);
-        let removals = if analysis.is_trivial() {
-            Vec::new()
-        } else {
-            let conflict_mis = self.run_mis(&analysis.conflict_graph);
+        // Step (v): the conflict MIS (when some pair was redundant) and the
+        // removal announcement.
+        if let Some(mis) = self.conflict_mis.take() {
             ledger.charge(
                 label("redundant/mis"),
                 CommStats {
-                    rounds: conflict_mis.stats.rounds * query_answer_hops,
-                    messages: conflict_mis.stats.messages,
-                    max_messages_per_node_round: conflict_mis.stats.max_messages_per_node_round,
+                    rounds: mis.rounds * query_answer_hops,
+                    ..mis
                 },
             );
-            removals_from_mis(&analysis, &conflict_mis.mis)
-        };
-        for &idx in &removals {
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
         }
         ledger.charge_rounds(label("redundant/announce"), 1);
-
-        PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters: cover.cluster_count(),
-            covered_edges: selection.covered,
-            same_cluster_edges: selection.same_cluster,
-            candidate_edges: selection.candidates,
-            query_edges: selection.query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_spanner;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tc_graph::properties::stretch_factor;
@@ -473,22 +426,183 @@ mod tests {
         assert!(stretch <= params.t + 1e-9, "stretch {stretch}");
     }
 
+    /// Delegates to the distributed rules, recording the bins whose phase
+    /// rebuilt the cover level and checking every rebuilt cover against
+    /// the spanner it was built on.
+    struct Audited {
+        inner: DistributedRules,
+        rebuilt: bool,
+        rebuild_bins: Vec<usize>,
+    }
+
+    impl PhaseRules for Audited {
+        fn level_cover(
+            &mut self,
+            spanner: &WeightedGraph,
+            radius: f64,
+            previous: &[NodeId],
+        ) -> ClusterCover {
+            let cover = self.inner.level_cover(spanner, radius, previous);
+            assert!(
+                cover.is_valid_cover(spanner),
+                "the MIS cover at radius {radius} is not a valid cover"
+            );
+            assert_eq!(cover.radius(), radius);
+            self.rebuilt = true;
+            cover
+        }
+
+        fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+            self.inner.conflict_mis(conflict_graph)
+        }
+
+        fn phase_done(&mut self, bins: &BinPartition, stats: &PhaseStats) {
+            if std::mem::take(&mut self.rebuilt) {
+                self.rebuild_bins.push(stats.bin);
+            }
+            self.inner.phase_done(bins, stats);
+        }
+    }
+
+    /// Runs `construction` on `ubg` under [`Audited`] rules; returns the
+    /// result and the bins that rebuilt the cover level, in order.
+    fn audited_run(
+        construction: &DistributedRelaxedGreedy,
+        ubg: &UnitBallGraph,
+    ) -> (DistributedSpannerResult, Vec<usize>) {
+        let graph = construction.weighting.weighted_graph(ubg);
+        let mut rules = Audited {
+            inner: construction.rules(),
+            rebuilt: false,
+            rebuild_bins: Vec::new(),
+        };
+        let result = construction
+            .sequential()
+            .run_with_rules(ubg.points(), &graph, &mut rules, None)
+            .unwrap();
+        let out = rules.inner.finish(result);
+        (out, rules.rebuild_bins)
+    }
+
+    /// The bins whose ledger entries carry the step label `step`.
+    fn bins_charged(out: &DistributedSpannerResult, step: &str) -> Vec<usize> {
+        out.ledger
+            .entries()
+            .filter_map(|(label, _)| {
+                let (phase, rest) = label.split_once('/')?;
+                (rest == step).then(|| phase.trim_start_matches("phase").parse().unwrap())
+            })
+            .collect()
+    }
+
     #[test]
-    fn ledger_contains_per_phase_breakdown() {
-        let ubg = uniform_ubg(13, 50, 2.0, 1.0);
+    fn cover_charges_appear_on_exactly_the_rebuild_phases() {
+        let ubg = uniform_ubg(13, 300, 5.0, 1.0);
         let params = SpannerParams::for_epsilon(1.0, 1.0).unwrap();
-        let out = DistributedRelaxedGreedy::new(params).run(&ubg);
-        assert!(out.ledger.entries().count() > 0);
+        let construction = DistributedRelaxedGreedy::new(params);
+        let (out, rebuild_bins) = audited_run(&construction, &ubg);
+        assert!(!rebuild_bins.is_empty(), "no level was ever built");
+        let long_phases = out.result.phases.iter().filter(|p| p.bin > 0).count();
+        assert!(
+            rebuild_bins.len() < long_phases,
+            "{} rebuilds over {long_phases} phases: covers are not reused",
+            rebuild_bins.len()
+        );
+        for step in ["cover/gather", "cover/mis", "cover/attach"] {
+            assert_eq!(bins_charged(&out, step), rebuild_bins, "{step}");
+        }
+        // The per-phase steps are charged on every long phase.
+        let long_bins: Vec<usize> = out
+            .result
+            .phases
+            .iter()
+            .map(|p| p.bin)
+            .filter(|&b| b > 0)
+            .collect();
+        for step in [
+            "query-selection/gather",
+            "queries/answer",
+            "redundant/announce",
+        ] {
+            assert_eq!(bins_charged(&out, step), long_bins, "{step}");
+        }
         let ledger_rounds: usize = out.ledger.entries().map(|(_, s)| s.rounds).sum();
         assert_eq!(ledger_rounds, out.rounds);
-        // Every processed long phase charges a cover gather.
-        let long_phases = out.result.phases.iter().filter(|p| p.bin > 0).count();
-        let cover_entries = out
-            .ledger
-            .entries()
-            .filter(|(label, _)| label.ends_with("cover/gather"))
-            .count();
-        assert_eq!(long_phases, cover_entries);
+        // The audited run is the production run.
+        let plain = construction.run(&ubg);
+        assert_eq!(
+            plain.result.spanner.sorted_edges(),
+            out.result.spanner.sorted_edges()
+        );
+        assert_eq!(plain.rounds, out.rounds);
+    }
+
+    fn clustered_ubg(seed: u64) -> UnitBallGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let points = generators::clustered_points(&mut rng, 160, 2, 6.0, 5, 0.6);
+        UbgBuilder::unit_disk().build(points).unwrap()
+    }
+
+    fn grey_3d_ubg(seed: u64) -> UnitBallGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let points = generators::uniform_points(&mut rng, 160, 3, 2.5);
+        UbgBuilder::new(0.6)
+            .grey_zone(GreyZonePolicy::Probabilistic {
+                probability: 0.5,
+                seed,
+            })
+            .build(points)
+            .unwrap()
+    }
+
+    /// Every third point has an exact duplicate, so the input carries
+    /// zero-weight edges.
+    fn duplicate_point_ubg(seed: u64) -> UnitBallGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut points = generators::uniform_points(&mut rng, 120, 2, 4.0);
+        let copies: Vec<_> = points.iter().step_by(3).cloned().collect();
+        points.extend(copies);
+        UbgBuilder::unit_disk().build(points).unwrap()
+    }
+
+    #[test]
+    fn mis_covers_are_valid_and_all_three_theorems_hold_on_hard_deployments() {
+        let cases = [
+            ("clustered", clustered_ubg(31), 1.0),
+            ("grey-zone 3d", grey_3d_ubg(32), 0.6),
+            ("duplicate points", duplicate_point_ubg(33), 1.0),
+        ];
+        for (name, ubg, alpha) in &cases {
+            assert!(ubg.graph().edge_count() > 0, "{name}: empty input");
+            let params = SpannerParams::for_epsilon(1.0, *alpha).unwrap();
+            for protocol in [MisProtocol::Rank, MisProtocol::Luby { seed: 9 }] {
+                let construction =
+                    DistributedRelaxedGreedy::new(params).with_mis_protocol(protocol);
+                // Audited: every rebuilt cover is valid on its spanner.
+                let (out, rebuild_bins) = audited_run(&construction, ubg);
+                assert!(!rebuild_bins.is_empty(), "{name}/{protocol:?}: no rebuild");
+                let report = verify_spanner(ubg.graph(), &out.result.spanner, params.t);
+                // Theorem 10: stretch.
+                assert!(
+                    report.stretch_ok,
+                    "{name}/{protocol:?}: stretch {} > {}, {} disconnected",
+                    report.stretch, params.t, report.disconnected_pairs
+                );
+                // Theorem 11: constant degree (the same constant the
+                // end-to-end tests hold the sequential spanner to).
+                assert!(
+                    report.max_degree <= 16,
+                    "{name}/{protocol:?}: max degree {}",
+                    report.max_degree
+                );
+                // Theorem 13: weight O(w(MST)).
+                assert!(
+                    report.weight_ratio.is_finite() && report.weight_ratio < 12.0,
+                    "{name}/{protocol:?}: weight ratio {}",
+                    report.weight_ratio
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,17 +90,20 @@ impl PhaseEngine {
     /// `radius` over the current `spanner`, rebuilding the level if the
     /// radius outgrew it. Returns whether a rebuild happened.
     ///
-    /// On rebuild the previous level's centres are offered centre-hood
-    /// first (ascending id), so each new cluster is a union of
-    /// previous-level clusters wherever the radii allow — the new cover is
-    /// computed *over the contracted structure* — while the claiming
-    /// sweeps run on the real spanner, keeping coverage distances and
-    /// centre separation exact rather than quotient-approximate.
-    pub fn prepare(&mut self, spanner: &WeightedGraph, radius: f64) -> bool {
+    /// Only a rebuild calls `build_cover(spanner, radius, previous)`, with
+    /// `previous` the previous level's centres (ascending id). Any cover
+    /// whose centres are more than `radius` apart and which reaches every
+    /// node within `radius` serves the level.
+    pub fn prepare(
+        &mut self,
+        spanner: &WeightedGraph,
+        radius: f64,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
+    ) -> bool {
         if self.cover.is_some() && radius <= LEVEL_GROWTH * self.level_radius {
             return false;
         }
-        let priority: Vec<NodeId> = match &self.cover {
+        let previous: Vec<NodeId> = match &self.cover {
             Some(cover) => {
                 let mut centers = cover.centers().to_vec();
                 centers.sort_unstable();
@@ -108,7 +111,7 @@ impl PhaseEngine {
             }
             None => Vec::new(),
         };
-        let cover = ClusterCover::greedy_with_candidates(spanner, radius, &priority);
+        let cover = build_cover(spanner, radius, &previous);
         let n = spanner.node_count();
         let assignment: Vec<u32> = (0..n).map(|v| cover.cluster_of(v) as u32).collect();
         let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
@@ -237,7 +240,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
         let mut engine = PhaseEngine::new();
-        assert!(engine.prepare(&g, 0.3));
+        assert!(engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
         let oracle = ClusterCover::greedy(&g, 0.3);
         assert_eq!(engine.cover().centers(), oracle.centers());
         for v in 0..30 {
@@ -251,11 +254,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
         let mut engine = PhaseEngine::new();
-        assert!(engine.prepare(&g, 0.2));
-        assert!(!engine.prepare(&g, 0.3));
-        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH));
+        assert!(engine.prepare(&g, 0.2, ClusterCover::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, ClusterCover::greedy_with_candidates));
         assert_eq!(engine.rebuilds(), 1);
-        assert!(engine.prepare(&g, 0.2 * LEVEL_GROWTH + 1e-9));
+        assert!(engine.prepare(
+            &g,
+            0.2 * LEVEL_GROWTH + 1e-9,
+            ClusterCover::greedy_with_candidates
+        ));
         assert_eq!(engine.rebuilds(), 2);
     }
 
@@ -267,7 +274,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
         let mut engine = PhaseEngine::new();
-        engine.prepare(&g, 0.25);
+        engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
         let cover = engine.cover().clone();
         // Edges heavier than twice the radius keep the cover frozen-valid.
         let extra: Vec<Edge> = (0..8)
@@ -317,7 +324,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
             let mut engine = PhaseEngine::new();
-            engine.prepare(&g, 0.25);
+            engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
             let mut kept = Vec::new();
             for _ in 0..extra {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -406,7 +413,7 @@ mod tests {
                 // Phase radius from the heaviest edge already *in* the
                 // spanner — the next chunk's edges are all heavier.
                 let radius = delta * w_prev;
-                engine.prepare(&spanner, radius);
+                engine.prepare(&spanner, radius, ClusterCover::greedy_with_candidates);
                 prop_assert!(
                     engine.cover().is_valid_cover(&spanner),
                     "cover invalid at radius {radius} with {} spanner edges",
@@ -421,7 +428,7 @@ mod tests {
                 processed = next;
             }
             // Final check after all additions.
-            engine.prepare(&spanner, delta * w_prev);
+            engine.prepare(&spanner, delta * w_prev, ClusterCover::greedy_with_candidates);
             prop_assert!(engine.cover().is_valid_cover(&spanner));
         }
     }

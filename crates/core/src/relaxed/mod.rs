@@ -27,12 +27,15 @@
 //! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
 //! per-phase cost then tracks the work of the phase's queries instead of
 //! `n` — see `docs/PERFORMANCE.md`, "Phase engine".
-//! [`build_cluster_graph`] remains the per-phase oracle that the engine's
-//! equivalence tests and the distributed path build on.
+//! [`build_cluster_graph`] and the dense [`analyze_redundancy`] remain
+//! the per-phase oracles of the ablation pipeline and of the engine's
+//! equivalence tests; no production construction builds `H`.
 //!
-//! The distributed algorithm ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy)) runs exactly this
-//! phase structure, replacing each step with its message-passing
-//! counterpart.
+//! The distributed algorithm ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy))
+//! runs on the same phase loop: the two constructions differ only in
+//! their phase rules (`PhaseRules`) — how a level rebuild picks its
+//! cluster centres and how the conflict graph's MIS is chosen — and in
+//! the round ledger the distributed rules charge after every phase.
 
 mod bins;
 mod cluster_graph;
@@ -58,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, par, Edge, WeightedGraph};
+use tc_graph::{components, mis, par, Edge, NodeId, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -184,6 +187,33 @@ impl SpannerResult {
     }
 }
 
+/// The variant rules of a construction on the shared phase loop. The
+/// defaults are the sequential rules (Section 2); a construction
+/// overrides what differs. Every hook runs once per phase or per level
+/// rebuild, never per edge.
+pub(crate) trait PhaseRules {
+    /// Step (i) at a level rebuild (see `PhaseEngine::prepare`): greedy,
+    /// offering the previous level's centres `prev` centre-hood first, so
+    /// new clusters are unions of old ones wherever the radii allow.
+    fn level_cover(&mut self, graph: &WeightedGraph, radius: f64, prev: &[NodeId]) -> ClusterCover {
+        ClusterCover::greedy_with_candidates(graph, radius, prev)
+    }
+
+    /// Step (v): a maximal independent set of a non-trivial conflict
+    /// graph of mutually redundant edges.
+    fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+        mis::greedy_mis(conflict_graph)
+    }
+
+    /// Called after every phase with its statistics.
+    fn phase_done(&mut self, _bins: &BinPartition, _stats: &PhaseStats) {}
+}
+
+/// The sequential construction's rules: the defaults.
+struct SequentialRules;
+
+impl PhaseRules for SequentialRules {}
+
 /// The sequential relaxed greedy spanner construction.
 ///
 /// # Example
@@ -269,7 +299,7 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<SpannerResult, PointCountMismatch> {
-        self.run_on_impl(points, graph, None)
+        self.run_with_rules(points, graph, &mut SequentialRules, None)
     }
 
     /// [`RelaxedGreedy::run_on`] with per-phase wall-clock timings.
@@ -284,14 +314,19 @@ impl RelaxedGreedy {
         graph: &WeightedGraph,
     ) -> Result<(SpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
         let mut timings = Vec::new();
-        let result = self.run_on_impl(points, graph, Some(&mut timings))?;
+        let result =
+            self.run_with_rules(points, graph, &mut SequentialRules, Some(&mut timings))?;
         Ok((result, timings))
     }
 
-    fn run_on_impl<P: PointAccess + ?Sized>(
+    /// The phase loop both constructions run: phase 0, then steps
+    /// (i)–(v) of every non-empty bin, with `rules` supplying the
+    /// construction's variant steps.
+    pub(crate) fn run_with_rules<P: PointAccess + ?Sized, R: PhaseRules>(
         &self,
         points: &P,
         graph: &WeightedGraph,
+        rules: &mut R,
         mut timings: Option<&mut Vec<PhaseTiming>>,
     ) -> Result<SpannerResult, PointCountMismatch> {
         let n = graph.node_count();
@@ -320,21 +355,22 @@ impl RelaxedGreedy {
             let phase_start = Instant::now();
             let mut timing = PhaseTiming::for_bin(bin_index);
             let bin_edges = bins.bin(bin_index);
-            if bin_index == 0 {
-                let stats = self.process_short_edges(&mut spanner, bin_edges, &bins);
-                phases.push(stats);
+            let stats = if bin_index == 0 {
+                self.process_short_edges(&mut spanner, bin_edges, &bins)
             } else {
-                let stats = self.process_long_edges(
+                self.process_long_edges(
                     points,
                     &mut spanner,
                     bin_edges,
                     &bins,
                     bin_index,
                     &mut engine,
+                    rules,
                     &mut timing,
-                );
-                phases.push(stats);
-            }
+                )
+            };
+            rules.phase_done(&bins, &stats);
+            phases.push(stats);
             if let Some(timings) = timings.as_deref_mut() {
                 timing.seconds = phase_start.elapsed().as_secs_f64();
                 timings.push(timing);
@@ -351,8 +387,8 @@ impl RelaxedGreedy {
 
     /// Phase 0 (Section 2.1): the graph `G_0` of short edges has clique
     /// components (Lemma 1); run `SEQ-GREEDY` on each component and keep
-    /// the union.
-    fn process_short_edges(
+    /// the union. The ablation pipeline runs the same phase 0.
+    pub(crate) fn process_short_edges(
         &self,
         spanner: &mut WeightedGraph,
         bin_edges: &[Edge],
@@ -403,9 +439,10 @@ impl RelaxedGreedy {
     /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
     /// cluster graph, query answering, redundant-edge removal — steps (i),
     /// (iii), (iv) and (v) running through the hierarchical [`PhaseEngine`]
-    /// (frozen level covers, an incremental contraction queried in place).
+    /// (frozen level covers, an incremental contraction queried in place),
+    /// with the level covers and the conflict MIS taken from `rules`.
     #[allow(clippy::too_many_arguments)]
-    fn process_long_edges<P: PointAccess + ?Sized>(
+    fn process_long_edges<P: PointAccess + ?Sized, R: PhaseRules>(
         &self,
         points: &P,
         spanner: &mut WeightedGraph,
@@ -413,16 +450,19 @@ impl RelaxedGreedy {
         bins: &BinPartition,
         bin_index: usize,
         engine: &mut PhaseEngine,
+        rules: &mut R,
         timing: &mut PhaseTiming,
     ) -> PhaseStats {
         let w_prev = bins.upper(bin_index - 1);
         let radius = self.params.delta * w_prev;
 
         // Step (i): cluster cover of G'_{i-1} — reused from the engine's
-        // frozen level when the radius still fits, rebuilt on the previous
-        // level's contraction otherwise.
+        // frozen level when the radius still fits, rebuilt by the rules'
+        // cover construction otherwise.
         let step = Instant::now();
-        engine.prepare(spanner, radius);
+        engine.prepare(spanner, radius, |g, r, previous| {
+            rules.level_cover(g, r, previous)
+        });
         timing.cover_seconds = step.elapsed().as_secs_f64();
         let clusters = engine.cover().cluster_count();
 
@@ -479,6 +519,7 @@ impl RelaxedGreedy {
             quotient,
             &config,
             self.params.t1,
+            |conflict_graph| rules.conflict_mis(conflict_graph),
         );
         let mut keep = vec![true; added.len()];
         for &idx in &removals {
@@ -657,6 +698,22 @@ mod tests {
         let energy_base = weighting.weighted_graph(&ubg);
         let stretch = stretch_factor(&energy_base, &result.spanner);
         assert!(stretch <= params.t + 1e-9, "energy stretch {stretch}");
+    }
+
+    #[test]
+    fn duplicate_points_do_not_cover_each_others_edges() {
+        // u and u' coincide. Their zero-weight edge must not let each of
+        // them cover the other's edge to v, or no edge to v is ever added.
+        let points = vec![
+            Point::new2(0.0, 0.0),
+            Point::new2(0.0, 0.0),
+            Point::new2(0.5, 0.0),
+        ];
+        let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+        let params = SpannerParams::for_epsilon(0.5, 1.0).unwrap();
+        let result = RelaxedGreedy::new(params).run(&ubg);
+        let stretch = stretch_factor(ubg.graph(), &result.spanner);
+        assert!(stretch <= params.t + 1e-9, "stretch {stretch}");
     }
 
     #[test]

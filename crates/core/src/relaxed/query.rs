@@ -51,7 +51,10 @@ pub fn is_covered<P: PointAccess + ?Sized>(
             // the weight comparison), |vz| <= alpha so that {v, z} is
             // guaranteed to be an edge of the alpha-UBG, and the angle at u
             // to be at most theta.
-            if w_uz > edge.weight {
+            // Lemma 3's induction needs |vz| < |uv|, which holds only for
+            // |uz| > 0: duplicates of u would cover each other's edges in
+            // a circle that none of them ever joins.
+            if w_uz > edge.weight || w_uz == 0.0 {
                 continue;
             }
             if points.distance(v, z) > alpha {

@@ -315,19 +315,21 @@ pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64)
 
 /// [`sequential_redundant_removals`] on the contracted cluster graph: the
 /// hierarchical phase engine's step (v), measuring on the phase's quotient
-/// instead of a materialised `H`.
+/// instead of a materialised `H`, with `choose_mis` picking the conflict
+/// graph's MIS (a message-passing protocol in the distributed algorithm).
 pub fn contracted_redundant_removals<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
     quotient: &G,
     config: &BucketConfig,
     t1: f64,
+    choose_mis: impl FnOnce(&WeightedGraph) -> Vec<NodeId>,
 ) -> Vec<usize> {
     let analysis = analyze_redundancy_contracted(added, contraction, quotient, config, t1);
     if analysis.is_trivial() {
         return Vec::new();
     }
-    let chosen = mis::greedy_mis(&analysis.conflict_graph);
+    let chosen = choose_mis(&analysis.conflict_graph);
     removals_from_mis(&analysis, &chosen)
 }
 
@@ -457,7 +459,7 @@ mod tests {
         );
         assert_eq!(
             sequential_redundant_removals(added, h, t1),
-            contracted_redundant_removals(added, &c, c.quotient(), &config, t1)
+            contracted_redundant_removals(added, &c, c.quotient(), &config, t1, mis::greedy_mis)
         );
     }
 

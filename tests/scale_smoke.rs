@@ -4,6 +4,9 @@
 //!   relaxed spanner's edge hash at a size small enough for the default
 //!   suite, so a change to the phase engine that alters its output fails
 //!   `cargo test` even when every run still agrees with itself.
+//! * `distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes` (tier 1)
+//!   does the same for the distributed construction, pinning its round
+//!   count too.
 //! * `scale_smoke_200k_nodes_build_verify_deterministic` (tier 2) is
 //!   `#[ignore]`d so the default suite stays fast; the release-mode CI job
 //!   runs it explicitly with `--ignored`. It checks the things a scale
@@ -16,6 +19,10 @@
 //!   3. two seeded runs produce bit-identical edge lists (stable FNV-1a
 //!      hash), i.e. scale does not cost determinism, and both lists equal
 //!      the pinned hashes that `scale 200000` and perfbench also report.
+//! * `distributed_scale_smoke_200k_nodes` (tier 2, `#[ignore]`d likewise)
+//!   runs the distributed construction on the same 200k deployment and
+//!   checks the stretch of *every* base edge, the maximum degree and the
+//!   round count against the paper's `O(log n · log* n)` bound.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -31,8 +38,19 @@ const SPANNER_HASH_200K: u64 = 0xea51_9293_3fa4_9d03;
 /// Size and edge hash of the tier-1 pinned build (seed 2006).
 const N_PINNED: usize = 20_000;
 const SPANNER_HASH_20K: u64 = 0xbc37_28e7_a230_abc6;
+/// Size, edge hash and round count of the tier-1 pinned distributed build
+/// (seed 2006).
+const N_DIST_PINNED: usize = 5_000;
+const DIST_SPANNER_HASH_5K: u64 = 0x93c2_b3cf_b9d6_b35a;
+const DIST_ROUNDS_5K: usize = 2_824;
+/// Upper bound on `rounds / (log n · log* n)` at 200k nodes. The ratio
+/// reads 54 at 5k, 67 at 20k and 64 at 200k (seed 2006); a per-phase cost
+/// that grew with `n` would push it past the bound.
+const DIST_NORMALIZED_ROUNDS_BOUND: f64 = 80.0;
 
-fn build_instance(n: usize) -> (UnitBallGraph, tc_spanner::SpannerResult, SpannerParams) {
+/// The seed-2006 `n`-node deployment at expected degree 8, with the
+/// parameters of every build in this file.
+fn deploy(n: usize) -> (UnitBallGraph, SpannerParams) {
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let side = generators::side_for_target_degree(n, 2, 8.0);
     let points = generators::uniform_points(&mut rng, n, 2, side);
@@ -40,6 +58,11 @@ fn build_instance(n: usize) -> (UnitBallGraph, tc_spanner::SpannerResult, Spanne
         .build(points)
         .expect("generator points share a dimension");
     let params = SpannerParams::for_epsilon(1.0, 1.0).expect("valid parameters");
+    (ubg, params)
+}
+
+fn build_instance(n: usize) -> (UnitBallGraph, tc_spanner::SpannerResult, SpannerParams) {
+    let (ubg, params) = deploy(n);
     let result = RelaxedGreedy::new(params).run(&ubg);
     (ubg, result, params)
 }
@@ -71,6 +94,47 @@ fn relaxed_spanner_hash_is_pinned_at_20k_nodes() {
         SPANNER_HASH_20K,
         "the seed-{SEED} {N_PINNED}-node spanner changed: {:016x}",
         edge_hash(&result.spanner)
+    );
+}
+
+#[test]
+fn distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes() {
+    let (ubg, params) = deploy(N_DIST_PINNED);
+    let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+    assert_eq!(
+        (edge_hash(&out.result.spanner), out.rounds),
+        (DIST_SPANNER_HASH_5K, DIST_ROUNDS_5K),
+        "the seed-{SEED} {N_DIST_PINNED}-node distributed spanner changed: {:016x}, {} rounds",
+        edge_hash(&out.result.spanner),
+        out.rounds
+    );
+}
+
+#[test]
+#[ignore = "tier-2 scale test: ~200k nodes, release mode; CI runs it with --ignored"]
+fn distributed_scale_smoke_200k_nodes() {
+    let (ubg, params) = deploy(N);
+    let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+    let report = verify_spanner(ubg.graph(), &out.result.spanner, params.t);
+    assert_eq!(report.base_edges, ubg.graph().edge_count());
+    assert!(
+        report.stretch_ok,
+        "stretch {} over target {}, {} disconnected, {} violations",
+        report.stretch,
+        params.t,
+        report.disconnected_pairs,
+        report.violations.len()
+    );
+    assert!(
+        report.max_degree <= 16,
+        "max degree {} is not O(1)-like",
+        report.max_degree
+    );
+    assert!(
+        out.normalized_rounds() <= DIST_NORMALIZED_ROUNDS_BOUND,
+        "{} rounds = {:.1} · log n · log* n, over the bound {DIST_NORMALIZED_ROUNDS_BOUND}",
+        out.rounds,
+        out.normalized_rounds()
     );
 }
 
