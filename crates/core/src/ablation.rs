@@ -15,24 +15,27 @@
 //!    bound.
 //!
 //! [`AblationConfig`] switches each choice off individually so the
-//! ablation experiment (bench target `ablation`) can quantify what each
-//! one buys: how the spanner size, degree, weight and stretch move when a
-//! mechanism is removed. Every variant still produces a valid
+//! ablation experiment (E9, bench target `ablation`) can quantify what
+//! each one buys: how the spanner size, degree, weight and stretch move
+//! when a mechanism is removed. Every variant still produces a valid
 //! `t`-spanner — the mechanisms only affect sparsity, degree, weight and
 //! round complexity, never correctness of the stretch bound (disabling
 //! the cluster graph can only make queries more accurate; disabling a
 //! filter can only add edges).
+//!
+//! The switches are rules of the production phase loop
+//! ([`RelaxedGreedy`]'s): the configuration is read once per run, and
+//! each disabled mechanism skips its step (or, for the cluster graph,
+//! answers each query exactly on the frozen partial spanner `G'_{i-1}`)
+//! in every phase. [`AblationConfig::full`] therefore *is* the production
+//! construction.
 
 use crate::params::SpannerParams;
-use crate::relaxed::{
-    build_cluster_graph, is_covered, sequential_redundant_removals, BinPartition, ClusterCover,
-    PhaseStats, PointCountMismatch, RelaxedGreedy, SpannerResult,
-};
+use crate::relaxed::{PhaseRules, PointCountMismatch, RelaxedGreedy, SpannerResult};
 use crate::weighting::EdgeWeighting;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use tc_geometry::PointAccess;
-use tc_graph::{dijkstra, Edge, WeightedGraph};
+use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// Which mechanisms of the relaxed greedy construction are enabled.
@@ -105,14 +108,9 @@ impl AblationConfig {
 
 /// Runs the relaxed greedy construction with the given mechanisms enabled.
 ///
-/// [`AblationConfig::full`] is the paper's pipeline with every step
-/// recomputed from scratch each phase — per-phase [`ClusterCover::greedy`]
-/// and [`build_cluster_graph`] — i.e. the reference oracle the production
-/// path's hierarchical phase engine (`relaxed::hierarchy`) is gated
-/// against. The engine reuses covers across phase levels and answers
-/// queries on a contracted cluster graph, so its output may differ edge
-/// for edge; both satisfy the paper's stretch/degree/weight invariants
-/// (see the equivalence tests here and `tests/paper_claims.rs`).
+/// [`AblationConfig::full`] gives exactly [`RelaxedGreedy::run`]'s
+/// spanner; the other configurations switch mechanisms off on the same
+/// phase loop.
 pub fn run_ablation(
     ubg: &UnitBallGraph,
     params: SpannerParams,
@@ -140,142 +138,27 @@ pub fn run_ablation_on<P: PointAccess + ?Sized>(
     weighting: EdgeWeighting,
     config: AblationConfig,
 ) -> Result<SpannerResult, PointCountMismatch> {
-    let n = graph.node_count();
-    if points.len() != n {
-        return Err(PointCountMismatch {
-            points: points.len(),
-            nodes: n,
-        });
+    RelaxedGreedy::new(params)
+        .with_weighting(weighting)
+        .run_with_rules(points, graph, &mut AblationRules(config), None)
+}
+
+/// The sequential rules with some mechanisms switched off.
+struct AblationRules(AblationConfig);
+
+impl PhaseRules for AblationRules {
+    fn mechanisms(&self) -> AblationConfig {
+        self.0
     }
-    let mut phases = Vec::new();
-    let mut spanner = WeightedGraph::new(n);
-    if n == 0 || graph.is_edgeless() {
-        return Ok(SpannerResult {
-            spanner,
-            params,
-            weighting,
-            phases,
-        });
-    }
-    let w0 = weighting.weight_of_distance(params.alpha) / n as f64;
-    let bins = BinPartition::new(graph, w0, params.r);
-
-    for bin_index in bins.non_empty_bins() {
-        let bin_edges = bins.bin(bin_index);
-        if bin_index == 0 {
-            phases.push(RelaxedGreedy::new(params).process_short_edges(
-                &mut spanner,
-                bin_edges,
-                &bins,
-            ));
-            continue;
-        }
-
-        let w_prev = bins.upper(bin_index - 1);
-        let radius = params.delta * w_prev;
-        let cover = ClusterCover::greedy(&spanner, radius);
-
-        // Query-edge selection under the configured mechanisms.
-        let mut covered_count = 0;
-        let mut same_cluster = 0;
-        let mut candidates = 0;
-        let mut query_edges: Vec<Edge> = Vec::new();
-        let mut best: BTreeMap<(usize, usize), (f64, Edge)> = BTreeMap::new();
-        for edge in bin_edges {
-            let ca = cover.cluster_of(edge.u);
-            let cb = cover.cluster_of(edge.v);
-            if ca == cb {
-                same_cluster += 1;
-                continue;
-            }
-            if config.covered_filter && is_covered(points, &params, weighting, &spanner, edge) {
-                covered_count += 1;
-                continue;
-            }
-            candidates += 1;
-            if config.per_cluster_pair {
-                let objective = params.t * edge.weight
-                    - cover.dist_to_center(edge.u)
-                    - cover.dist_to_center(edge.v);
-                let key = if ca < cb { (ca, cb) } else { (cb, ca) };
-                match best.get(&key) {
-                    Some((current, _)) if *current <= objective => {}
-                    _ => {
-                        best.insert(key, (objective, *edge));
-                    }
-                }
-            } else {
-                query_edges.push(*edge);
-            }
-        }
-        if config.per_cluster_pair {
-            query_edges.extend(best.into_values().map(|(_, e)| e));
-            query_edges.sort();
-        }
-
-        // The cluster graph is only built when some step needs it.
-        let h = if config.cluster_graph_queries || config.redundancy_removal {
-            Some(build_cluster_graph(&spanner, &cover, w_prev, params.delta).0)
-        } else {
-            None
-        };
-
-        // Query answering.
-        let mut added: Vec<Edge> = Vec::new();
-        for edge in &query_edges {
-            let budget = params.t * edge.weight;
-            let query_graph: &WeightedGraph = match (config.cluster_graph_queries, &h) {
-                (true, Some(h_ref)) => h_ref,
-                _ => &spanner,
-            };
-            if dijkstra::shortest_path_within(query_graph, edge.u, edge.v, budget).is_none() {
-                added.push(*edge);
-            }
-        }
-        for e in &added {
-            spanner.add(*e);
-        }
-
-        // Redundancy removal.
-        let removals = match (config.redundancy_removal, &h) {
-            (true, Some(h_ref)) => sequential_redundant_removals(&added, h_ref, params.t1),
-            _ => Vec::new(),
-        };
-        for &idx in &removals {
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
-        }
-
-        phases.push(PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters: cover.cluster_count(),
-            covered_edges: covered_count,
-            same_cluster_edges: same_cluster,
-            candidate_edges: candidates,
-            query_edges: query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        });
-    }
-
-    Ok(SpannerResult {
-        spanner,
-        params,
-        weighting,
-        phases,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relaxed::RelaxedGreedy;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tc_graph::properties::stretch_factor;
-    use tc_ubg::{generators, UbgBuilder};
+    use tc_ubg::{generators, GreyZonePolicy, UbgBuilder};
 
     fn sample(seed: u64, n: usize) -> UnitBallGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -285,6 +168,42 @@ mod tests {
 
     fn params() -> SpannerParams {
         SpannerParams::for_epsilon(0.5, 1.0).unwrap()
+    }
+
+    fn grey_3d_ubg(seed: u64) -> UnitBallGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let points = generators::uniform_points(&mut rng, 120, 3, 2.5);
+        UbgBuilder::new(0.6)
+            .grey_zone(GreyZonePolicy::Probabilistic {
+                probability: 0.5,
+                seed,
+            })
+            .build(points)
+            .unwrap()
+    }
+
+    /// Every third point has an exact duplicate, so the input carries
+    /// zero-weight edges.
+    fn duplicate_point_ubg(seed: u64) -> UnitBallGraph {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut points = generators::uniform_points(&mut rng, 90, 2, 3.0);
+        let copies: Vec<_> = points.iter().step_by(3).cloned().collect();
+        points.extend(copies);
+        UbgBuilder::unit_disk().build(points).unwrap()
+    }
+
+    /// The uniform, 3D grey-zone and duplicate-point inputs, each with its
+    /// parameters (ε = 0.5 at the input's α).
+    fn inputs() -> Vec<(&'static str, UnitBallGraph, SpannerParams)> {
+        vec![
+            ("uniform", sample(2, 80), params()),
+            (
+                "grey-zone 3d",
+                grey_3d_ubg(32),
+                SpannerParams::for_epsilon(0.5, 0.6).unwrap(),
+            ),
+            ("duplicate points", duplicate_point_ubg(33), params()),
+        ]
     }
 
     #[test]
@@ -310,41 +229,31 @@ mod tests {
     }
 
     #[test]
-    fn full_config_is_paper_equivalent_to_the_production_engine() {
-        // The production path runs the hierarchical phase engine (frozen
-        // level covers, contracted cluster graphs), the full ablation the
-        // per-phase oracle pipeline. Their outputs may differ edge for
-        // edge, but both must be valid t-spanners of comparable size —
-        // the paper-invariant gate for the engine.
-        for seed in [1, 4, 11] {
-            let ubg = sample(seed, 90);
-            let engine = RelaxedGreedy::new(params()).run(&ubg);
-            let oracle = run_ablation(&ubg, params(), AblationConfig::full());
-            for result in [&engine, &oracle] {
-                let stretch = stretch_factor(ubg.graph(), &result.spanner);
-                assert!(stretch <= params().t + 1e-9, "stretch {stretch}");
-            }
-            let (a, b) = (
-                engine.spanner.edge_count() as f64,
-                oracle.spanner.edge_count() as f64,
+    fn full_ablation_is_the_production_spanner() {
+        for (name, ubg, params) in inputs() {
+            assert!(ubg.graph().edge_count() > 0, "{name}: empty input");
+            let production = RelaxedGreedy::new(params).run(&ubg);
+            let full = run_ablation(&ubg, params, AblationConfig::full());
+            assert_eq!(
+                production.spanner.sorted_edges(),
+                full.spanner.sorted_edges(),
+                "{name}"
             );
-            assert!(
-                a <= 1.25 * b && b <= 1.25 * a,
-                "engine kept {a} edges, oracle {b} — not comparable"
-            );
+            assert_eq!(production.phases, full.phases, "{name}");
         }
     }
 
     #[test]
     fn every_variant_still_meets_the_stretch_target() {
-        let ubg = sample(2, 80);
-        for (name, config) in AblationConfig::named_variants() {
-            let result = run_ablation(&ubg, params(), config);
-            let stretch = stretch_factor(ubg.graph(), &result.spanner);
-            assert!(
-                stretch <= params().t + 1e-9,
-                "variant {name} broke the stretch bound: {stretch}"
-            );
+        for (input, ubg, params) in inputs() {
+            for (name, config) in AblationConfig::named_variants() {
+                let result = run_ablation(&ubg, params, config);
+                let stretch = stretch_factor(ubg.graph(), &result.spanner);
+                assert!(
+                    stretch <= params.t + 1e-9,
+                    "variant {name} broke the stretch bound on {input}: {stretch}"
+                );
+            }
         }
     }
 

@@ -14,6 +14,10 @@
 //! `G'_{i-1}` within a factor `(1+6δ)/(1−2δ)`, while Lemma 8 bounds the
 //! hop count of the relevant shortest paths by a constant — that is what
 //! makes the per-edge spanner-path queries answerable in `O(1)` rounds.
+//!
+//! This is test code: the constructions query the contracted quotient of
+//! `H` (see `hierarchy`), and the per-phase-rescan oracle (`oracle`)
+//! builds the full `H` with [`build_cluster_graph`] to check them.
 
 use super::cover::ClusterCover;
 use tc_graph::bucket::{BucketConfig, BucketScratch};

@@ -27,32 +27,38 @@
 //! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
 //! per-phase cost then tracks the work of the phase's queries instead of
 //! `n` — see `docs/PERFORMANCE.md`, "Phase engine".
-//! [`build_cluster_graph`] and the dense [`analyze_redundancy`] remain
-//! the per-phase oracles of the ablation pipeline and of the engine's
-//! equivalence tests; no production construction builds `H`.
+//! No construction builds `H` itself: the per-phase-rescan pipeline that
+//! does (a fresh greedy cover, the full cluster graph and the dense
+//! redundancy analysis in every phase) is test code, the oracle the
+//! engine is checked against.
 //!
-//! The distributed algorithm ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy))
-//! runs on the same phase loop: the two constructions differ only in
-//! their phase rules (`PhaseRules`) — how a level rebuild picks its
-//! cluster centres and how the conflict graph's MIS is chosen — and in
-//! the round ledger the distributed rules charge after every phase.
+//! Every construction runs this one phase loop and differs only in its
+//! phase rules (`PhaseRules`). The distributed algorithm
+//! ([`DistributedRelaxedGreedy`](crate::DistributedRelaxedGreedy)) picks
+//! a level rebuild's cluster centres and the conflict graph's MIS by
+//! message passing and charges its round ledger after every phase; the
+//! ablation ([`run_ablation`](crate::run_ablation)) switches mechanisms
+//! of Section 2.2 off ([`AblationConfig`]).
 
 mod bins;
+#[cfg(test)]
 mod cluster_graph;
 mod cover;
 mod hierarchy;
+#[cfg(test)]
+mod oracle;
 mod query;
 mod redundant;
 
 pub use bins::BinPartition;
-pub use cluster_graph::{build_cluster_graph, ClusterGraphStats};
 pub use cover::ClusterCover;
 pub use query::{is_covered, select_query_edges, QuerySelection};
 pub use redundant::{
-    analyze_redundancy, analyze_redundancy_contracted, contracted_redundant_removals,
-    removals_from_mis, sequential_redundant_removals, RedundancyAnalysis,
+    analyze_redundancy_contracted, contracted_redundant_removals, removals_from_mis,
+    RedundancyAnalysis,
 };
 
+use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
@@ -61,7 +67,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, mis, par, Edge, NodeId, WeightedGraph};
+use tc_graph::{components, dijkstra, mis, par, Edge, NodeId, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -189,9 +195,15 @@ impl SpannerResult {
 
 /// The variant rules of a construction on the shared phase loop. The
 /// defaults are the sequential rules (Section 2); a construction
-/// overrides what differs. Every hook runs once per phase or per level
-/// rebuild, never per edge.
+/// overrides what differs. Every hook runs once per run, per phase or per
+/// level rebuild, never per edge.
 pub(crate) trait PhaseRules {
+    /// The Section 2.2 mechanisms the run uses, read once before the
+    /// phase loop. Only the ablation switches any of them off.
+    fn mechanisms(&self) -> AblationConfig {
+        AblationConfig::full()
+    }
+
     /// Step (i) at a level rebuild (see `PhaseEngine::prepare`): greedy,
     /// offering the previous level's centres `prev` centre-hood first, so
     /// new clusters are unions of old ones wherever the radii allow.
@@ -273,18 +285,6 @@ impl RelaxedGreedy {
             .expect("the UBG's own points match its graph by construction")
     }
 
-    /// Runs the construction on a realised α-UBG, additionally recording
-    /// per-phase wall-clock timings (for the scale harness; see
-    /// [`PhaseTiming`] for why timings live outside [`SpannerResult`]).
-    pub fn run_timed(&self, ubg: &UnitBallGraph) -> (SpannerResult, Vec<PhaseTiming>) {
-        let graph = self.weighting.weighted_graph(ubg);
-        // weighted_graph() derives the graph from ubg.points(), so the
-        // counts agree by construction.
-        self.run_on_timed(ubg.points(), &graph)
-            // tc-lint: allow(panic-hygiene)
-            .expect("the UBG's own points match its graph by construction")
-    }
-
     /// Runs the construction on an explicit (points, weighted graph) pair.
     /// The graph's weights must be consistent with the configured
     /// weighting applied to the points; [`RelaxedGreedy::run`] guarantees
@@ -302,7 +302,9 @@ impl RelaxedGreedy {
         self.run_with_rules(points, graph, &mut SequentialRules, None)
     }
 
-    /// [`RelaxedGreedy::run_on`] with per-phase wall-clock timings.
+    /// [`RelaxedGreedy::run_on`] with per-phase wall-clock timings (for
+    /// the scale harness; see [`PhaseTiming`] for why timings live outside
+    /// [`SpannerResult`]).
     ///
     /// # Errors
     ///
@@ -350,6 +352,7 @@ impl RelaxedGreedy {
         let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
         let bins = BinPartition::new(graph, w0, self.params.r);
         let mut engine = PhaseEngine::new();
+        let mechanisms = rules.mechanisms();
 
         for bin_index in bins.non_empty_bins() {
             let phase_start = Instant::now();
@@ -366,6 +369,7 @@ impl RelaxedGreedy {
                     bin_index,
                     &mut engine,
                     rules,
+                    &mechanisms,
                     &mut timing,
                 )
             };
@@ -387,7 +391,7 @@ impl RelaxedGreedy {
 
     /// Phase 0 (Section 2.1): the graph `G_0` of short edges has clique
     /// components (Lemma 1); run `SEQ-GREEDY` on each component and keep
-    /// the union. The ablation pipeline runs the same phase 0.
+    /// the union.
     pub(crate) fn process_short_edges(
         &self,
         spanner: &mut WeightedGraph,
@@ -440,7 +444,8 @@ impl RelaxedGreedy {
     /// cluster graph, query answering, redundant-edge removal — steps (i),
     /// (iii), (iv) and (v) running through the hierarchical [`PhaseEngine`]
     /// (frozen level covers, an incremental contraction queried in place),
-    /// with the level covers and the conflict MIS taken from `rules`.
+    /// with the level covers and the conflict MIS taken from `rules` and
+    /// the steps each of `mechanisms` switches off skipped.
     #[allow(clippy::too_many_arguments)]
     fn process_long_edges<P: PointAccess + ?Sized, R: PhaseRules>(
         &self,
@@ -451,6 +456,7 @@ impl RelaxedGreedy {
         bin_index: usize,
         engine: &mut PhaseEngine,
         rules: &mut R,
+        mechanisms: &AblationConfig,
         timing: &mut PhaseTiming,
     ) -> PhaseStats {
         let w_prev = bins.upper(bin_index - 1);
@@ -471,10 +477,10 @@ impl RelaxedGreedy {
         let selection = select_query_edges(
             points,
             &self.params,
-            self.weighting,
             spanner,
             engine.cover(),
             bin_edges,
+            mechanisms,
         );
         timing.selection_seconds = step.elapsed().as_secs_f64();
 
@@ -492,10 +498,20 @@ impl RelaxedGreedy {
         // updates), so they are independent; the engine fans them over
         // TC_THREADS workers and merges verdicts in query order, keeping
         // the spanner's insertion order identical to a sequential loop.
+        // Without cluster-graph queries each one is answered exactly on
+        // the frozen partial spanner G'_{i-1} instead.
         let step = Instant::now();
         let quotient = engine.contraction().quotient();
-        let needs_edge =
-            engine.answer_queries(quotient, &config, &selection.query_edges, self.params.t);
+        let t = self.params.t;
+        let needs_edge: Vec<bool> = if mechanisms.cluster_graph_queries {
+            engine.answer_queries(quotient, &config, &selection.query_edges, t)
+        } else {
+            selection
+                .query_edges
+                .iter()
+                .map(|e| dijkstra::shortest_path_within(spanner, e.u, e.v, t * e.weight).is_none())
+                .collect()
+        };
         let mut added: Vec<Edge> = Vec::new();
         for (edge, needed) in selection.query_edges.iter().zip(needs_edge) {
             if needed {
@@ -513,14 +529,18 @@ impl RelaxedGreedy {
         // absorbing after removal keeps the contraction exact without any
         // quotient-deletion machinery.
         let step = Instant::now();
-        let removals = contracted_redundant_removals(
-            &added,
-            engine.contraction(),
-            quotient,
-            &config,
-            self.params.t1,
-            |conflict_graph| rules.conflict_mis(conflict_graph),
-        );
+        let removals = if mechanisms.redundancy_removal {
+            contracted_redundant_removals(
+                &added,
+                engine.contraction(),
+                quotient,
+                &config,
+                self.params.t1,
+                |conflict_graph| rules.conflict_mis(conflict_graph),
+            )
+        } else {
+            Vec::new()
+        };
         let mut keep = vec![true; added.len()];
         for &idx in &removals {
             keep[idx] = false;

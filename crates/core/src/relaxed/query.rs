@@ -8,10 +8,14 @@
 //! most one per pair of clusters is selected as a *query edge*: the one
 //! minimising `t·|xy| − sp(a, x) − sp(b, y)`, which Theorem 10 shows makes
 //! every other candidate of that cluster pair redundant.
+//!
+//! The geometric tests are in Euclidean terms whatever the weighting;
+//! the `|uz| ≤ |uv|` comparison is made on the weights, which every
+//! weighting keeps monotone in the Euclidean length.
 
 use super::cover::ClusterCover;
+use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use crate::weighting::EdgeWeighting;
 use std::collections::BTreeMap;
 use tc_geometry::{angle_at_indices, PointAccess};
 use tc_graph::{Edge, WeightedGraph};
@@ -35,7 +39,6 @@ pub struct QuerySelection {
 pub fn is_covered<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
-    weighting: EdgeWeighting,
     spanner: &WeightedGraph,
     edge: &Edge,
 ) -> bool {
@@ -65,24 +68,21 @@ pub fn is_covered<P: PointAccess + ?Sized>(
             }
         }
     }
-    // `weighting` is accepted so callers do not need to special-case the
-    // Euclidean/power distinction: the geometric tests above are always in
-    // Euclidean terms, while the `w_uz > edge.weight` comparison is in the
-    // active weighting (both are monotone in the Euclidean length).
-    let _ = weighting;
     false
 }
 
 /// Selects the query edges of one bin: filters covered and same-cluster
 /// edges, then keeps one edge per cluster pair minimising
-/// `t·w(x, y) − sp(a, x) − sp(b, y)`.
+/// `t·w(x, y) − sp(a, x) − sp(b, y)`. Without
+/// [`AblationConfig::covered_filter`] no edge counts as covered; without
+/// [`AblationConfig::per_cluster_pair`] every candidate is a query edge.
 pub fn select_query_edges<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
-    weighting: EdgeWeighting,
     spanner: &WeightedGraph,
     cover: &ClusterCover,
     bin_edges: &[Edge],
+    mechanisms: &AblationConfig,
 ) -> QuerySelection {
     let mut selection = QuerySelection::default();
     // BTreeMap (not HashMap): its iteration order is deterministic, and
@@ -96,11 +96,15 @@ pub fn select_query_edges<P: PointAccess + ?Sized>(
             selection.same_cluster += 1;
             continue;
         }
-        if is_covered(points, params, weighting, spanner, edge) {
+        if mechanisms.covered_filter && is_covered(points, params, spanner, edge) {
             selection.covered += 1;
             continue;
         }
         selection.candidates += 1;
+        if !mechanisms.per_cluster_pair {
+            selection.query_edges.push(*edge);
+            continue;
+        }
         let objective =
             params.t * edge.weight - cover.dist_to_center(edge.u) - cover.dist_to_center(edge.v);
         let key = if ca < cb { (ca, cb) } else { (cb, ca) };
@@ -111,7 +115,9 @@ pub fn select_query_edges<P: PointAccess + ?Sized>(
             }
         }
     }
-    selection.query_edges = best.into_values().map(|(_, e)| e).collect();
+    selection
+        .query_edges
+        .extend(best.into_values().map(|(_, e)| e));
     // Canonical processing order: by weight, then endpoints (`Edge`'s Ord).
     selection.query_edges.sort();
     selection
@@ -139,13 +145,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -158,13 +158,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(!is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -181,13 +175,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.25);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(!is_covered(
-            &points,
-            &p,
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &p, &spanner, &edge));
     }
 
     #[test]
@@ -201,13 +189,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(0, 2, 0.5);
         let edge = Edge::new(0, 1, 0.4);
-        assert!(!is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(!is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -221,13 +203,7 @@ mod tests {
         let mut spanner = WeightedGraph::new(3);
         spanner.add_edge(1, 2, 0.2);
         let edge = Edge::new(0, 1, 0.9);
-        assert!(is_covered(
-            &points,
-            &params(),
-            EdgeWeighting::Euclidean,
-            &spanner,
-            &edge
-        ));
+        assert!(is_covered(&points, &params(), &spanner, &edge));
     }
 
     #[test]
@@ -257,16 +233,76 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &p,
-            EdgeWeighting::Euclidean,
             &spanner,
             &cover,
             &bin_edges,
+            &AblationConfig::full(),
         );
         assert_eq!(sel.query_edges.len(), 1);
         assert_eq!(sel.candidates, 3);
         assert_eq!(sel.covered, 0);
         // Edge (1,3): t*1.0 - 0.1 - 0.1 is the smallest objective.
         assert_eq!(sel.query_edges[0].key(), (1, 3));
+    }
+
+    #[test]
+    fn switched_off_mechanisms_keep_more_query_edges() {
+        // The aligned witness of `edge_with_aligned_spanner_neighbour_is_
+        // covered`, plus two parallel candidates between one cluster pair.
+        let points = vec![
+            Point::new2(0.0, 0.0),
+            Point::new2(0.9, 0.0),
+            Point::new2(0.2, 0.0),
+            Point::new2(0.0, 0.1),
+            Point::new2(0.9, 0.1),
+        ];
+        let mut spanner = WeightedGraph::new(5);
+        spanner.add_edge(0, 2, 0.2);
+        let cover = ClusterCover::greedy(&spanner, 0.0);
+        let bin_edges = vec![Edge::new(0, 1, 0.9), Edge::new(3, 4, 0.9)];
+        let select = |mechanisms: AblationConfig| {
+            select_query_edges(
+                &points,
+                &params(),
+                &spanner,
+                &cover,
+                &bin_edges,
+                &mechanisms,
+            )
+        };
+        let full = select(AblationConfig::full());
+        assert_eq!((full.covered, full.candidates), (1, 1));
+        assert_eq!(full.query_edges, vec![Edge::new(3, 4, 0.9)]);
+        let no_filter = select(AblationConfig {
+            covered_filter: false,
+            ..AblationConfig::full()
+        });
+        assert_eq!((no_filter.covered, no_filter.candidates), (0, 2));
+        assert_eq!(no_filter.query_edges.len(), 2);
+
+        // Both candidates join clusters {0, 3} and {1, 4}: one query edge
+        // per pair, or both without the dedup.
+        let mut joined = spanner.clone();
+        joined.add_edge(0, 3, 0.1);
+        joined.add_edge(1, 4, 0.1);
+        let cover = ClusterCover::greedy(&joined, 0.15);
+        let pair = |mechanisms: AblationConfig| {
+            select_query_edges(&points, &params(), &joined, &cover, &bin_edges, &mechanisms)
+                .query_edges
+                .len()
+        };
+        let no_filter = AblationConfig {
+            covered_filter: false,
+            ..AblationConfig::full()
+        };
+        assert_eq!(pair(no_filter), 1);
+        assert_eq!(
+            pair(AblationConfig {
+                per_cluster_pair: false,
+                ..no_filter
+            }),
+            2
+        );
     }
 
     #[test]
@@ -279,10 +315,10 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &params(),
-            EdgeWeighting::Euclidean,
             &spanner,
             &cover,
             &[Edge::new(0, 1, 0.05)],
+            &AblationConfig::full(),
         );
         assert_eq!(sel.same_cluster, 1);
         assert!(sel.query_edges.is_empty());
@@ -296,10 +332,10 @@ mod tests {
         let sel = select_query_edges(
             &points,
             &params(),
-            EdgeWeighting::Euclidean,
             &spanner,
             &cover,
             &[],
+            &AblationConfig::full(),
         );
         assert!(sel.query_edges.is_empty());
         assert_eq!(sel.candidates, 0);

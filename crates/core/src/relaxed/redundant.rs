@@ -17,14 +17,14 @@
 //! which is what the stretch argument needs.
 
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{mis, Contraction, Edge, GraphView, NodeId, WeightedGraph};
+use tc_graph::{Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// The conflict structure among the edges added in one phase.
 #[derive(Debug, Clone)]
 pub struct RedundancyAnalysis {
     /// Conflict graph `J`: one vertex per added edge (same indexing as the
-    /// `added` slice passed to [`analyze_redundancy`]), one edge per
-    /// mutually redundant pair.
+    /// `added` slice passed to [`analyze_redundancy_contracted`]), one
+    /// edge per mutually redundant pair.
     pub conflict_graph: WeightedGraph,
     /// Indices (into the added-edge slice) of edges involved in at least
     /// one mutually redundant pair.
@@ -39,7 +39,9 @@ impl RedundancyAnalysis {
 }
 
 /// Finds all mutually redundant pairs among `added` (the edges added in the
-/// current phase), measuring path lengths on the cluster graph `h`.
+/// current phase), measuring path lengths on the cluster graph `h`: the
+/// dense all-pairs oracle of [`analyze_redundancy_contracted`].
+#[cfg(test)]
 pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> RedundancyAnalysis {
     assert!(t1 > 1.0, "t1 must exceed 1");
     let conflict_graph = WeightedGraph::new(added.len());
@@ -98,7 +100,8 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
     t1 * max_w - min_w
 }
 
-/// [`analyze_redundancy`] with path lengths measured on the *contracted*
+/// Finds all mutually redundant pairs among `added` (the edges added in
+/// the current phase), measuring path lengths on the *contracted*
 /// cluster graph instead of the full `n`-node `H`: `quotient` is
 /// `contraction.quotient()` (one node per cluster) or any view with the
 /// same edges, such as a CSR copy, and a non-centre endpoint `x` reaches
@@ -108,7 +111,8 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 /// centre), so this equality is exact — the contracted analysis finds the
 /// same conflicts `H` would, without ever materialising `H`.
 ///
-/// Unlike the oracle above, this path never builds a dense `k×k` distance
+/// Unlike the dense test oracle on the full `H`, this path never builds a
+/// dense `k×k` distance
 /// matrix or tests all `O(a²)` edge pairs: it keeps one sparse distance
 /// row per endpoint supernode (only the ball the budgeted sweep settles)
 /// and derives candidate pairs from ball membership — a pair with no
@@ -249,9 +253,9 @@ pub(super) fn ball_rows<G: GraphView>(
         .collect()
 }
 
-/// The shared pairing loop of the two analyses: tests both endpoint
-/// pairings of every edge pair against the mutual-redundancy conditions
-/// and records conflicts.
+/// The oracle's pairing loop: tests both endpoint pairings of every edge
+/// pair against the mutual-redundancy conditions and records conflicts.
+#[cfg(test)]
 fn conflict_pairs(
     added: &[Edge],
     t1: f64,
@@ -301,22 +305,24 @@ pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec
         .collect()
 }
 
-/// Convenience wrapper for the sequential algorithm: analyses redundancy,
-/// computes a greedy MIS of the conflict graph, and returns the indices of
-/// the edges to remove.
+/// Step (v) on the full cluster graph `h`: analyses redundancy, computes a
+/// greedy MIS of the conflict graph, and returns the indices of the edges
+/// to remove — the oracle of [`contracted_redundant_removals`].
+#[cfg(test)]
 pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<usize> {
     let analysis = analyze_redundancy(added, h, t1);
     if analysis.is_trivial() {
         return Vec::new();
     }
-    let chosen = mis::greedy_mis(&analysis.conflict_graph);
+    let chosen = tc_graph::mis::greedy_mis(&analysis.conflict_graph);
     removals_from_mis(&analysis, &chosen)
 }
 
-/// [`sequential_redundant_removals`] on the contracted cluster graph: the
-/// hierarchical phase engine's step (v), measuring on the phase's quotient
-/// instead of a materialised `H`, with `choose_mis` picking the conflict
-/// graph's MIS (a message-passing protocol in the distributed algorithm).
+/// The hierarchical phase engine's step (v): analyses redundancy on the
+/// phase's quotient instead of a materialised `H`, lets `choose_mis` pick
+/// a maximal independent set of the conflict graph (greedy in the
+/// sequential algorithm, a message-passing protocol in the distributed
+/// one), and returns the indices of the edges to remove.
 pub fn contracted_redundant_removals<G: GraphView>(
     added: &[Edge],
     contraction: &Contraction,
@@ -336,6 +342,7 @@ pub fn contracted_redundant_removals<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_graph::mis;
 
     /// Two parallel edges between two tight clusters: the classic mutually
     /// redundant configuration.

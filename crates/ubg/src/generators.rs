@@ -25,8 +25,10 @@ pub fn uniform_points<R: Rng + ?Sized>(rng: &mut R, n: usize, dim: usize, side: 
 /// `n` points drawn from `clusters` Gaussian blobs whose centres are
 /// uniform in `[0, side]^dim` and whose standard deviation is `spread`.
 ///
-/// Samples outside `[0, side]` are clamped to the cube so the deployment
-/// region stays bounded.
+/// Samples outside `[0, side]` are reflected back into the cube at its
+/// faces, so the deployment region stays bounded without piling points
+/// up on the faces and corners (clamping made coincident points there).
+/// Samples inside the cube are returned unchanged.
 pub fn clustered_points<R: Rng + ?Sized>(
     rng: &mut R,
     n: usize,
@@ -46,11 +48,28 @@ pub fn clustered_points<R: Rng + ?Sized>(
             let c = &centers[i % clusters];
             Point::new(
                 c.iter()
-                    .map(|&x| (x + gaussian(rng) * spread).clamp(0.0, side))
+                    .map(|&x| reflect_into_cube(x + gaussian(rng) * spread, side))
                     .collect(),
             )
         })
         .collect()
+}
+
+/// Folds `x` into `[0, side]` by reflecting it at the faces `0` and `side`
+/// (as often as needed); values already inside are returned as they are.
+fn reflect_into_cube(x: f64, side: f64) -> f64 {
+    if (0.0..=side).contains(&x) {
+        return x;
+    }
+    if side == 0.0 {
+        return 0.0;
+    }
+    let folded = x.rem_euclid(2.0 * side);
+    if folded <= side {
+        folded
+    } else {
+        2.0 * side - folded
+    }
 }
 
 /// A near-regular grid: the lattice points of a `k × k × …` grid with
@@ -169,14 +188,37 @@ mod tests {
 
     #[test]
     fn clustered_points_stay_in_the_cube() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let pts = clustered_points(&mut rng, 150, 2, 4.0, 5, 0.3);
-        assert_eq!(pts.len(), 150);
-        for p in &pts {
-            for i in 0..2 {
-                assert!((0.0..=4.0).contains(&p.coord(i)));
+        // The second case's spread is wider than the cube, so samples are
+        // reflected more than once.
+        for (seed, dim, side, spread) in [(2, 2, 4.0, 0.3), (4, 3, 2.0, 5.0)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let pts = clustered_points(&mut rng, 150, dim, side, 5, spread);
+            assert_eq!(pts.len(), 150);
+            for p in &pts {
+                for i in 0..dim {
+                    assert!((0.0..=side).contains(&p.coord(i)), "{p:?}");
+                }
             }
         }
+        assert_eq!(reflect_into_cube(-0.5, 6.0), 0.5);
+        assert_eq!(reflect_into_cube(6.5, 6.0), 5.5);
+        assert_eq!(reflect_into_cube(13.0, 6.0), 1.0);
+        assert_eq!(reflect_into_cube(-8.0, 6.0), 4.0);
+        assert_eq!(reflect_into_cube(0.1, 0.0), 0.0);
+    }
+
+    #[test]
+    fn clustered_points_near_a_corner_do_not_coincide() {
+        // Clamping put five of these points at exactly (6, 0).
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let pts = clustered_points(&mut rng, 160, 2, 6.0, 5, 0.6);
+        let mut coords: Vec<[u64; 2]> = pts
+            .iter()
+            .map(|p| [p.coord(0).to_bits(), p.coord(1).to_bits()])
+            .collect();
+        coords.sort_unstable();
+        coords.dedup();
+        assert_eq!(coords.len(), pts.len(), "coincident points");
     }
 
     #[test]
