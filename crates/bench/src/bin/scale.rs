@@ -7,9 +7,11 @@
 //! appends one record to `BENCH_scale.json` in the current directory:
 //!
 //! ```text
-//! { "schema": "tc-scale/3",
+//! { "schema": "tc-scale/4",
 //!   "target_degree": 8.0, "seed": 2006,
 //!   "runs": [ { "n", "dim", "side",
+//!               "threads",               // resolved TC_THREADS
+//!               "available_parallelism", // std's count, 0 if unknown
 //!               "ubg_edges", "spanner_edges", "max_degree",
 //!               "gen_seconds", "ubg_seconds", "spanner_seconds",
 //!               "sampled_stretch", "stretch_samples",
@@ -43,6 +45,11 @@
 //! the number EXPERIMENTS.md quotes when construction changes move the
 //! output spanner.
 //!
+//! `threads` is the worker count every parallel region of the run
+//! resolved (`tc_graph::par::thread_count(0)`: `TC_THREADS` if set,
+//! otherwise `available_parallelism`); outputs do not depend on it, wall
+//! clock does.
+//!
 //! Peak RSS is read from `/proc/self/status` (`VmHWM`) after each run; it
 //! is a process-lifetime high-water mark, so per-size attribution is only
 //! meaningful for the run that raised it — sizes are run in ascending
@@ -61,7 +68,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
 use std::time::Instant;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{CsrGraph, WeightedGraph};
+use tc_graph::{par, CsrGraph, WeightedGraph};
 use tc_spanner::relaxed::PhaseTiming;
 use tc_spanner::{DistributedRelaxedGreedy, RelaxedGreedy, SpannerParams};
 use tc_ubg::{generators, UbgBuilder};
@@ -119,6 +126,8 @@ struct ScaleRun {
     n: usize,
     dim: usize,
     side: f64,
+    threads: usize,
+    available_parallelism: usize,
     ubg_edges: usize,
     spanner_edges: usize,
     max_degree: usize,
@@ -279,6 +288,8 @@ fn run_one(n: usize) -> ScaleRun {
         n,
         dim: DIM,
         side,
+        threads: par::thread_count(0),
+        available_parallelism: std::thread::available_parallelism().map_or(0, usize::from),
         ubg_edges: ubg.graph().edge_count(),
         spanner_edges: result.spanner.edge_count(),
         max_degree: result.spanner.max_degree(),
@@ -382,7 +393,7 @@ fn main() {
     // mark) is dominated by the final, largest run.
     sizes.sort_unstable();
     let report = ScaleReport {
-        schema: "tc-scale/3",
+        schema: "tc-scale/4",
         seed: SEED,
         target_degree: TARGET_DEGREE,
         epsilon: EPSILON,

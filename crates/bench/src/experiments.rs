@@ -403,7 +403,7 @@ pub fn e7_energy(scale: Scale) -> Result<Table, ParamError> {
                 let result = energy_spanner(&ubg, eps, 1.0, gamma)?;
                 let energy_base = EdgeWeighting::Power { c: 1.0, gamma }.weighted_graph(&ubg);
                 let stretch = stretch_factor(
-                    &CsrGraph::from(&energy_base),
+                    &CsrGraph::from(&*energy_base),
                     &CsrGraph::from(&result.spanner),
                 );
                 let power = power_cost_comparison(&ubg, &result.spanner, 1.0, gamma);

@@ -106,7 +106,7 @@ mod tests {
         let ubg = sample_ubg(31, 70);
         let result = energy_spanner(&ubg, 0.5, 1.0, 2.0).unwrap();
         let energy_base = EdgeWeighting::Power { c: 1.0, gamma: 2.0 }.weighted_graph(&ubg);
-        let stretch = stretch_factor(&energy_base, &result.spanner);
+        let stretch = stretch_factor(&*energy_base, &result.spanner);
         assert!(stretch <= 1.5 + 1e-9, "energy stretch {stretch}");
     }
 

@@ -29,20 +29,26 @@ pub struct ClusterCover {
 impl ClusterCover {
     /// The sequential greedy construction from the paper: repeatedly pick
     /// an uncovered node, make it a centre, and claim every still-uncovered
-    /// node within shortest-path distance `radius` in `graph`.
+    /// node within shortest-path distance `radius` in `graph`. Test code
+    /// only: the phase engine rebuilds its levels with
+    /// [`ClusterCover::greedy_with_candidates`].
     ///
     /// # Panics
     ///
     /// Panics if `radius < 0`.
+    #[cfg(test)]
     pub fn greedy(graph: &WeightedGraph, radius: f64) -> Self {
         Self::greedy_with_candidates(graph, radius, &[])
     }
 
-    /// [`ClusterCover::greedy`] with an explicit candidate priority: the
-    /// nodes of `priority` are offered centre-hood first (in slice order),
-    /// then every remaining uncovered node in ascending id, so the result
-    /// is always a complete greedy cover. With an empty priority this *is*
-    /// the paper's construction; the hierarchical phase engine passes the
+    /// The paper's greedy cover construction — repeatedly pick an uncovered
+    /// node, make it a centre, and claim every still-uncovered node within
+    /// shortest-path distance `radius` in `graph` — with an explicit
+    /// candidate priority: the nodes of `priority` are offered centre-hood
+    /// first (in slice order), then every remaining uncovered node in
+    /// ascending id, so the result is always a complete greedy cover. With
+    /// an empty priority this *is* the paper's construction; the
+    /// hierarchical phase engine passes the
     /// previous level's centres, which makes each new cluster a coarsening
     /// of the contracted (previous-level) clusters wherever possible while
     /// the claiming sweeps still run on the real graph — coverage radii

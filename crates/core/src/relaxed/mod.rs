@@ -716,7 +716,7 @@ mod tests {
             .run(&ubg);
         // Verify the stretch in the *energy* metric.
         let energy_base = weighting.weighted_graph(&ubg);
-        let stretch = stretch_factor(&energy_base, &result.spanner);
+        let stretch = stretch_factor(&*energy_base, &result.spanner);
         assert!(stretch <= params.t + 1e-9, "energy stretch {stretch}");
     }
 

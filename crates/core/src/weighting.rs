@@ -9,6 +9,7 @@
 //! property the binning and cluster arguments rely on.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use tc_geometry::{Euclidean, Metric, Point, PowerMetric};
 use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
@@ -46,13 +47,16 @@ impl EdgeWeighting {
         }
     }
 
-    /// The realised α-UBG's graph re-weighted under this weighting (a plain
-    /// clone for the Euclidean weighting, since the builder already uses
-    /// Euclidean weights).
-    pub fn weighted_graph(&self, ubg: &UnitBallGraph) -> WeightedGraph {
+    /// The realised α-UBG's graph re-weighted under this weighting. The
+    /// Euclidean weighting borrows the UBG's own graph, whose weights the
+    /// builder already made Euclidean; the power weighting builds a
+    /// re-weighted copy.
+    pub fn weighted_graph<'a>(&self, ubg: &'a UnitBallGraph) -> Cow<'a, WeightedGraph> {
         match *self {
-            EdgeWeighting::Euclidean => ubg.graph().clone(),
-            EdgeWeighting::Power { c, gamma } => ubg.reweighted(&PowerMetric::new(c, gamma)),
+            EdgeWeighting::Euclidean => Cow::Borrowed(ubg.graph()),
+            EdgeWeighting::Power { c, gamma } => {
+                Cow::Owned(ubg.reweighted(&PowerMetric::new(c, gamma)))
+            }
         }
     }
 
@@ -100,6 +104,11 @@ mod tests {
         let ubg = UbgBuilder::unit_disk().build(points).unwrap();
         let euclid = EdgeWeighting::Euclidean.weighted_graph(&ubg);
         let power = EdgeWeighting::Power { c: 1.0, gamma: 2.0 }.weighted_graph(&ubg);
+        assert!(
+            matches!(euclid, Cow::Borrowed(_)),
+            "no copy of the UBG's graph"
+        );
+        assert!(std::ptr::eq(&*euclid, ubg.graph()));
         assert_eq!(euclid.edge_count(), power.edge_count());
         assert!((euclid.edge_weight(0, 1).unwrap() - 0.5).abs() < 1e-12);
         assert!((power.edge_weight(0, 1).unwrap() - 0.25).abs() < 1e-12);

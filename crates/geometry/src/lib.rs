@@ -17,9 +17,10 @@
 //!   *energy* metric `c·|uv|^γ` from the paper's Section 1.6 extension,
 //! * [`ConePartition2d`] — Yao-style cone partitions (used by the degree
 //!   argument of Theorem 11 and by the Yao/Θ baselines),
-//! * [`GridIndex`] — an axis-parallel spatial hash over points (the grid
-//!   of cells of side `α/√d` used in the proof of Theorem 11, and the
-//!   index the UBG builder uses to find neighbours in near-linear time),
+//! * [`GridIndex`] — a cell-sorted axis-parallel grid over points (the
+//!   grid of cells of side `α/√d` used in the proof of Theorem 11, and
+//!   the pair sweep the UBG builder uses to find neighbours in
+//!   near-linear time),
 //! * [`Aabb`] / [`Ball`] — bounding volumes,
 //! * [`doubling`] — empirical doubling-dimension estimation used to test
 //!   Lemmas 15 and 20 (the derived graphs are UBGs of constant doubling

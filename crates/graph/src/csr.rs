@@ -1,9 +1,9 @@
 //! The immutable compressed-sparse-row graph used by the hot read paths.
 //!
 //! [`WeightedGraph`](crate::WeightedGraph) is a `Vec`-of-`Vec` adjacency
-//! structure with a `HashMap` edge index: perfect for *building* a
-//! topology edge by edge, but every node's neighbor list is a separate
-//! heap allocation and every weight lookup hashes. The all-pairs stretch
+//! structure: perfect for *building* a topology edge by edge, but every
+//! node's neighbor list is a separate heap allocation and every weight
+//! lookup scans an unsorted row. The all-pairs stretch
 //! verification (one Dijkstra per edge source) and the baseline
 //! constructions spend nearly all their time chasing those pointers.
 //!
@@ -211,8 +211,8 @@ impl CsrGraph {
     }
 
     /// Iterator over all edges (each undirected edge reported once, in
-    /// ascending `(u, v)` order — a canonical, deterministic order, unlike
-    /// the hash-map iteration of `WeightedGraph::edges`).
+    /// ascending `(u, v)` order — a canonical order, independent of how
+    /// the graph was built, unlike the row order of `WeightedGraph::edges`).
     ///
     /// Rows are sorted, so the `v ≤ u` prefix of each row is skipped with
     /// a binary search instead of filtering all `2m` directed entries.
@@ -233,7 +233,11 @@ impl CsrGraph {
 
     /// Expands back into the mutable adjacency-list representation.
     pub fn to_weighted(&self) -> WeightedGraph {
-        WeightedGraph::from_edges(self.node_count(), self.edges())
+        WeightedGraph::from_adjacency(
+            (0..self.node_count())
+                .map(|u| self.neighbors(u).collect())
+                .collect(),
+        )
     }
 }
 

@@ -2,7 +2,6 @@
 
 use crate::{Edge, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors reported by graph operations.
@@ -40,11 +39,15 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// An undirected graph with non-negative edge weights, stored as adjacency
-/// lists plus an edge index for O(1) weight lookups.
+/// An undirected graph with non-negative edge weights, stored as one
+/// adjacency row per vertex.
 ///
 /// Vertices are the integers `0..n`. Parallel edges are not allowed: adding
-/// an edge that already exists overwrites its weight.
+/// an edge that already exists overwrites its weight. There is no edge
+/// index: a lookup, insert or removal scans the shorter of the two
+/// endpoint rows, which is O(1) in the bounded-degree graphs this
+/// workspace builds (the α-UBG, the spanners, the cluster-graph
+/// quotients). The edge count is a counter kept by the mutators.
 ///
 /// # Example
 ///
@@ -61,7 +64,7 @@ impl std::error::Error for GraphError {}
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WeightedGraph {
     adjacency: Vec<Vec<(NodeId, f64)>>,
-    edge_index: HashMap<(NodeId, NodeId), f64>,
+    edge_count: usize,
 }
 
 impl WeightedGraph {
@@ -69,7 +72,7 @@ impl WeightedGraph {
     pub fn new(nodes: usize) -> Self {
         Self {
             adjacency: vec![Vec::new(); nodes],
-            edge_index: HashMap::new(),
+            edge_count: 0,
         }
     }
 
@@ -86,6 +89,54 @@ impl WeightedGraph {
         g
     }
 
+    /// Creates a graph from finished adjacency rows: `rows[u]` lists the
+    /// neighbours of `u` with the edge weights, and every edge appears in
+    /// both endpoint rows with the same weight. The rows are kept as given,
+    /// so their order is the iteration order of [`Self::neighbors`] and
+    /// [`Self::edges`].
+    ///
+    /// ```
+    /// use tc_graph::WeightedGraph;
+    ///
+    /// let g = WeightedGraph::from_adjacency(vec![
+    ///     vec![(1, 0.5)],
+    ///     vec![(0, 0.5), (2, 1.0)],
+    ///     vec![(1, 1.0)],
+    /// ]);
+    /// assert_eq!(g.edge_count(), 2);
+    /// assert_eq!(g.edge_weight(2, 1), Some(1.0));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows hold an odd number of entries. Debug builds also
+    /// check that every entry is in range, not a self-loop, and mirrored in
+    /// the other endpoint's row with the same weight.
+    pub fn from_adjacency(adjacency: Vec<Vec<(NodeId, f64)>>) -> Self {
+        let entries: usize = adjacency.iter().map(Vec::len).sum();
+        assert!(
+            entries.is_multiple_of(2),
+            "adjacency rows must be symmetric"
+        );
+        debug_assert!(
+            adjacency
+                .iter()
+                .enumerate()
+                .all(|(u, row)| row.iter().all(|&(v, w)| {
+                    v < adjacency.len()
+                        && v != u
+                        && adjacency[v]
+                            .iter()
+                            .any(|&(x, wx)| x == u && wx.to_bits() == w.to_bits())
+                })),
+            "adjacency rows must be symmetric, in range and loop-free"
+        );
+        Self {
+            adjacency,
+            edge_count: entries / 2,
+        }
+    }
+
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
         self.adjacency.len()
@@ -93,20 +144,12 @@ impl WeightedGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edge_index.len()
+        self.edge_count
     }
 
     /// Whether the graph has no edges.
     pub fn is_edgeless(&self) -> bool {
-        self.edge_index.is_empty()
-    }
-
-    fn key(u: NodeId, v: NodeId) -> (NodeId, NodeId) {
-        if u <= v {
-            (u, v)
-        } else {
-            (v, u)
-        }
+        self.edge_count == 0
     }
 
     fn check_node(&self, node: NodeId) -> Result<(), GraphError> {
@@ -118,6 +161,20 @@ impl WeightedGraph {
         } else {
             Ok(())
         }
+    }
+
+    /// The endpoints ordered so that the first has the shorter row.
+    fn shorter_first(&self, u: NodeId, v: NodeId) -> (NodeId, NodeId) {
+        if self.adjacency[u].len() <= self.adjacency[v].len() {
+            (u, v)
+        } else {
+            (v, u)
+        }
+    }
+
+    /// Position of `v` in `u`'s row.
+    fn position(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        self.adjacency[u].iter().position(|&(n, _)| n == v)
     }
 
     /// Adds (or re-weights) the undirected edge `{u, v}`.
@@ -136,21 +193,22 @@ impl WeightedGraph {
             weight >= 0.0 && weight.is_finite(),
             "edge weight must be finite and non-negative"
         );
-        let key = Self::key(u, v);
-        let previous = self.edge_index.insert(key, weight);
-        if previous.is_some() {
-            for &(a, b) in &[(u, v), (v, u)] {
-                for entry in &mut self.adjacency[a] {
-                    if entry.0 == b {
-                        entry.1 = weight;
-                    }
+        let (a, b) = self.shorter_first(u, v);
+        match self.position(a, b) {
+            Some(i) => {
+                let previous = std::mem::replace(&mut self.adjacency[a][i].1, weight);
+                if let Some(j) = self.position(b, a) {
+                    self.adjacency[b][j].1 = weight;
                 }
+                Some(previous)
             }
-        } else {
-            self.adjacency[u].push((v, weight));
-            self.adjacency[v].push((u, weight));
+            None => {
+                self.adjacency[u].push((v, weight));
+                self.adjacency[v].push((u, weight));
+                self.edge_count += 1;
+                None
+            }
         }
-        previous
     }
 
     /// Adds an [`Edge`].
@@ -158,28 +216,37 @@ impl WeightedGraph {
         self.add_edge(edge.u, edge.v, edge.weight)
     }
 
-    /// Removes the edge `{u, v}` and returns its weight.
+    /// Removes the edge `{u, v}` and returns its weight. Both rows keep the
+    /// order of their remaining entries.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> Result<f64, GraphError> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let key = Self::key(u, v);
-        let weight = self
-            .edge_index
-            .remove(&key)
+        let (a, b) = self.shorter_first(u, v);
+        let i = self
+            .position(a, b)
             .ok_or(GraphError::MissingEdge { u, v })?;
-        self.adjacency[u].retain(|&(n, _)| n != v);
-        self.adjacency[v].retain(|&(n, _)| n != u);
+        let (_, weight) = self.adjacency[a].remove(i);
+        if let Some(j) = self.position(b, a) {
+            self.adjacency[b].remove(j);
+        }
+        self.edge_count -= 1;
         Ok(weight)
     }
 
-    /// Whether the edge `{u, v}` is present.
+    /// Whether the edge `{u, v}` is present (`false` if an endpoint is out
+    /// of range).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_index.contains_key(&Self::key(u, v))
+        self.edge_weight(u, v).is_some()
     }
 
-    /// Weight of the edge `{u, v}`, if present.
+    /// Weight of the edge `{u, v}`, if present (`None` if an endpoint is
+    /// out of range).
     pub fn edge_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        self.edge_index.get(&Self::key(u, v)).copied()
+        if u >= self.node_count() || v >= self.node_count() {
+            return None;
+        }
+        let (a, b) = self.shorter_first(u, v);
+        self.position(a, b).map(|i| self.adjacency[a][i].1)
     }
 
     /// Degree of node `u`.
@@ -210,11 +277,9 @@ impl WeightedGraph {
         &self.adjacency[u]
     }
 
-    /// Iterator over all edges (each undirected edge reported once), in a
-    /// deterministic order: ascending `u`, then insertion order of `u`'s
-    /// adjacency row. The edge index is a `HashMap` and must never drive
-    /// iteration — its order varies run to run, which is how the two
-    /// nondeterminism bugs of PR 1 happened (see docs/LINTS.md).
+    /// Iterator over all edges (each undirected edge reported once, from
+    /// its lower endpoint's row), in a deterministic order: ascending `u`,
+    /// then the order of `u`'s adjacency row.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
         self.adjacency.iter().enumerate().flat_map(|(u, row)| {
             row.iter()
@@ -330,6 +395,79 @@ mod tests {
             g.remove_edge(0, 1).unwrap_err(),
             GraphError::MissingEdge { u: 0, v: 1 }
         );
+    }
+
+    #[test]
+    fn edge_count_follows_inserts_overwrites_and_removals() {
+        let mut g = triangle();
+        assert_eq!(g.add_edge(1, 0, 4.0), Some(1.0));
+        assert_eq!(g.add_edge(2, 1, 4.0), Some(2.0));
+        assert_eq!(g.edge_count(), 3, "an overwrite adds no edge");
+        assert_eq!(g.remove_edge(2, 0).unwrap(), 3.0);
+        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.remove_edge(1, 2).unwrap(), 4.0);
+        assert_eq!(g.edge_count(), 1);
+        assert!(g.remove_edge(1, 2).is_err());
+        assert_eq!(g.edge_count(), 1, "a failed removal changes nothing");
+        assert_eq!(g.remove_edge(0, 1).unwrap(), 4.0);
+        assert!(g.is_edgeless());
+        assert_eq!(g.add_edge(0, 2, 1.5), None);
+        assert_eq!(g.edge_count(), 1);
+    }
+
+    #[test]
+    fn removal_keeps_the_order_of_the_remaining_row_entries() {
+        let mut g = WeightedGraph::new(5);
+        for v in [3, 1, 4, 2] {
+            g.add_edge(0, v, v as f64);
+        }
+        g.remove_edge(1, 0).unwrap();
+        let row: Vec<NodeId> = g.neighbors(0).iter().map(|&(v, _)| v).collect();
+        assert_eq!(row, vec![3, 4, 2]);
+    }
+
+    #[test]
+    fn lookups_with_out_of_range_endpoints_find_nothing() {
+        let g = triangle();
+        assert!(!g.has_edge(0, 3));
+        assert!(!g.has_edge(7, 1));
+        assert!(!g.has_edge(usize::MAX, usize::MAX));
+        assert_eq!(g.edge_weight(3, 0), None);
+        assert_eq!(g.edge_weight(1, 9), None);
+        assert!(!g.has_edge(1, 1), "no self-loops");
+        assert_eq!(WeightedGraph::new(0).edge_weight(0, 0), None);
+        let mut h = triangle();
+        assert_eq!(
+            h.remove_edge(0, 3).unwrap_err(),
+            GraphError::NodeOutOfRange { node: 3, nodes: 3 }
+        );
+        assert_eq!(
+            h.remove_edge(1, 1).unwrap_err(),
+            GraphError::MissingEdge { u: 1, v: 1 }
+        );
+    }
+
+    #[test]
+    fn from_adjacency_keeps_rows_and_counts_edges() {
+        let g = WeightedGraph::from_adjacency(vec![
+            vec![(2, 3.0), (1, 1.0)],
+            vec![(0, 1.0), (2, 2.0)],
+            vec![(0, 3.0), (1, 2.0)],
+            vec![],
+        ]);
+        assert_eq!(g.node_count(), 4);
+        assert_eq!(g.edge_count(), 3);
+        assert_eq!(g.neighbors(0), &[(2, 3.0), (1, 1.0)]);
+        assert_eq!(g.edge_weight(1, 2), Some(2.0));
+        let edges: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.u, e.v)).collect();
+        assert_eq!(edges, vec![(0, 2), (0, 1), (1, 2)]);
+        assert!(WeightedGraph::from_adjacency(Vec::new()).is_edgeless());
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric")]
+    fn from_adjacency_rejects_one_sided_rows() {
+        let _ = WeightedGraph::from_adjacency(vec![vec![(1, 1.0)], vec![]]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! graph (see `docs/PERFORMANCE.md` for the rationale and measurements):
 //!
 //! * [`WeightedGraph`](crate::WeightedGraph) — the mutable *builder*:
-//!   adjacency lists of `Vec` plus a hash edge index, cheap to grow and
-//!   rewire while an algorithm constructs a topology;
+//!   one adjacency `Vec` per node, cheap to grow and rewire while an
+//!   algorithm constructs a topology;
 //! * [`CsrGraph`](crate::CsrGraph) — the immutable *measurement* layout:
 //!   compressed sparse row with `u32` indices and cache-linear neighbor
 //!   slices, built once from a finished graph.

@@ -1,13 +1,15 @@
 //! Construction of α-quasi unit ball graphs from point sets.
 
 use crate::{GreyZonePolicy, UnitBallGraph};
+use std::ops::Range;
 use tc_geometry::{DimensionMismatch, GridIndex, GridScratch, Point, PointAccess, PointStore};
-use tc_graph::{par, WeightedGraph};
+use tc_graph::{par, NodeId, WeightedGraph};
 
-/// Nodes per parallel work item in [`UbgBuilder::build_store`]. Fixed (and
-/// independent of the thread count) so the edge stream — and therefore the
-/// built graph — is bitwise identical no matter how many workers run.
-const SWEEP_CHUNK: usize = 4096;
+/// Occupied grid cells per parallel work item in
+/// [`UbgBuilder::build_store`]. Fixed, independent of the thread count;
+/// the adjacency rows are sorted after the merge, so the built graph does
+/// not depend on the chunking either.
+const SWEEP_CHUNK_CELLS: usize = 1024;
 
 /// Builds a realised α-UBG from node positions.
 ///
@@ -16,12 +18,13 @@ const SWEEP_CHUNK: usize = 4096;
 /// [`GreyZonePolicy`]; pairs farther than 1 are never connected. Edge
 /// weights are Euclidean distances.
 ///
-/// Neighbour candidates are found through a spatial hash with cell side 1,
-/// so construction is near-linear for bounded-density deployments. The cell
-/// sweep is fanned over fixed-size index chunks via [`par`] (worker count
-/// from `TC_THREADS`), with one reusable [`GridScratch`] per worker and a
-/// deterministic in-order merge, so the result is bitwise identical to the
-/// sequential build.
+/// Candidate pairs come from one pair sweep over a cell-sorted
+/// [`GridIndex`] with cell side 1, so construction is near-linear for
+/// bounded-density deployments. The sweep is fanned over fixed chunks of
+/// cells via [`par`] (worker count from `TC_THREADS`) and its edges are
+/// written straight into exact-capacity adjacency rows in ascending
+/// neighbour order, so the result is bitwise identical for any thread
+/// count.
 ///
 /// # Example
 ///
@@ -99,55 +102,74 @@ impl UbgBuilder {
 
     /// Builds the realised α-UBG on a structure-of-arrays point store.
     ///
-    /// This is the million-node entry point: the store is already
-    /// dimension-uniform by construction, the grid sweep reuses one
-    /// [`GridScratch`] per worker (no per-query allocation), and the chunked
-    /// fan-out merges in index order so the output is bitwise identical for
-    /// any `TC_THREADS`.
+    /// This is the million-node entry point. The store is already
+    /// dimension-uniform by construction. [`GridIndex::for_each_pair_within`]
+    /// reports each pair at distance at most 1 once, as `(u < v, dist)`,
+    /// over fixed chunks of cells fanned out via [`par`] with one
+    /// [`GridScratch`] per worker; the grey-zone policy is asked about
+    /// `(u, v)` in that ascending order. The kept edges then fill
+    /// exact-capacity adjacency rows sorted by neighbour, the rows an
+    /// edge-by-edge insertion in ascending `(u, v)` order would produce, and
+    /// the graph takes those rows as they are
+    /// ([`WeightedGraph::from_adjacency`]). The output is bitwise identical
+    /// for any `TC_THREADS`.
+    ///
+    /// A point with a NaN coordinate is at NaN distance from every other
+    /// point, so it is left isolated.
     pub fn build_store(&self, points: PointStore) -> UnitBallGraph {
+        let rows = self.adjacency_rows(&points);
+        UnitBallGraph::from_store(points, self.alpha, WeightedGraph::from_adjacency(rows))
+    }
+
+    /// The realised graph's adjacency rows, each in ascending neighbour
+    /// order.
+    fn adjacency_rows(&self, points: &PointStore) -> Vec<Vec<(NodeId, f64)>> {
         let n = points.len();
-        let mut graph = WeightedGraph::new(n);
-        if n > 1 {
-            let grid = GridIndex::build(&points, 1.0);
-            let chunks: Vec<(usize, usize)> = (0..n)
-                .step_by(SWEEP_CHUNK)
-                .map(|start| (start, (start + SWEEP_CHUNK).min(n)))
-                .collect();
-            let per_chunk = par::par_map_with(
-                &chunks,
-                0,
-                || (GridScratch::new(), Vec::new(), Vec::new()),
-                |(scratch, coords_u, coords_v), _idx, &(start, end)| {
-                    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-                    for u in start..end {
-                        for &v in grid.neighbors_within_with(&points, u, 1.0, scratch) {
-                            if v <= u {
-                                continue;
-                            }
-                            let dist = points.distance(u, v);
-                            let connect = if dist <= self.alpha {
-                                true
-                            } else {
-                                points.write_coords(u, coords_u);
-                                points.write_coords(v, coords_v);
-                                self.policy
-                                    .connects(u, v, dist, self.alpha, coords_u, coords_v)
-                            };
-                            if connect {
-                                edges.push((u, v, dist));
-                            }
-                        }
-                    }
-                    edges
-                },
-            );
-            for chunk_edges in per_chunk {
-                for (u, v, dist) in chunk_edges {
-                    graph.add_edge(u, v, dist);
-                }
-            }
+        if n < 2 {
+            return vec![Vec::new(); n];
         }
-        UnitBallGraph::from_store(points, self.alpha, graph)
+        let grid = GridIndex::build(points, 1.0);
+        let cells = grid.occupied_cells();
+        let chunks: Vec<Range<usize>> = (0..cells)
+            .step_by(SWEEP_CHUNK_CELLS)
+            .map(|start| start..(start + SWEEP_CHUNK_CELLS).min(cells))
+            .collect();
+        let per_chunk = par::par_map_with(
+            &chunks,
+            0,
+            || (GridScratch::new(), Vec::new(), Vec::new()),
+            |(scratch, coords_u, coords_v), _idx, cells| {
+                let mut edges: Vec<(NodeId, NodeId, f64)> = Vec::new();
+                grid.for_each_pair_within(cells.clone(), 1.0, scratch, |u, v, dist| {
+                    let connect = dist <= self.alpha || {
+                        points.write_coords(u, coords_u);
+                        points.write_coords(v, coords_v);
+                        self.policy
+                            .connects(u, v, dist, self.alpha, coords_u, coords_v)
+                    };
+                    if connect {
+                        edges.push((u, v, dist));
+                    }
+                });
+                edges
+            },
+        );
+        drop(grid);
+        let mut degree = vec![0usize; n];
+        for &(u, v, _) in per_chunk.iter().flatten() {
+            degree[u] += 1;
+            degree[v] += 1;
+        }
+        let mut rows: Vec<Vec<(NodeId, f64)>> =
+            degree.into_iter().map(Vec::with_capacity).collect();
+        for (u, v, dist) in per_chunk.into_iter().flatten() {
+            rows[u].push((v, dist));
+            rows[v].push((u, dist));
+        }
+        for row in &mut rows {
+            row.sort_unstable_by_key(|&(v, _)| v);
+        }
+        rows
     }
 }
 

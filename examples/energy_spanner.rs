@@ -37,7 +37,7 @@ fn main() {
         let result = energy_spanner(&network, 0.5, 1.0, gamma).expect("valid parameters");
         let energy_base = EdgeWeighting::Power { c: 1.0, gamma }.weighted_graph(&network);
         let stretch = stretch_factor(
-            &CsrGraph::from(&energy_base),
+            &CsrGraph::from(&*energy_base),
             &CsrGraph::from(&result.spanner),
         );
         let power = power_cost_comparison(&network, &result.spanner, 1.0, gamma);

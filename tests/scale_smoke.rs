@@ -1,9 +1,12 @@
 //! Scale tests: pinned output hashes of seeded end-to-end builds.
 //!
-//! * `relaxed_spanner_hash_is_pinned_at_20k_nodes` (tier 1) pins the
-//!   relaxed spanner's edge hash at a size small enough for the default
-//!   suite, so a change to the phase engine that alters its output fails
-//!   `cargo test` even when every run still agrees with itself.
+//! * `relaxed_spanner_hash_is_pinned_at_20k_nodes` (tier 1) pins the UBG's
+//!   and the relaxed spanner's edge hashes at a size small enough for the
+//!   default suite, so a change to the builder or the phase engine that
+//!   alters its output fails `cargo test` even when every run still agrees
+//!   with itself. The hashes sort the edges, so the test also asserts that
+//!   every UBG row is in ascending neighbour order: the spanner
+//!   construction iterates the rows, and its output depends on that order.
 //! * `distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes` (tier 1)
 //!   does the same for the distributed construction, pinning its round
 //!   count too.
@@ -35,8 +38,9 @@ const SAMPLE_STRIDE: usize = 97;
 /// Edge hashes of the seed-2006 200k-node UBG and relaxed spanner.
 const UBG_HASH_200K: u64 = 0x32cc_c615_98c8_1f43;
 const SPANNER_HASH_200K: u64 = 0xea51_9293_3fa4_9d03;
-/// Size and edge hash of the tier-1 pinned build (seed 2006).
+/// Size and edge hashes of the tier-1 pinned build (seed 2006).
 const N_PINNED: usize = 20_000;
+const UBG_HASH_20K: u64 = 0xb637_117a_bb29_7747;
 const SPANNER_HASH_20K: u64 = 0xbc37_28e7_a230_abc6;
 /// Size, edge hash and round count of the tier-1 pinned distributed build
 /// (seed 2006).
@@ -88,7 +92,20 @@ fn edge_hash(graph: &WeightedGraph) -> u64 {
 
 #[test]
 fn relaxed_spanner_hash_is_pinned_at_20k_nodes() {
-    let (_, result, _) = build_instance(N_PINNED);
+    let (ubg, result, _) = build_instance(N_PINNED);
+    assert_eq!(
+        edge_hash(ubg.graph()),
+        UBG_HASH_20K,
+        "the seed-{SEED} {N_PINNED}-node UBG changed: {:016x}",
+        edge_hash(ubg.graph())
+    );
+    for u in 0..ubg.len() {
+        let row = ubg.graph().neighbors(u);
+        assert!(
+            row.windows(2).all(|w| w[0].0 < w[1].0),
+            "UBG row {u} is not in ascending neighbour order: {row:?}"
+        );
+    }
     assert_eq!(
         edge_hash(&result.spanner),
         SPANNER_HASH_20K,
