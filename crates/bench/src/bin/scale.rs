@@ -3,18 +3,21 @@
 //! For each requested size the harness generates a seeded uniform
 //! deployment at constant expected degree, builds the UBG through the
 //! SoA/grid path, runs the relaxed greedy construction with per-phase
-//! timing and then the distributed construction on the same UBG, and
-//! appends one record to `BENCH_scale.json` in the current directory:
+//! timing, verifies it in full, then runs the distributed construction on
+//! the same UBG, and appends one record to `BENCH_scale.json` in the
+//! current directory:
 //!
 //! ```text
-//! { "schema": "tc-scale/4",
+//! { "schema": "tc-scale/5",
 //!   "target_degree": 8.0, "seed": 2006,
 //!   "runs": [ { "n", "dim", "side",
 //!               "threads",               // resolved TC_THREADS
 //!               "available_parallelism", // std's count, 0 if unknown
 //!               "ubg_edges", "spanner_edges", "max_degree",
 //!               "gen_seconds", "ubg_seconds", "spanner_seconds",
-//!               "sampled_stretch", "stretch_samples",
+//!               "stretch_target",        // t = 1 + ε, verified against
+//!               "max_stretch", "disconnected_pairs", "weight_ratio",
+//!               "verify_seconds",
 //!               "phases": {             // parallel arrays, one entry per
 //!                 "bin": [...],         // non-empty bin ≥ 1 phase
 //!                 "seconds": [...],     // whole-phase wall clock
@@ -38,12 +41,15 @@
 //! made the report thousands of lines of structural noise around a few
 //! kilobytes of numbers.
 //!
-//! `sampled_stretch` is the worst observed spanner stretch over an
-//! evenly strided sample (~2000 edges) of the base graph, measured with
-//! budgeted bucket searches on the frozen spanner CSR — a cheap
-//! end-to-end check that the recorded build actually met its target, and
-//! the number EXPERIMENTS.md quotes when construction changes move the
-//! output spanner.
+//! `max_stretch`, `disconnected_pairs`, `weight_ratio` and `max_degree`
+//! are the full `verify_spanner` report of the sequential spanner against
+//! the UBG — the paper's three guarantees checked on *every* base edge:
+//! Thm 10's stretch (the worst finite per-edge stretch, plus the count of
+//! base edges the spanner disconnects, which must be 0), Thm 11's degree
+//! and Thm 13's weight `w(G') / w(MST(G))` against a Kruskal MST.
+//! `verify_seconds` is that call's wall clock. The stretch sweep streams
+//! (each chunk of edge sources keeps only its reductions), so the check
+//! adds two CSR snapshots to the peak, not a per-edge list.
 //!
 //! `threads` is the worker count every parallel region of the run
 //! resolved (`tc_graph::par::thread_count(0)`: `TC_THREADS` if set,
@@ -54,10 +60,10 @@
 //! is a process-lifetime high-water mark, so per-size attribution is only
 //! meaningful for the run that raised it — sizes are run in ascending
 //! order so the last record's value is the 10^6 figure. The sequential
-//! `peak_rss_kb` is read before the distributed construction runs; the
-//! distributed one after it, so it covers both constructions. Edge hashes are
-//! stable FNV-1a fingerprints of the sorted `(u, v, weight-bits)` stream,
-//! comparable across runs and machines.
+//! `peak_rss_kb` is read after verification and before the distributed
+//! construction runs; the distributed one after it, so it covers both
+//! constructions. Edge hashes are stable FNV-1a fingerprints of the sorted
+//! `(u, v, weight-bits)` stream, comparable across runs and machines.
 //!
 //! Usage: `scale [n ...]` (defaults to 100000 500000 1000000); the
 //! `TC_SCALE_SIZES` environment variable (comma-separated) is used when
@@ -67,9 +73,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
 use std::time::Instant;
-use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, CsrGraph, WeightedGraph};
+use tc_graph::{par, WeightedGraph};
 use tc_spanner::relaxed::PhaseTiming;
+use tc_spanner::verify::verify_spanner;
 use tc_spanner::{DistributedRelaxedGreedy, RelaxedGreedy, SpannerParams};
 use tc_ubg::{generators, UbgBuilder};
 
@@ -77,7 +83,6 @@ const SEED: u64 = 2006;
 const TARGET_DEGREE: f64 = 8.0;
 const DIM: usize = 2;
 const EPSILON: f64 = 1.0;
-const STRETCH_SAMPLE_TARGET: usize = 2000;
 
 /// Per-phase timings as parallel arrays (entry `k` of every array belongs
 /// to the same phase).
@@ -134,8 +139,11 @@ struct ScaleRun {
     gen_seconds: f64,
     ubg_seconds: f64,
     spanner_seconds: f64,
-    sampled_stretch: f64,
-    stretch_samples: usize,
+    stretch_target: f64,
+    max_stretch: f64,
+    disconnected_pairs: usize,
+    weight_ratio: f64,
+    verify_seconds: f64,
     phases: PhaseBreakdown,
     peak_rss_kb: Option<u64>,
     ubg_edge_hash: String,
@@ -175,31 +183,6 @@ fn edge_hash(graph: &WeightedGraph) -> String {
         mix(&e.weight.to_bits().to_le_bytes());
     }
     format!("{h:016x}")
-}
-
-/// Worst observed stretch over an evenly strided base-edge sample:
-/// budgeted bucket searches on the frozen spanner (budget comfortably
-/// above the target `t`, so a miss reads as `inf` rather than a capped
-/// value). Returns `(max stretch, samples)`.
-fn sampled_stretch(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> (f64, usize) {
-    let edges = base.sorted_edges();
-    if edges.is_empty() {
-        return (1.0, 0);
-    }
-    let csr = CsrGraph::from(spanner);
-    let config = BucketConfig::for_graph(&csr);
-    let mut scratch = BucketScratch::new();
-    let stride = (edges.len() / STRETCH_SAMPLE_TARGET).max(1);
-    let mut worst = 1.0_f64;
-    let mut samples = 0;
-    for e in edges.iter().step_by(stride) {
-        let d = scratch
-            .shortest_path_within(&csr, e.u, e.v, 4.0 * t * e.weight, &config)
-            .unwrap_or(f64::INFINITY);
-        worst = worst.max(d / e.weight);
-        samples += 1;
-    }
-    (worst, samples)
 }
 
 fn sizes() -> Vec<usize> {
@@ -259,13 +242,18 @@ fn run_one(n: usize) -> ScaleRun {
         result.spanner.max_degree()
     );
 
-    let (stretch, stretch_samples) = sampled_stretch(ubg.graph(), &result.spanner, params.t);
-    eprintln!("[scale] n={n} sampled stretch {stretch:.4} over {stretch_samples} base edges");
+    let t3 = Instant::now();
+    let report = verify_spanner(ubg.graph(), &result.spanner, params.t);
+    let verify_seconds = t3.elapsed().as_secs_f64();
+    eprintln!(
+        "[scale] n={n} verified {} base edges: stretch {:.4} (target {:.4}), {} disconnected, weight ratio {:.3}, {verify_seconds:.2}s",
+        report.base_edges, report.stretch, report.t, report.disconnected_pairs, report.weight_ratio
+    );
     let sequential_peak_rss_kb = peak_rss_kb();
 
-    let t3 = Instant::now();
+    let t4 = Instant::now();
     let dist = DistributedRelaxedGreedy::new(params).run(&ubg);
-    let dist_seconds = t3.elapsed().as_secs_f64();
+    let dist_seconds = t4.elapsed().as_secs_f64();
     eprintln!(
         "[scale] n={n} distributed: {} edges, max degree {}, {} rounds ({:.1} log n log* n), {dist_seconds:.2}s",
         dist.result.spanner.edge_count(),
@@ -292,12 +280,15 @@ fn run_one(n: usize) -> ScaleRun {
         available_parallelism: std::thread::available_parallelism().map_or(0, usize::from),
         ubg_edges: ubg.graph().edge_count(),
         spanner_edges: result.spanner.edge_count(),
-        max_degree: result.spanner.max_degree(),
+        max_degree: report.max_degree,
         gen_seconds,
         ubg_seconds,
         spanner_seconds,
-        sampled_stretch: stretch,
-        stretch_samples,
+        stretch_target: report.t,
+        max_stretch: report.stretch,
+        disconnected_pairs: report.disconnected_pairs,
+        weight_ratio: report.weight_ratio,
+        verify_seconds,
         phases: PhaseBreakdown::from_timings(&timings),
         peak_rss_kb: sequential_peak_rss_kb,
         ubg_edge_hash: edge_hash(ubg.graph()),
@@ -393,7 +384,7 @@ fn main() {
     // mark) is dominated by the final, largest run.
     sizes.sort_unstable();
     let report = ScaleReport {
-        schema: "tc-scale/4",
+        schema: "tc-scale/5",
         seed: SEED,
         target_degree: TARGET_DEGREE,
         epsilon: EPSILON,

@@ -10,17 +10,25 @@
 use tc_graph::{Edge, WeightedGraph};
 
 /// The partition of a graph's edges into weight bins.
+///
+/// The edges live in one exactly sized array, bin after bin, each bin
+/// sorted; `offsets[i]..offsets[i + 1]` is bin `i`.
 #[derive(Debug, Clone)]
 pub struct BinPartition {
     w0: f64,
     r: f64,
-    bins: Vec<Vec<Edge>>,
+    edges: Vec<Edge>,
+    offsets: Vec<usize>,
 }
 
 impl BinPartition {
     /// Partitions the edges of `graph` into bins with bin-0 threshold `w0`
     /// (the paper's `α/n`, expressed in the active weight units) and
     /// growth factor `r > 1`.
+    ///
+    /// A counting pass over the edges' bin indices sizes every bin, a
+    /// second pass fills them, and each bin is then sorted, so no storage
+    /// is grown by pushing.
     ///
     /// # Panics
     ///
@@ -31,22 +39,51 @@ impl BinPartition {
         let mut partition = Self {
             w0,
             r,
-            bins: vec![Vec::new()],
+            edges: Vec::new(),
+            offsets: Vec::new(),
         };
-        for edge in graph.edges() {
-            let idx = partition.bin_index(edge.weight);
-            if idx >= partition.bins.len() {
-                partition.bins.resize(idx + 1, Vec::new());
+        // The bin of every edge, in `graph.edges()` order: `bin_index`
+        // costs a logarithm, so it runs once per edge, not once per pass.
+        let bin_of: Vec<u32> = graph
+            .edges()
+            .map(|edge| partition.bin_index(edge.weight) as u32)
+            .collect();
+        let mut counts = vec![0usize];
+        for &idx in &bin_of {
+            let idx = idx as usize;
+            if idx >= counts.len() {
+                counts.resize(idx + 1, 0);
             }
-            partition.bins[idx].push(edge);
+            counts[idx] += 1;
+        }
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0;
+        offsets.push(total);
+        for count in counts {
+            total += count;
+            offsets.push(total);
+        }
+        let mut next = offsets.clone();
+        let placeholder = Edge {
+            u: 0,
+            v: 0,
+            weight: 0.0,
+        };
+        let mut edges = vec![placeholder; total];
+        for (edge, &idx) in graph.edges().zip(&bin_of) {
+            let idx = idx as usize;
+            edges[next[idx]] = edge;
+            next[idx] += 1;
         }
         // `graph.edges()` is deterministic (adjacency insertion order),
         // but every downstream consumer (greedy processing, ablation
         // variants) expects the canonical by-weight sequence; sorting here
         // also keeps bin contents independent of construction history.
-        for bin in &mut partition.bins {
-            bin.sort();
+        for bin in offsets.windows(2) {
+            edges[bin[0]..bin[1]].sort();
         }
+        partition.edges = edges;
+        partition.offsets = offsets;
         partition
     }
 
@@ -70,12 +107,16 @@ impl BinPartition {
 
     /// Number of bins (indices `0..num_bins()`); at least 1.
     pub fn num_bins(&self) -> usize {
-        self.bins.len()
+        self.offsets.len() - 1
     }
 
     /// The edges of bin `i` (empty slice if `i` is out of range).
     pub fn bin(&self, i: usize) -> &[Edge] {
-        self.bins.get(i).map_or(&[], Vec::as_slice)
+        if i < self.num_bins() {
+            &self.edges[self.offsets[i]..self.offsets[i + 1]]
+        } else {
+            &[]
+        }
     }
 
     /// Upper weight threshold `W_i` of bin `i` (`W_0 = α/n`).
@@ -95,14 +136,14 @@ impl BinPartition {
     /// Indices of the non-empty bins, ascending. The algorithm only spends
     /// phases on these.
     pub fn non_empty_bins(&self) -> Vec<usize> {
-        (0..self.bins.len())
-            .filter(|&i| !self.bins[i].is_empty())
+        (0..self.num_bins())
+            .filter(|&i| self.offsets[i] < self.offsets[i + 1])
             .collect()
     }
 
     /// Total number of edges across all bins.
     pub fn edge_count(&self) -> usize {
-        self.bins.iter().map(Vec::len).sum()
+        self.edges.len()
     }
 }
 
@@ -190,7 +231,71 @@ mod tests {
         let _ = BinPartition::new(&g, 0.0, 2.0);
     }
 
+    /// The push-grown partition: one `Vec` per bin, grown edge by edge in
+    /// `graph.edges()` order, each bin sorted afterwards.
+    fn push_grown_bins(graph: &WeightedGraph, partition: &BinPartition) -> Vec<Vec<Edge>> {
+        let mut bins: Vec<Vec<Edge>> = vec![Vec::new()];
+        for edge in graph.edges() {
+            let idx = partition.bin_index(edge.weight);
+            if idx >= bins.len() {
+                bins.resize(idx + 1, Vec::new());
+            }
+            bins[idx].push(edge);
+        }
+        for bin in &mut bins {
+            bin.sort();
+        }
+        bins
+    }
+
+    fn edge_bits(edges: &[Edge]) -> Vec<(usize, usize, u64)> {
+        edges
+            .iter()
+            .map(|e| (e.u, e.v, e.weight.to_bits()))
+            .collect()
+    }
+
     proptest! {
+        /// The exact-size bins hold the same edges, in the same order, as
+        /// the push-grown reference — on random graphs with repeated and
+        /// zero weights, whatever order the edges were inserted in.
+        #[test]
+        fn exact_size_bins_match_the_push_grown_reference(
+            seed in 0u64..1_000,
+            n in 2usize..30,
+            p in 0.05f64..0.6,
+            w0 in 1e-3f64..0.1,
+            r in 1.05f64..3.0,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = WeightedGraph::new(n);
+            for u in (0..n).rev() {
+                for v in 0..u {
+                    if rng.gen_bool(p) {
+                        let w = match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => 0.25,
+                            _ => rng.gen_range(0.0..1.0),
+                        };
+                        g.add_edge(u, v, w);
+                    }
+                }
+            }
+            let bins = BinPartition::new(&g, w0, r);
+            let reference = push_grown_bins(&g, &bins);
+            prop_assert_eq!(bins.num_bins(), reference.len());
+            prop_assert_eq!(bins.edge_count(), g.edge_count());
+            for (i, expected) in reference.iter().enumerate() {
+                prop_assert_eq!(edge_bits(bins.bin(i)), edge_bits(expected));
+            }
+            let non_empty: Vec<usize> = (0..reference.len())
+                .filter(|&i| !reference[i].is_empty())
+                .collect();
+            prop_assert_eq!(bins.non_empty_bins(), non_empty);
+            prop_assert!(bins.bin(reference.len()).is_empty());
+        }
+
         #[test]
         fn every_weight_lands_in_its_interval(
             w in 1e-6f64..1.0,

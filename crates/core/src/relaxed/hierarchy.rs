@@ -91,7 +91,8 @@ impl PhaseEngine {
     /// radius outgrew it. Returns whether a rebuild happened.
     ///
     /// Only a rebuild calls `build_cover(spanner, radius, previous)`, with
-    /// `previous` the previous level's centres (ascending id). Any cover
+    /// `previous` the previous level's centres (ascending id); the previous
+    /// level's cover and contraction are dropped before the call. Any cover
     /// whose centres are more than `radius` apart and which reaches every
     /// node within `radius` serves the level.
     pub fn prepare(
@@ -103,7 +104,11 @@ impl PhaseEngine {
         if self.cover.is_some() && radius <= LEVEL_GROWTH * self.level_radius {
             return false;
         }
-        let previous: Vec<NodeId> = match &self.cover {
+        // Only the old level's centres outlive it: its cover and quotient
+        // are freed here, before the new level is built, so two levels are
+        // never alive at once.
+        self.contraction = None;
+        let previous: Vec<NodeId> = match self.cover.take() {
             Some(cover) => {
                 let mut centers = cover.centers().to_vec();
                 centers.sort_unstable();

@@ -51,33 +51,29 @@ pub struct VerificationReport {
 /// Verifies the stretch/degree/weight properties of `spanner` with respect
 /// to `base` and stretch target `t`.
 ///
-/// The stretch check runs one bounded bucket search per edge source of
-/// `base`, fanned out across worker threads (`TC_THREADS` override; the
-/// report is byte-identical for every thread count); both graphs are
+/// The stretch check is one streaming sweep ([`properties::stretch_check`]):
+/// a bounded bucket search per edge source of `base`, in fixed chunks of
+/// sources fanned out across worker threads (`TC_THREADS` override; the
+/// report is byte-identical for every thread count). Each chunk keeps only
+/// its worst stretch, its disconnection count and its violations, so the
+/// check's memory does not grow with the edge count. Both graphs are
 /// snapshotted once into [`CsrGraph`] so that hot loop runs on the flat
 /// representation (see `docs/PERFORMANCE.md`).
 pub fn verify_spanner(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> VerificationReport {
     assert!(t >= 1.0, "the stretch target must be at least 1");
     let base_csr = CsrGraph::from(base);
     let spanner_csr = CsrGraph::from(spanner);
-    let per_edge = properties::edge_stretches(&base_csr, &spanner_csr);
     let tolerance = 1e-9;
-    let mut violations = Vec::new();
-    let mut worst: f64 = 1.0;
-    let mut disconnected_pairs = 0;
-    for es in &per_edge {
-        if !es.stretch.is_finite() {
-            disconnected_pairs += 1;
-            continue;
-        }
-        worst = worst.max(es.stretch);
-        if es.stretch > t + tolerance {
-            violations.push((es.edge.u, es.edge.v, es.stretch));
-        }
-    }
+    let check = properties::stretch_check(&base_csr, &spanner_csr, t + tolerance);
+    let disconnected_pairs = check.summary.disconnected_pairs;
+    let violations: Vec<(usize, usize, f64)> = check
+        .violations
+        .iter()
+        .map(|es| (es.edge.u, es.edge.v, es.stretch))
+        .collect();
     VerificationReport {
         t,
-        stretch: worst,
+        stretch: check.summary.max_stretch,
         disconnected_pairs,
         stretch_ok: violations.is_empty() && disconnected_pairs == 0,
         violations,

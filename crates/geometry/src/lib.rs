@@ -54,7 +54,7 @@ pub use cone::ConePartition2d;
 pub use grid::{CellCoord, GridIndex, GridScratch};
 pub use metric::{Euclidean, HopMetric, Metric, PowerMetric};
 pub use point::{DimensionMismatch, Point};
-pub use store::{PointAccess, PointStore};
+pub use store::{PointAccess, PointSetError, PointStore};
 
 /// Relative/absolute tolerance used by approximate floating-point
 /// comparisons throughout the workspace.

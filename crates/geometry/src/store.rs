@@ -17,6 +17,49 @@
 
 use crate::point::{DimensionMismatch, Point};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a point set cannot become a [`PointStore`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PointSetError {
+    /// The points do not share one dimension: `left` is the first point's,
+    /// `right` the first disagreeing point's.
+    Dimension(DimensionMismatch),
+    /// Point `index` has a NaN or infinite coordinate on `axis`.
+    NonFinite {
+        /// Index of the offending point.
+        index: usize,
+        /// Axis of its first non-finite coordinate.
+        axis: usize,
+    },
+}
+
+impl fmt::Display for PointSetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Dimension(mismatch) => mismatch.fmt(f),
+            Self::NonFinite { index, axis } => {
+                write!(
+                    f,
+                    "point {index} has a non-finite coordinate on axis {axis}"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for PointSetError {}
+
+impl From<DimensionMismatch> for PointSetError {
+    fn from(mismatch: DimensionMismatch) -> Self {
+        Self::Dimension(mismatch)
+    }
+}
+
+/// The first non-finite coordinate of `coords`, by axis.
+fn non_finite_axis(coords: &[f64]) -> Option<usize> {
+    coords.iter().position(|c| !c.is_finite())
+}
 
 /// Read access to an indexed set of points that all share one dimension.
 ///
@@ -190,13 +233,24 @@ impl PointStore {
     ///
     /// # Panics
     ///
-    /// Panics if `coords.len()` differs from the store's dimension.
+    /// Panics if `coords.len()` differs from the store's dimension, or if a
+    /// coordinate is NaN or infinite: every stored point is finite, so
+    /// distances between stored points are never NaN. Use
+    /// [`PointStore::from_points`] to get an error instead.
     pub fn push(&mut self, coords: &[f64]) {
         assert_eq!(
             coords.len(),
             self.dim,
             "point dimension must match the store's dimension"
         );
+        if let Some(axis) = non_finite_axis(coords) {
+            // Documented API contract (see `# Panics` above); callers that
+            // want an error use `from_points`. tc-lint: allow(panic-hygiene)
+            panic!(
+                "point {} has a non-finite coordinate on axis {axis}",
+                self.len
+            );
+        }
         for (axis, &c) in coords.iter().enumerate() {
             self.axes[axis].push(c);
         }
@@ -204,22 +258,27 @@ impl PointStore {
     }
 
     /// Builds a store from a slice of [`Point`]s, validating that they all
-    /// share one dimension. An empty slice yields an empty store of
-    /// dimension 0.
+    /// share one dimension and that every coordinate is finite. An empty
+    /// slice yields an empty store of dimension 0.
     ///
     /// # Errors
     ///
-    /// Returns a [`DimensionMismatch`] naming the expected dimension
-    /// (`left`, taken from the first point) and the offending dimension
-    /// (`right`) when the points disagree.
-    pub fn from_points(points: &[Point]) -> Result<Self, DimensionMismatch> {
+    /// Checks the points in order and reports the first offending one:
+    /// [`PointSetError::Dimension`] naming the expected dimension (`left`,
+    /// taken from the first point) and the offending dimension (`right`)
+    /// when the points disagree, or [`PointSetError::NonFinite`] naming the
+    /// point and axis of a NaN or infinite coordinate.
+    pub fn from_points(points: &[Point]) -> Result<Self, PointSetError> {
         let dim = points.first().map_or(0, Point::dim);
-        for p in points {
+        for (index, p) in points.iter().enumerate() {
             if p.dim() != dim {
-                return Err(DimensionMismatch {
+                return Err(PointSetError::Dimension(DimensionMismatch {
                     left: dim,
                     right: p.dim(),
-                });
+                }));
+            }
+            if let Some(axis) = non_finite_axis(p.coords()) {
+                return Err(PointSetError::NonFinite { index, axis });
             }
         }
         let mut store = Self::with_capacity(dim, points.len());
@@ -293,7 +352,35 @@ mod tests {
     fn mixed_dimensions_are_reported() {
         let err = PointStore::from_points(&[Point::new2(0.0, 0.0), Point::new3(0.0, 0.0, 0.0)])
             .unwrap_err();
-        assert_eq!(err, DimensionMismatch { left: 2, right: 3 });
+        assert_eq!(
+            err,
+            PointSetError::Dimension(DimensionMismatch { left: 2, right: 3 })
+        );
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_reported_with_index_and_axis() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut points = sample_points();
+            points.push(Point::new2(0.5, bad));
+            let err = PointStore::from_points(&points).unwrap_err();
+            assert_eq!(err, PointSetError::NonFinite { index: 4, axis: 1 });
+            points.insert(1, Point::new2(bad, bad));
+            let err = PointStore::from_points(&points).unwrap_err();
+            assert_eq!(err, PointSetError::NonFinite { index: 1, axis: 0 });
+            assert_eq!(
+                err.to_string(),
+                "point 1 has a non-finite coordinate on axis 0"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "point 1 has a non-finite coordinate on axis 2")]
+    fn push_rejects_non_finite_coordinates() {
+        let mut store = PointStore::with_dim(3);
+        store.push(&[1.0, 2.0, 3.0]);
+        store.push(&[1.0, 2.0, f64::NAN]);
     }
 
     #[test]

@@ -98,15 +98,7 @@ impl CsrGraph {
     /// Counting-sort construction from directed `(source, target, weight)`
     /// entries; every undirected edge must appear once per direction.
     fn from_directed(nodes: usize, directed: Vec<(u32, u32, f64)>) -> Self {
-        assert!(
-            u32::try_from(nodes).is_ok(),
-            "CSR graphs index nodes with u32; {nodes} nodes do not fit"
-        );
-        assert!(
-            u32::try_from(directed.len()).is_ok(),
-            "CSR graphs index edges with u32; {} directed edges do not fit",
-            directed.len()
-        );
+        assert_indexable(nodes, directed.len());
         let mut offsets = vec![0u32; nodes + 1];
         for &(u, _, _) in &directed {
             offsets[u as usize + 1] += 1;
@@ -123,6 +115,13 @@ impl CsrGraph {
             targets[slot] = v;
             weights[slot] = w;
         }
+        Self::from_rows(offsets, targets, weights)
+    }
+
+    /// Finishes a construction whose rows are filled in place but not yet
+    /// sorted: sorts each row by neighbor id.
+    fn from_rows(offsets: Vec<u32>, mut targets: Vec<u32>, mut weights: Vec<f64>) -> Self {
+        let nodes = offsets.len() - 1;
         // Sort each row by neighbor id so membership is a binary search
         // and iteration order is canonical regardless of insertion order.
         let mut row: Vec<(u32, f64)> = Vec::new();
@@ -241,20 +240,44 @@ impl CsrGraph {
     }
 }
 
+/// Panics unless `nodes` nodes and `entries` directed edge entries fit the
+/// `u32` indices.
+fn assert_indexable(nodes: usize, entries: usize) {
+    assert!(
+        u32::try_from(nodes).is_ok(),
+        "CSR graphs index nodes with u32; {nodes} nodes do not fit"
+    );
+    assert!(
+        u32::try_from(entries).is_ok(),
+        "CSR graphs index edges with u32; {entries} directed edges do not fit"
+    );
+}
+
 impl From<&WeightedGraph> for CsrGraph {
     /// Snapshots a finished [`WeightedGraph`] into CSR layout. This is the
     /// conversion done once per constructed graph at the boundary between
     /// the mutating construction phase and the read-only measurement
     /// phase.
     fn from(graph: &WeightedGraph) -> Self {
+        // Rows are copied straight into place: staging all 2m directed
+        // entries (16 bytes each) first would outweigh the CSR itself.
         let n = graph.node_count();
-        let mut directed = Vec::with_capacity(2 * graph.edge_count());
+        let total: usize = (0..n).map(|u| graph.degree(u)).sum();
+        assert_indexable(n, total);
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        for u in 0..n {
+            offsets.push(offsets[u] + graph.degree(u) as u32);
+        }
+        let mut targets = Vec::with_capacity(total);
+        let mut weights = Vec::with_capacity(total);
         for u in 0..n {
             for &(v, w) in graph.neighbors(u) {
-                directed.push((u as u32, v as u32, w));
+                targets.push(v as u32);
+                weights.push(w);
             }
         }
-        Self::from_directed(n, directed)
+        Self::from_rows(offsets, targets, weights)
     }
 }
 
@@ -402,6 +425,24 @@ mod tests {
         let direct = CsrGraph::from_edges(g.node_count(), g.edges());
         let converted = CsrGraph::from(&g);
         assert_eq!(direct, converted);
+        // Rows filled in descending neighbour order, with a removal, still
+        // convert to the same sorted rows.
+        let mut shuffled = WeightedGraph::new(g.node_count());
+        let mut edges: Vec<Edge> = g.edges().collect();
+        edges.reverse();
+        for e in &edges {
+            shuffled.add_edge(e.v, e.u, e.weight);
+        }
+        shuffled.add_edge(0, 19, 9.0);
+        let _ = shuffled.remove_edge(0, 19);
+        let _ = shuffled.remove_edge(edges[3].u, edges[3].v);
+        let mut expected = g.clone();
+        let _ = expected.remove_edge(edges[3].u, edges[3].v);
+        assert_eq!(CsrGraph::from(&shuffled), CsrGraph::from(&expected));
+        assert_eq!(
+            CsrGraph::from(&shuffled),
+            CsrGraph::from_edges(g.node_count(), expected.edges())
+        );
     }
 
     #[test]

@@ -54,13 +54,86 @@ fn stretch_of(weight: f64, sp: f64) -> f64 {
     }
 }
 
+/// Sources per work item of the stretch sweep. Fixed, independent of the
+/// thread count, so the chunk boundaries — and with them the merge order
+/// of the per-chunk results — never depend on how many workers run.
+const SWEEP_CHUNK: usize = 1024;
+
+/// The stretch sweep every measurement here runs: one target-directed
+/// bucket search ([`crate::bucket`]) per source `u`, with targets the
+/// neighbours `v > u` of `u`'s base row in row order — the edges
+/// [`GraphView::for_each_edge`] reports for `u`, in its order.
+///
+/// The sources are cut into fixed chunks of `chunk` nodes that fan out
+/// across worker threads ([`crate::par`], honoring `TC_THREADS`). Each
+/// chunk folds its edges, in order, into an accumulator built by `init`,
+/// and the accumulators come back in chunk order. Nothing per edge is
+/// stored unless `fold` stores it, so a reduction runs in memory bounded
+/// by the chunk count, not the edge count.
+fn sweep<B, S, A, I, F>(
+    base: &B,
+    subgraph: &S,
+    threads: usize,
+    chunk: usize,
+    init: I,
+    fold: F,
+) -> Vec<A>
+where
+    B: GraphView + Sync,
+    S: GraphView + Sync,
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, EdgeStretch) + Sync,
+{
+    assert_eq!(
+        base.node_count(),
+        subgraph.node_count(),
+        "base and subgraph must share a vertex set"
+    );
+    let starts: Vec<usize> = (0..base.node_count()).step_by(chunk).collect();
+    let config = BucketConfig::for_graph(subgraph);
+    par::par_map_with(
+        &starts,
+        threads,
+        || (BucketScratch::new(), Vec::new(), Vec::new(), Vec::new()),
+        |(scratch, row, targets, dists), _, &start| {
+            let mut acc = init();
+            for u in start..(start + chunk).min(base.node_count()) {
+                row.clear();
+                base.for_each_neighbor(u, |v, w| {
+                    if v > u {
+                        row.push((v, w));
+                    }
+                });
+                if row.is_empty() {
+                    continue;
+                }
+                targets.clear();
+                targets.extend(row.iter().map(|&(v, _)| v));
+                scratch.distances_to_targets(subgraph, u, targets, &config, dists);
+                for (&(v, weight), &sp) in row.iter().zip(dists.iter()) {
+                    fold(
+                        &mut acc,
+                        EdgeStretch {
+                            edge: Edge { u, v, weight },
+                            stretch: stretch_of(weight, sp),
+                        },
+                    );
+                }
+            }
+            acc
+        },
+    )
+}
+
 /// Per-edge stretch of `subgraph` with respect to every edge of `base`.
 ///
-/// This is the hottest loop of the verification layer. It runs one
-/// target-directed bucket search ([`crate::bucket`]) per distinct edge
-/// source — stopping as soon as that source's base-graph neighbors are
-/// settled — and fans the sources out across worker threads
-/// ([`crate::par`], honoring the `TC_THREADS` override). Hand it
+/// This is the collecting fold of the stretch sweep: one bounded bucket
+/// search per edge source, fanned out in fixed chunks of sources across
+/// worker threads ([`crate::par`], honoring the `TC_THREADS` override).
+/// It materialises one [`EdgeStretch`] per base edge; measurements that
+/// only need the maximum, the disconnection count or the violations use
+/// [`stretch_check`], which streams instead. Hand it
 /// [`CsrGraph`](crate::CsrGraph) views (the `subgraph` especially — that is
 /// what the searches traverse) when measuring anything beyond toy sizes.
 ///
@@ -69,7 +142,7 @@ fn stretch_of(weight: f64, sp: f64) -> f64 {
 /// below enforce this.
 pub fn edge_stretches<B, S>(base: &B, subgraph: &S) -> Vec<EdgeStretch>
 where
-    B: GraphView,
+    B: GraphView + Sync,
     S: GraphView + Sync,
 {
     edge_stretches_with_threads(base, subgraph, 0)
@@ -80,43 +153,23 @@ where
 /// [`par::thread_count`]).
 pub fn edge_stretches_with_threads<B, S>(base: &B, subgraph: &S, threads: usize) -> Vec<EdgeStretch>
 where
-    B: GraphView,
+    B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    assert_eq!(
-        base.node_count(),
-        subgraph.node_count(),
-        "base and subgraph must share a vertex set"
-    );
-    let mut by_source: Vec<Vec<Edge>> = vec![Vec::new(); base.node_count()];
-    base.for_each_edge(|e| by_source[e.u].push(e));
-    let groups: Vec<(usize, Vec<Edge>)> = by_source
-        .into_iter()
-        .enumerate()
-        .filter(|(_, edges)| !edges.is_empty())
-        .collect();
-    let config = BucketConfig::for_graph(subgraph);
-    let per_source: Vec<Vec<EdgeStretch>> = par::par_map_with(
-        &groups,
-        threads,
-        || (BucketScratch::new(), Vec::new(), Vec::new()),
-        |state, _, group| {
-            let (scratch, targets, dists) = state;
-            let (source, edges) = group;
-            targets.clear();
-            targets.extend(edges.iter().map(|e| e.v));
-            scratch.distances_to_targets(subgraph, *source, targets, &config, dists);
-            edges
-                .iter()
-                .zip(dists.iter())
-                .map(|(&edge, &sp)| EdgeStretch {
-                    edge,
-                    stretch: stretch_of(edge.weight, sp),
-                })
-                .collect()
-        },
-    );
-    per_source.into_iter().flatten().collect()
+    collect_stretches(base, subgraph, threads, SWEEP_CHUNK)
+}
+
+fn collect_stretches<B, S>(base: &B, subgraph: &S, threads: usize, chunk: usize) -> Vec<EdgeStretch>
+where
+    B: GraphView + Sync,
+    S: GraphView + Sync,
+{
+    let chunks = sweep(base, subgraph, threads, chunk, Vec::new, Vec::push);
+    let mut out = Vec::with_capacity(base.edge_count());
+    for part in chunks {
+        out.extend(part);
+    }
+    out
 }
 
 /// Sequential reference implementation of [`edge_stretches`]: one full
@@ -154,13 +207,10 @@ pub fn edge_stretches_seq<B: GraphView, S: GraphView>(base: &B, subgraph: &S) ->
 /// value must stay finite, e.g. for serialization).
 pub fn stretch_factor<B, S>(base: &B, subgraph: &S) -> f64
 where
-    B: GraphView,
+    B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    edge_stretches(base, subgraph)
-        .into_iter()
-        .map(|s| s.stretch)
-        .fold(1.0_f64, f64::max)
+    stretch_summary(base, subgraph).stretch_factor()
 }
 
 /// Stretch measurement split into a finite maximum and an explicit
@@ -178,23 +228,6 @@ pub struct StretchSummary {
 }
 
 impl StretchSummary {
-    /// Folds per-edge stretches into the summary.
-    pub fn from_stretches(stretches: &[EdgeStretch]) -> Self {
-        let mut max_stretch = 1.0_f64;
-        let mut disconnected_pairs = 0;
-        for s in stretches {
-            if s.stretch.is_finite() {
-                max_stretch = max_stretch.max(s.stretch);
-            } else {
-                disconnected_pairs += 1;
-            }
-        }
-        StretchSummary {
-            max_stretch,
-            disconnected_pairs,
-        }
-    }
-
     /// The classical stretch factor: [`Self::max_stretch`] when every pair
     /// is connected, `f64::INFINITY` otherwise.
     pub fn stretch_factor(&self) -> f64 {
@@ -210,10 +243,97 @@ impl StretchSummary {
 /// [`StretchSummary`] (finite maximum plus disconnection count).
 pub fn stretch_summary<B, S>(base: &B, subgraph: &S) -> StretchSummary
 where
-    B: GraphView,
+    B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    StretchSummary::from_stretches(&edge_stretches(base, subgraph))
+    stretch_check(base, subgraph, f64::INFINITY).summary
+}
+
+/// The streamed reduction of the stretch sweep: the [`StretchSummary`]
+/// plus the base edges whose finite stretch exceeds a limit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StretchCheck {
+    /// Maximum finite stretch and disconnection count over every base edge.
+    pub summary: StretchSummary,
+    /// The base edges with a finite stretch above the limit, in the order
+    /// of [`edge_stretches`]. Disconnected pairs are only counted, in
+    /// [`StretchSummary::disconnected_pairs`].
+    pub violations: Vec<EdgeStretch>,
+}
+
+impl StretchCheck {
+    fn empty() -> Self {
+        StretchCheck {
+            summary: StretchSummary {
+                max_stretch: 1.0,
+                disconnected_pairs: 0,
+            },
+            violations: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, s: EdgeStretch, limit: f64) {
+        if s.stretch.is_finite() {
+            self.summary.max_stretch = self.summary.max_stretch.max(s.stretch);
+            if s.stretch > limit {
+                self.violations.push(s);
+            }
+        } else {
+            self.summary.disconnected_pairs += 1;
+        }
+    }
+
+    /// Appends a later chunk's result. Maxima of non-NaN stretches do not
+    /// depend on the grouping, and violations keep chunk order, so merging
+    /// in chunk order equals one fold over the whole edge sequence.
+    fn merge(&mut self, later: StretchCheck) {
+        let summary = &mut self.summary;
+        summary.max_stretch = summary.max_stretch.max(later.summary.max_stretch);
+        summary.disconnected_pairs += later.summary.disconnected_pairs;
+        self.violations.extend(later.violations);
+    }
+}
+
+/// Checks the stretch of `subgraph` over every edge of `base` against
+/// `limit`, streaming: each chunk of sources folds its edges into a
+/// maximum, a disconnection count and the edges stretched beyond `limit`,
+/// and only those reductions are kept (see [`edge_stretches`] for the
+/// sweep itself). Memory stays bounded by the violations, not the edge
+/// count, and the result equals folding [`edge_stretches`] — bit for bit,
+/// for any thread count. Pass `f64::INFINITY` as `limit` when only the
+/// summary matters.
+pub fn stretch_check<B, S>(base: &B, subgraph: &S, limit: f64) -> StretchCheck
+where
+    B: GraphView + Sync,
+    S: GraphView + Sync,
+{
+    check_chunked(base, subgraph, limit, 0, SWEEP_CHUNK)
+}
+
+fn check_chunked<B, S>(
+    base: &B,
+    subgraph: &S,
+    limit: f64,
+    threads: usize,
+    chunk: usize,
+) -> StretchCheck
+where
+    B: GraphView + Sync,
+    S: GraphView + Sync,
+{
+    let chunks = sweep(
+        base,
+        subgraph,
+        threads,
+        chunk,
+        StretchCheck::empty,
+        |acc, s| acc.add(s, limit),
+    );
+    let mut check = StretchCheck::empty();
+    for part in chunks {
+        check.merge(part);
+    }
+    check
 }
 
 /// Ratio `w(subgraph) / w(MST(base))`; `f64::INFINITY` if the base MST has
@@ -264,7 +384,7 @@ pub struct SpannerReport {
 /// Measures every property of `subgraph` relative to `base` in one pass.
 pub fn spanner_report<B, S>(base: &B, subgraph: &S) -> SpannerReport
 where
-    B: GraphView,
+    B: GraphView + Sync,
     S: GraphView + Sync,
 {
     let deg = degree_stats(subgraph);
@@ -453,6 +573,139 @@ mod tests {
         g
     }
 
+    /// The per-edge reduction the streaming check replaces: one fold over
+    /// the sequential oracle's stretches.
+    fn folded_oracle<B: GraphView, S: GraphView>(
+        base: &B,
+        subgraph: &S,
+        limit: f64,
+    ) -> (u64, usize, Vec<(Edge, u64)>) {
+        let mut worst = 1.0_f64;
+        let mut disconnected = 0;
+        let mut violations = Vec::new();
+        for s in edge_stretches_seq(base, subgraph) {
+            if !s.stretch.is_finite() {
+                disconnected += 1;
+                continue;
+            }
+            worst = worst.max(s.stretch);
+            if s.stretch > limit {
+                violations.push((s.edge, s.stretch.to_bits()));
+            }
+        }
+        (worst.to_bits(), disconnected, violations)
+    }
+
+    fn check_bits(check: &StretchCheck) -> (u64, usize, Vec<(Edge, u64)>) {
+        (
+            check.summary.max_stretch.to_bits(),
+            check.summary.disconnected_pairs,
+            check
+                .violations
+                .iter()
+                .map(|s| (s.edge, s.stretch.to_bits()))
+                .collect(),
+        )
+    }
+
+    /// Compares the streaming check, at several chunk sizes (none of which
+    /// divides every node count used) and at one and two threads, with the
+    /// folded oracle; and the collecting fold with the oracle's list.
+    fn assert_streaming_matches_oracle(g: &WeightedGraph, sub: &WeightedGraph, limit: f64) {
+        let (gc, subc) = (CsrGraph::from(g), CsrGraph::from(sub));
+        let expected = folded_oracle(&gc, &subc, limit);
+        let oracle = edge_stretches_seq(&gc, &subc);
+        for chunk in [1, 3, 7, SWEEP_CHUNK] {
+            for threads in [1, 2] {
+                let check = check_chunked(&gc, &subc, limit, threads, chunk);
+                assert_eq!(
+                    check_bits(&check),
+                    expected,
+                    "chunk {chunk}, {threads} threads"
+                );
+                let collected = collect_stretches(&gc, &subc, threads, chunk);
+                assert_stretches_bitwise_equal(&collected, &oracle);
+            }
+        }
+        let summary = stretch_summary(&gc, &subc);
+        assert_eq!(summary.max_stretch.to_bits(), expected.0);
+        assert_eq!(summary.disconnected_pairs, expected.1);
+        let report = spanner_report(&gc, &subc);
+        assert_eq!(report.stretch.to_bits(), expected.0);
+        assert_eq!(report.disconnected_pairs, expected.1);
+        assert_eq!(report.base_edges, oracle.len());
+        let factor = stretch_factor(&gc, &subc);
+        if expected.1 == 0 {
+            assert_eq!(factor.to_bits(), expected.0);
+        } else {
+            assert!(factor.is_infinite());
+        }
+        // The adjacency-list views stream the same edges in the same order.
+        assert_eq!(check_bits(&stretch_check(g, sub, limit)), expected);
+    }
+
+    #[test]
+    fn streaming_check_matches_the_folded_oracle_on_fixed_cases() {
+        let g = square_with_diagonals();
+        // A violation (the dropped diagonal, stretch √2 > 1.2).
+        let sub = g.filter_edges(|e| !(e.u == 0 && e.v == 2));
+        assert_streaming_matches_oracle(&g, &sub, 1.2);
+        let check = stretch_check(&g, &sub, 1.2);
+        assert_eq!(check.violations.len(), 1);
+        assert_eq!(check.violations[0].edge.endpoints(), (0, 2));
+        // Disconnected pairs: node 3 cut off.
+        assert_streaming_matches_oracle(&g, &g.filter_edges(|e| !e.touches(3)), 1.2);
+        // An edgeless subgraph: every base edge is disconnected.
+        let edgeless = WeightedGraph::new(4);
+        assert_streaming_matches_oracle(&g, &edgeless, 1.2);
+        assert_eq!(stretch_summary(&g, &edgeless).disconnected_pairs, 6);
+        // An edgeless base graph.
+        assert_streaming_matches_oracle(&edgeless, &edgeless, 1.2);
+        assert_eq!(stretch_check(&edgeless, &g, 1.0), StretchCheck::empty());
+    }
+
+    #[test]
+    fn zero_weight_edges_stream_like_the_oracle() {
+        // Duplicate points: zero-weight edges, kept (stretch 1) or
+        // detoured (infinite stretch) in the subgraph.
+        let mut g = WeightedGraph::new(5);
+        g.add_edge(0, 1, 0.0);
+        g.add_edge(1, 2, 0.0);
+        g.add_edge(0, 2, 0.0);
+        g.add_edge(2, 3, 1.0);
+        g.add_edge(3, 4, 0.0);
+        g.add_edge(1, 4, 0.5);
+        let sub = g.filter_edges(|e| !matches!(e.endpoints(), (0, 2) | (3, 4)));
+        assert_streaming_matches_oracle(&g, &sub, 1.5);
+        assert_streaming_matches_oracle(&g, &g, 1.0);
+        let summary = stretch_summary(&g, &sub);
+        assert_eq!(summary.disconnected_pairs, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The streaming check equals the folded sequential oracle — the
+        /// maximum's bits, the disconnection count and the violations in
+        /// order — on random graphs with zero-weight edges, disconnected
+        /// subgraphs and violations, at several chunk sizes and thread
+        /// counts.
+        #[test]
+        fn streaming_check_matches_the_folded_oracle(
+            seed in 0u64..500,
+            n in 2usize..40,
+            p in 0.05f64..0.5,
+            keep in 0.0f64..1.0,
+            limit in 1.0f64..3.0,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let g = random_graph(seed, n, p);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc4ec);
+            let sub = g.filter_edges(|_| rng.gen_bool(keep));
+            assert_streaming_matches_oracle(&g, &sub, limit);
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
@@ -477,11 +730,13 @@ mod tests {
                 let fast = edge_stretches_with_threads(&gc, &subc, threads);
                 assert_stretches_bitwise_equal(&fast, &oracle);
             }
-            let summary = StretchSummary::from_stretches(&oracle);
-            proptest::prelude::prop_assert_eq!(
-                stretch_factor(&gc, &subc).to_bits(),
-                summary.stretch_factor().to_bits()
-            );
+            let (max_bits, disconnected, _) = folded_oracle(&gc, &subc, f64::INFINITY);
+            let expected = if disconnected == 0 {
+                max_bits
+            } else {
+                f64::INFINITY.to_bits()
+            };
+            proptest::prelude::prop_assert_eq!(stretch_factor(&gc, &subc).to_bits(), expected);
         }
     }
 }

@@ -352,7 +352,7 @@ fn float_ordering(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// crates repeatedly pays the pointer-chasing cost the CSR snapshot exists
 /// to avoid — and the conversion is one `ubg.to_csr()` / `CsrGraph::from`
 /// away.
-const MEASURE_FNS: [&str; 24] = [
+const MEASURE_FNS: [&str; 26] = [
     "kruskal",
     "prim",
     "mst_weight",
@@ -363,7 +363,9 @@ const MEASURE_FNS: [&str; 24] = [
     "components_are_cliques",
     "degree_stats",
     "edge_stretches",
+    "stretch_check",
     "stretch_factor",
+    "stretch_summary",
     "weight_ratio",
     "spanner_report",
     "shortest_path_distances",
@@ -593,7 +595,7 @@ fn in_locality_scope(path: &str) -> bool {
 /// Graph APIs whose cost is inherently global (full Dijkstra sweeps,
 /// whole-graph statistics, component labelling). A call *path* from scoped
 /// code to any of these breaks the locality guarantee.
-const GLOBAL_REACH_FNS: [&str; 19] = [
+const GLOBAL_REACH_FNS: [&str; 21] = [
     "all_pairs_shortest_paths",
     "shortest_path_distances",
     "shortest_path_tree",
@@ -602,7 +604,9 @@ const GLOBAL_REACH_FNS: [&str; 19] = [
     "edge_stretches",
     "edge_stretches_seq",
     "edge_stretches_with_threads",
+    "stretch_check",
     "stretch_factor",
+    "stretch_summary",
     "spanner_report",
     "verify_spanner",
     "weight_ratio",

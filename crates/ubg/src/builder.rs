@@ -2,7 +2,7 @@
 
 use crate::{GreyZonePolicy, UnitBallGraph};
 use std::ops::Range;
-use tc_geometry::{DimensionMismatch, GridIndex, GridScratch, Point, PointAccess, PointStore};
+use tc_geometry::{GridIndex, GridScratch, Point, PointAccess, PointSetError, PointStore};
 use tc_graph::{par, NodeId, WeightedGraph};
 
 /// Occupied grid cells per parallel work item in
@@ -92,10 +92,12 @@ impl UbgBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`DimensionMismatch`] (expected dimension on the left,
-    /// offending dimension on the right) if the points do not all share one
-    /// dimension.
-    pub fn build(&self, points: Vec<Point>) -> Result<UnitBallGraph, DimensionMismatch> {
+    /// Returns [`PointSetError::Dimension`] (expected dimension on the
+    /// left, offending dimension on the right) if the points do not all
+    /// share one dimension, and [`PointSetError::NonFinite`] naming the
+    /// point and axis of the first NaN or infinite coordinate: such a point
+    /// has no distance to anyone, so it could only be left isolated.
+    pub fn build(&self, points: Vec<Point>) -> Result<UnitBallGraph, PointSetError> {
         let store = PointStore::from_points(&points)?;
         Ok(self.build_store(store))
     }
@@ -103,7 +105,8 @@ impl UbgBuilder {
     /// Builds the realised α-UBG on a structure-of-arrays point store.
     ///
     /// This is the million-node entry point. The store is already
-    /// dimension-uniform by construction. [`GridIndex::for_each_pair_within`]
+    /// dimension-uniform and finite by construction (see
+    /// [`PointStore::push`]), so no input check is left to fail. [`GridIndex::for_each_pair_within`]
     /// reports each pair at distance at most 1 once, as `(u < v, dist)`,
     /// over fixed chunks of cells fanned out via [`par`] with one
     /// [`GridScratch`] per worker; the grey-zone policy is asked about
@@ -113,9 +116,6 @@ impl UbgBuilder {
     /// the graph takes those rows as they are
     /// ([`WeightedGraph::from_adjacency`]). The output is bitwise identical
     /// for any `TC_THREADS`.
-    ///
-    /// A point with a NaN coordinate is at NaN distance from every other
-    /// point, so it is left isolated.
     pub fn build_store(&self, points: PointStore) -> UnitBallGraph {
         let rows = self.adjacency_rows(&points);
         UnitBallGraph::from_store(points, self.alpha, WeightedGraph::from_adjacency(rows))
@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use tc_geometry::DimensionMismatch;
 
     fn random_points(seed: u64, n: usize, dim: usize, side: f64) -> Vec<Point> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -288,7 +289,10 @@ mod tests {
         let err = UbgBuilder::new(0.5)
             .build(vec![Point::new2(0.0, 0.0), Point::new3(0.0, 0.0, 0.0)])
             .unwrap_err();
-        assert_eq!(err, DimensionMismatch { left: 2, right: 3 });
+        assert_eq!(
+            err,
+            PointSetError::Dimension(DimensionMismatch { left: 2, right: 3 })
+        );
         let err = UbgBuilder::new(0.5)
             .build(vec![
                 Point::new3(0.0, 0.0, 0.0),
@@ -296,7 +300,10 @@ mod tests {
                 Point::new(vec![2.0]),
             ])
             .unwrap_err();
-        assert_eq!(err, DimensionMismatch { left: 3, right: 1 });
+        assert_eq!(
+            err,
+            PointSetError::Dimension(DimensionMismatch { left: 3, right: 1 })
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
-use tc_geometry::{Point, PointAccess, PointStore};
+use tc_geometry::{Point, PointAccess, PointSetError, PointStore};
 use tc_graph::par::THREADS_ENV;
 use tc_graph::WeightedGraph;
 use tc_ubg::{GreyZonePolicy, UbgBuilder};
@@ -34,7 +34,7 @@ fn reference(points: &PointStore, alpha: f64, policy: GreyZonePolicy) -> Weighte
     for u in 0..n {
         for v in u + 1..n {
             let dist = points.distance(u, v);
-            if dist > 1.0 || dist.is_nan() {
+            if dist > 1.0 {
                 continue;
             }
             points.write_coords(u, &mut cu);
@@ -178,16 +178,50 @@ fn pairs_at_exactly_alpha_and_exactly_one() {
     assert!(ubg.graph().has_edge(4, 6));
 }
 
-#[test]
-fn a_nan_coordinate_leaves_its_node_isolated() {
+/// Finite random points with one NaN coordinate inserted at index 7
+/// (axis 0) and one appended (axis 1).
+fn points_with_nan() -> Vec<Point> {
     let mut points = random_points(9, 50, 2, 0.0, 2.0);
     points.insert(7, Point::new2(f64::NAN, 1.0));
     points.push(Point::new2(0.5, f64::NAN));
+    points
+}
+
+#[test]
+fn from_points_rejects_a_non_finite_coordinate_by_index_and_axis() {
+    let err = PointStore::from_points(&points_with_nan()).unwrap_err();
+    assert_eq!(err, PointSetError::NonFinite { index: 7, axis: 0 });
+    let mut points = points_with_nan();
+    points.remove(7);
     let last = points.len() - 1;
-    assert_matches_reference("NaN coordinates", &points, 0.6);
-    let ubg = UbgBuilder::new(0.6).build(points).unwrap();
-    assert_eq!(ubg.graph().degree(7), 0);
-    assert_eq!(ubg.graph().degree(last), 0);
-    assert!(ubg.graph().edges().all(|e| !e.weight.is_nan()));
-    assert!(ubg.graph().edge_count() > 0);
+    let err = PointStore::from_points(&points).unwrap_err();
+    assert_eq!(
+        err,
+        PointSetError::NonFinite {
+            index: last,
+            axis: 1
+        }
+    );
+}
+
+#[test]
+fn build_rejects_a_non_finite_coordinate_by_index_and_axis() {
+    let err = UbgBuilder::new(0.6).build(points_with_nan()).unwrap_err();
+    assert_eq!(err, PointSetError::NonFinite { index: 7, axis: 0 });
+    let mut points = random_points(10, 30, 3, 0.0, 2.0);
+    points[12] = Point::new3(0.5, 0.5, f64::INFINITY);
+    let err = UbgBuilder::unit_disk().build(points).unwrap_err();
+    assert_eq!(err, PointSetError::NonFinite { index: 12, axis: 2 });
+}
+
+/// `build_store` takes a `PointStore`, and the only way to put a point
+/// into one outside `from_points` is `push`, which refuses it.
+#[test]
+#[should_panic(expected = "point 7 has a non-finite coordinate on axis 0")]
+fn push_refuses_a_non_finite_coordinate_so_build_store_never_sees_one() {
+    let mut store = PointStore::with_dim(2);
+    for p in points_with_nan() {
+        store.push(p.coords());
+    }
+    let _ = UbgBuilder::new(0.6).build_store(store);
 }
