@@ -8,16 +8,20 @@
 //! current directory:
 //!
 //! ```text
-//! { "schema": "tc-scale/5",
+//! { "schema": "tc-scale/6",
 //!   "target_degree": 8.0, "seed": 2006,
 //!   "runs": [ { "n", "dim", "side",
 //!               "threads",               // resolved TC_THREADS
 //!               "available_parallelism", // std's count, 0 if unknown
 //!               "ubg_edges", "spanner_edges", "max_degree",
+//!               "degree_histogram",      // nodes per degree 0..=max_degree
 //!               "gen_seconds", "ubg_seconds", "spanner_seconds",
 //!               "stretch_target",        // t = 1 + ε, verified against
 //!               "max_stretch", "disconnected_pairs", "weight_ratio",
 //!               "verify_seconds",
+//!               "discarded_cover_sweeps", // speculative level-rebuild
+//!                                         // sweeps discarded (0 on one
+//!                                         // worker)
 //!               "phases": {             // parallel arrays, one entry per
 //!                 "bin": [...],         // non-empty bin ≥ 1 phase
 //!                 "seconds": [...],     // whole-phase wall clock
@@ -32,6 +36,7 @@
 //!               "distributed": {         // DistributedRelaxedGreedy
 //!                 "seconds", "rounds", "normalized_rounds",
 //!                 "mis_messages", "spanner_edges", "max_degree",
+//!                 "degree_histogram",
 //!                 "spanner_edge_hash", "peak_rss_kb" } } ] }
 //! ```
 //!
@@ -122,6 +127,7 @@ struct DistributedRun {
     mis_messages: usize,
     spanner_edges: usize,
     max_degree: usize,
+    degree_histogram: Vec<usize>,
     spanner_edge_hash: String,
     peak_rss_kb: Option<u64>,
 }
@@ -136,6 +142,7 @@ struct ScaleRun {
     ubg_edges: usize,
     spanner_edges: usize,
     max_degree: usize,
+    degree_histogram: Vec<usize>,
     gen_seconds: f64,
     ubg_seconds: f64,
     spanner_seconds: f64,
@@ -144,6 +151,7 @@ struct ScaleRun {
     disconnected_pairs: usize,
     weight_ratio: f64,
     verify_seconds: f64,
+    discarded_cover_sweeps: usize,
     phases: PhaseBreakdown,
     peak_rss_kb: Option<u64>,
     ubg_edge_hash: String,
@@ -166,6 +174,16 @@ fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Entry `d` is the number of nodes of degree `d`, for `d` in
+/// `0..=max_degree` (Thm 11 bounds the top entry's index).
+fn degree_histogram(graph: &WeightedGraph) -> Vec<usize> {
+    let mut histogram = vec![0; graph.max_degree() + 1];
+    for u in 0..graph.node_count() {
+        histogram[graph.degree(u)] += 1;
+    }
+    histogram
 }
 
 /// Stable FNV-1a fingerprint of the sorted edge stream.
@@ -268,6 +286,7 @@ fn run_one(n: usize) -> ScaleRun {
         mis_messages: dist.messages,
         spanner_edges: dist.result.spanner.edge_count(),
         max_degree: dist.result.spanner.max_degree(),
+        degree_histogram: degree_histogram(&dist.result.spanner),
         spanner_edge_hash: edge_hash(&dist.result.spanner),
         peak_rss_kb: peak_rss_kb(),
     };
@@ -281,6 +300,7 @@ fn run_one(n: usize) -> ScaleRun {
         ubg_edges: ubg.graph().edge_count(),
         spanner_edges: result.spanner.edge_count(),
         max_degree: report.max_degree,
+        degree_histogram: degree_histogram(&result.spanner),
         gen_seconds,
         ubg_seconds,
         spanner_seconds,
@@ -289,6 +309,7 @@ fn run_one(n: usize) -> ScaleRun {
         disconnected_pairs: report.disconnected_pairs,
         weight_ratio: report.weight_ratio,
         verify_seconds,
+        discarded_cover_sweeps: timings.iter().map(|p| p.discarded_cover_sweeps).sum(),
         phases: PhaseBreakdown::from_timings(&timings),
         peak_rss_kb: sequential_peak_rss_kb,
         ubg_edge_hash: edge_hash(ubg.graph()),
@@ -384,7 +405,7 @@ fn main() {
     // mark) is dominated by the final, largest run.
     sizes.sort_unstable();
     let report = ScaleReport {
-        schema: "tc-scale/5",
+        schema: "tc-scale/6",
         seed: SEED,
         target_degree: TARGET_DEGREE,
         epsilon: EPSILON,

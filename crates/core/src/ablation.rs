@@ -131,7 +131,7 @@ pub fn run_ablation(
 ///
 /// Returns [`PointCountMismatch`] if `points` does not have exactly one
 /// point per graph vertex.
-pub fn run_ablation_on<P: PointAccess + ?Sized>(
+pub fn run_ablation_on<P: PointAccess + Sync + ?Sized>(
     points: &P,
     graph: &WeightedGraph,
     params: SpannerParams,

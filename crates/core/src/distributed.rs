@@ -189,7 +189,7 @@ impl DistributedRelaxedGreedy {
     ///
     /// Returns [`PointCountMismatch`] if `points` does not have exactly one
     /// point per graph vertex.
-    pub fn run_on<P: PointAccess + ?Sized>(
+    pub fn run_on<P: PointAccess + Sync + ?Sized>(
         &self,
         points: &P,
         graph: &WeightedGraph,
@@ -308,10 +308,10 @@ impl PhaseRules for DistributedRules {
         spanner: &WeightedGraph,
         radius: f64,
         _previous: &[NodeId],
-    ) -> ClusterCover {
+    ) -> Option<ClusterCover> {
         let (cover, stats) = mis_cover(spanner, radius, self.protocol);
         self.cover_mis = Some(stats);
-        cover
+        Some(cover)
     }
 
     fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
@@ -441,15 +441,15 @@ mod tests {
             spanner: &WeightedGraph,
             radius: f64,
             previous: &[NodeId],
-        ) -> ClusterCover {
-            let cover = self.inner.level_cover(spanner, radius, previous);
+        ) -> Option<ClusterCover> {
+            let cover = self.inner.level_cover(spanner, radius, previous)?;
             assert!(
                 cover.is_valid_cover(spanner),
                 "the MIS cover at radius {radius} is not a valid cover"
             );
             assert_eq!(cover.radius(), radius);
             self.rebuilt = true;
-            cover
+            Some(cover)
         }
 
         fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {

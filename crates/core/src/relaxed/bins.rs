@@ -42,11 +42,14 @@ impl BinPartition {
             edges: Vec::new(),
             offsets: Vec::new(),
         };
-        // The bin of every edge, in `graph.edges()` order: `bin_index`
-        // costs a logarithm, so it runs once per edge, not once per pass.
+        // The bin of every edge, in `graph.edges()` order, from a table
+        // of the thresholds `upper(i)` built once: the same index
+        // `bin_index` computes, without its two `powi` per edge.
+        let max_weight = graph.edges().map(|edge| edge.weight).fold(0.0, f64::max);
+        let table = partition.thresholds(max_weight);
         let bin_of: Vec<u32> = graph
             .edges()
-            .map(|edge| partition.bin_index(edge.weight) as u32)
+            .map(|edge| partition.table_index(&table, edge.weight) as u32)
             .collect();
         let mut counts = vec![0usize];
         for &idx in &bin_of {
@@ -89,17 +92,38 @@ impl BinPartition {
 
     /// The index of the bin an edge of the given weight belongs to.
     pub fn bin_index(&self, weight: f64) -> usize {
+        self.index_with(weight, |i| self.upper(i))
+    }
+
+    /// The thresholds `upper(0..)` far enough to index every weight up to
+    /// `max_weight` without leaving the table.
+    fn thresholds(&self, max_weight: f64) -> Vec<f64> {
+        let last = self.bin_index(max_weight) + 2;
+        (0..=last).map(|i| self.upper(i)).collect()
+    }
+
+    /// [`Self::bin_index`] with the thresholds read from `table` (and
+    /// computed past its end), so the index is the same bit for bit.
+    fn table_index(&self, table: &[f64], weight: f64) -> usize {
+        self.index_with(weight, |i| {
+            table.get(i).copied().unwrap_or_else(|| self.upper(i))
+        })
+    }
+
+    /// Smallest `i ≥ 1` with `upper(i) ≥ weight` (0 for `weight ≤ w0`),
+    /// from a logarithm estimate corrected in both directions against
+    /// the thresholds `upper` returns.
+    fn index_with(&self, weight: f64, upper: impl Fn(usize) -> f64) -> usize {
         if weight <= self.w0 {
             return 0;
         }
-        // Smallest i with r^i · w0 >= weight.
         let raw = (weight / self.w0).ln() / self.r.ln();
         let mut i = raw.ceil() as usize;
         // Guard against floating-point boundary errors in both directions.
-        while i > 1 && self.upper(i - 1) >= weight {
+        while i > 1 && upper(i - 1) >= weight {
             i -= 1;
         }
-        while self.upper(i) < weight {
+        while upper(i) < weight {
             i += 1;
         }
         i
@@ -294,6 +318,29 @@ mod tests {
                 .collect();
             prop_assert_eq!(bins.non_empty_bins(), non_empty);
             prop_assert!(bins.bin(reference.len()).is_empty());
+        }
+
+        /// The threshold table indexes every weight exactly as the
+        /// `bin_index` formula does: random weights, and weights at each
+        /// threshold and one ulp on either side of it.
+        #[test]
+        fn the_threshold_table_matches_the_bin_index_formula(
+            weights in proptest::collection::vec(0.0f64..2.0, 1..40),
+            w0 in 1e-4f64..0.1,
+            r in 1.001f64..3.0,
+        ) {
+            let g = graph_with_weights(&weights);
+            let bins = BinPartition::new(&g, w0, r);
+            let max_weight = weights.iter().copied().fold(0.0, f64::max);
+            let table = bins.thresholds(max_weight);
+            let mut probes = weights.clone();
+            for i in 0..table.len() + 2 {
+                let at = bins.upper(i);
+                probes.extend([at, f64::from_bits(at.to_bits() - 1), f64::from_bits(at.to_bits() + 1)]);
+            }
+            for w in probes {
+                prop_assert_eq!(bins.table_index(&table, w), bins.bin_index(w), "weight {}", w);
+            }
         }
 
         #[test]

@@ -53,9 +53,17 @@
 //! date as it absorbs edges, so a phase starts its searches in O(1)
 //! instead of copying or rescanning the whole quotient.
 
-use super::cover::ClusterCover;
+use super::cover::{ClusterCover, Speculation};
+use super::query::{select_in, QuerySelection, SelectionSlots};
+use super::redundant::{analyze_in, RedundancyAnalysis, RedundancySlots};
+use crate::ablation::AblationConfig;
+use crate::params::SpannerParams;
+use std::sync::{OnceLock, RwLock};
+use std::time::Instant;
+use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, Contraction, Edge, GraphView, NodeId, WeightedGraph};
+use tc_graph::par::{self, ClaimQueue, Worker};
+use tc_graph::{dijkstra, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// Geometric growth factor `Λ` between cover levels: a level built at
 /// radius `ρ` serves every phase with radius in `[ρ, Λ·ρ]`. Larger values
@@ -65,96 +73,173 @@ use tc_graph::{par, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 /// per-phase-rebuild baseline.
 const LEVEL_GROWTH: f64 = 2.0;
 
+/// Work items below which a phase runs inline on the calling thread: its
+/// bin edges, plus the spanner's nodes when the phase rebuilds its level.
+/// A phase this small costs about as much as spawning a worker for it
+/// (tens of microseconds), and its selection fits in two
+/// 1 024-edge chunks anyway. Fixed, so it is not a tuning knob: outputs
+/// never depend on it, only where the time goes.
+const PHASE_INLINE_ITEMS: usize = 2048;
+
+/// One cover level: its centres (by cluster id) and the contraction of
+/// the spanner over its clusters, which also holds every node's cluster
+/// and distance to its centre.
+#[derive(Debug)]
+struct Level {
+    centers: Vec<NodeId>,
+    contraction: Contraction,
+}
+
+impl Level {
+    fn new(cover: ClusterCover, spanner: &WeightedGraph) -> Self {
+        let (centers, contraction) = cover.into_contraction(spanner);
+        Self {
+            centers,
+            contraction,
+        }
+    }
+}
+
+/// What one phase's steps read: the frozen partial spanner `G'_{i-1}`,
+/// the bin, and the run's settings.
+pub(crate) struct PhaseInput<'a, P: ?Sized> {
+    pub points: &'a P,
+    pub params: &'a SpannerParams,
+    pub spanner: &'a WeightedGraph,
+    pub bin_edges: &'a [Edge],
+    pub mechanisms: &'a AblationConfig,
+    /// The phase's cover radius `δ·W_{i-1}`.
+    pub radius: f64,
+}
+
+/// What a phase's region hands back to the phase loop, which then runs
+/// the conflict MIS and applies the phase to the spanner and the
+/// quotient.
+#[derive(Debug)]
+pub(crate) struct PhaseWork {
+    /// Clusters of the phase's cover.
+    pub clusters: usize,
+    pub selection: QuerySelection,
+    /// The query edges the queries found missing, in query order.
+    pub added: Vec<Edge>,
+    /// The redundancy analysis of `added` (`None` without redundancy
+    /// removal).
+    pub conflicts: Option<RedundancyAnalysis>,
+    /// Wall-clock seconds of steps (i)–(v) (step (v): the analysis).
+    pub seconds: [f64; 5],
+    /// Speculative cover sweeps the level rebuild discarded.
+    pub discarded_sweeps: usize,
+}
+
+/// The values the steps of one phase's region hand each other, declared
+/// before the region (see [`tc_graph::par`]).
+#[derive(Default)]
+struct PhaseSlots {
+    level: OnceLock<Level>,
+    selection: OnceLock<QuerySelection>,
+    added: OnceLock<Vec<Edge>>,
+    batch: RwLock<Vec<NodeId>>,
+    balls: ClaimQueue<Vec<(NodeId, f64)>>,
+    selection_steps: SelectionSlots,
+    verdicts: ClaimQueue<bool>,
+    redundancy: RedundancySlots,
+}
+
 /// Persistent state of the hierarchical phase engine across the phases of
-/// one relaxed-greedy run.
+/// one relaxed-greedy run: the current cover level and one bucket scratch
+/// per worker, both kept from phase to phase.
 #[derive(Debug)]
 pub(crate) struct PhaseEngine {
     level_radius: f64,
-    cover: Option<ClusterCover>,
-    contraction: Option<Contraction>,
+    level: Option<Level>,
     rebuilds: usize,
+    /// Worker `k` of every phase's region searches with `scratch[k]`.
+    scratch: Vec<BucketScratch>,
 }
 
 impl PhaseEngine {
-    /// A fresh engine with no cover level yet.
-    pub fn new() -> Self {
+    /// A fresh engine with no cover level yet, whose phases run on up to
+    /// `threads` workers.
+    pub fn new(threads: usize) -> Self {
         Self {
             level_radius: 0.0,
-            cover: None,
-            contraction: None,
+            level: None,
             rebuilds: 0,
+            scratch: (0..threads.max(1)).map(|_| BucketScratch::new()).collect(),
         }
     }
 
-    /// Ensures the engine holds a cover usable for a phase of radius
-    /// `radius` over the current `spanner`, rebuilding the level if the
-    /// radius outgrew it. Returns whether a rebuild happened.
+    /// Whether a phase of radius `radius` needs a new cover level: there
+    /// is none yet, or the radius outgrew the current one.
     ///
-    /// Only a rebuild calls `build_cover(spanner, radius, previous)`, with
-    /// `previous` the previous level's centres (ascending id); the previous
-    /// level's cover and contraction are dropped before the call. Any cover
-    /// whose centres are more than `radius` apart and which reaches every
-    /// node within `radius` serves the level.
-    pub fn prepare(
-        &mut self,
-        spanner: &WeightedGraph,
-        radius: f64,
-        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
-    ) -> bool {
-        if self.cover.is_some() && radius <= LEVEL_GROWTH * self.level_radius {
-            return false;
-        }
-        // Only the old level's centres outlive it: its cover and quotient
-        // are freed here, before the new level is built, so two levels are
-        // never alive at once.
-        self.contraction = None;
-        let previous: Vec<NodeId> = match self.cover.take() {
-            Some(cover) => {
-                let mut centers = cover.centers().to_vec();
+    /// Any cover whose centres are more than `radius` apart and which
+    /// reaches every node within `radius` serves the level.
+    fn needs_rebuild(&self, radius: f64) -> bool {
+        self.level.is_none() || radius > LEVEL_GROWTH * self.level_radius
+    }
+
+    /// Frees the current level and returns its centres (ascending id),
+    /// which the next level's greedy cover offers centre-hood first. Only
+    /// the centres outlive the level: its quotient and node assignment are
+    /// freed before the next level is built, so two levels are never
+    /// alive at once.
+    fn retire_level(&mut self) -> Vec<NodeId> {
+        match self.level.take() {
+            Some(level) => {
+                let mut centers = level.centers;
                 centers.sort_unstable();
                 centers
             }
             None => Vec::new(),
-        };
-        let cover = build_cover(spanner, radius, &previous);
-        let n = spanner.node_count();
-        let assignment: Vec<u32> = (0..n).map(|v| cover.cluster_of(v) as u32).collect();
-        let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
-        self.contraction = Some(Contraction::from_graph(
-            spanner,
-            assignment,
-            offsets,
-            cover.cluster_count(),
-        ));
-        self.cover = Some(cover);
+        }
+    }
+
+    /// Installs `cover`, built at `radius` over `spanner`, as the level.
+    fn install(&mut self, spanner: &WeightedGraph, radius: f64, cover: ClusterCover) {
+        self.level = Some(Level::new(cover, spanner));
         self.level_radius = radius;
         self.rebuilds += 1;
+    }
+
+    /// Rebuilds the level with the greedy cover if `radius` outgrew it
+    /// (the phase loop does this inside a phase's region); returns whether
+    /// a rebuild happened.
+    #[cfg(test)]
+    pub fn prepare(&mut self, spanner: &WeightedGraph, radius: f64) -> bool {
+        if !self.needs_rebuild(radius) {
+            return false;
+        }
+        let previous = self.retire_level();
+        let cover = ClusterCover::greedy_with_candidates(spanner, radius, &previous);
+        self.install(spanner, radius, cover);
         true
     }
 
-    /// The current level's cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`PhaseEngine::prepare`] has never been called.
-    pub fn cover(&self) -> &ClusterCover {
-        // Documented API contract (see `# Panics` above): the phase loop
-        // calls prepare() first. tc-lint: allow(panic-hygiene)
-        self.cover.as_ref().expect("prepare() establishes a cover")
+    /// The current level's cover, rebuilt from the contraction.
+    #[cfg(test)]
+    pub fn cover(&self) -> ClusterCover {
+        // Test helper. tc-lint: allow(panic-hygiene)
+        let level = self.level.as_ref().expect("prepare() establishes a level");
+        let nodes = level.contraction.node_count();
+        let (cluster_of, dist): (Vec<usize>, Vec<f64>) =
+            (0..nodes).map(|v| level.contraction.project(v)).unzip();
+        ClusterCover::from_parts(self.level_radius, level.centers.clone(), cluster_of, dist)
     }
 
     /// The current contraction (quotient graph over the level's clusters).
     ///
     /// # Panics
     ///
-    /// Panics if [`PhaseEngine::prepare`] has never been called.
+    /// Panics if no level was built yet.
     pub fn contraction(&self) -> &Contraction {
         // Documented API contract (see `# Panics` above): the phase loop
-        // calls prepare() first.
-        self.contraction
+        // builds a level first.
+        &self
+            .level
             .as_ref()
             // tc-lint: allow(panic-hygiene)
-            .expect("prepare() establishes a contraction")
+            .expect("a phase builds the level first")
+            .contraction
     }
 
     /// Number of level rebuilds so far (for stats and tests).
@@ -163,36 +248,75 @@ impl PhaseEngine {
         self.rebuilds
     }
 
-    /// Step (iv): answers the phase's spanner-path queries on `quotient`
-    /// (the live `self.contraction().quotient()`; tests also pass a CSR
-    /// copy of it as the oracle). Entry `k` is `true` when query edge `k`
-    /// must be added — i.e. `sp_H(u, v) > t·w(u, v)` on the contracted
-    /// `H`. The queries are independent (all measured on the same,
-    /// unchanging quotient), so they fan out over `TC_THREADS` workers
-    /// with a reusable scratch each; the in-order merge keeps the verdict
-    /// vector deterministic.
-    pub fn answer_queries<G: GraphView + Sync>(
-        &self,
-        quotient: &G,
-        config: &BucketConfig,
-        query_edges: &[Edge],
-        t: f64,
-    ) -> Vec<bool> {
-        let contraction = self.contraction();
-        par::par_map_with(query_edges, 0, BucketScratch::new, |scratch, _idx, edge| {
-            let (su, du) = contraction.project(edge.u);
-            let (sv, dv) = contraction.project(edge.v);
-            // Any H-path between distinct clusters starts and ends
-            // with the endpoints' centre edges, so the quotient search
-            // only needs the remaining budget.
-            let remaining = t * edge.weight - du - dv;
-            if remaining < 0.0 {
-                return true;
+    /// Runs steps (i)–(iv) and the analysis of step (v) of one phase in
+    /// one parallel region: the calling thread and the engine's other
+    /// workers (spawned once for the phase, each searching with its own
+    /// scratch) share the level rebuild's speculative sweeps, the bin's
+    /// edge classification, the queries, the redundancy balls and the
+    /// candidate-pair tests, while the caller runs the sequential
+    /// reductions in between. A phase under [`PHASE_INLINE_ITEMS`] work
+    /// items runs inline on the caller.
+    ///
+    /// When the phase's radius outgrew the level, `custom_cover` is asked
+    /// for the new cover first (with the previous level's centres); if it
+    /// declines, the region builds the greedy cover, offering the previous
+    /// centres centre-hood first. The spanner, the level and the quotient
+    /// are only read, so every query sees the same frozen `H_{i-1}` (lazy
+    /// updating); the phase loop applies the outcome afterwards.
+    pub fn run_phase<P: PointAccess + Sync + ?Sized>(
+        &mut self,
+        input: &PhaseInput<'_, P>,
+        custom_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> Option<ClusterCover>,
+    ) -> PhaseWork {
+        let start = Instant::now();
+        let mut greedy_from: Option<Vec<NodeId>> = None;
+        if self.needs_rebuild(input.radius) {
+            let previous = self.retire_level();
+            match custom_cover(input.spanner, input.radius, &previous) {
+                Some(cover) => self.install(input.spanner, input.radius, cover),
+                None => greedy_from = Some(previous),
             }
-            scratch
-                .shortest_path_within(quotient, su, sv, remaining, config)
-                .is_none()
-        })
+        }
+        let rebuild_items = if greedy_from.is_some() {
+            input.spanner.node_count()
+        } else {
+            0
+        };
+        let workers = if input.bin_edges.len() + rebuild_items < PHASE_INLINE_ITEMS {
+            1
+        } else {
+            self.scratch.len()
+        };
+        let slots = PhaseSlots::default();
+        let current = self.level.as_ref();
+        let program = |w: &Worker<'_>, scratch: &mut BucketScratch| {
+            phase_program(
+                w,
+                scratch,
+                input,
+                current,
+                greedy_from.as_deref(),
+                &slots,
+                start,
+            )
+        };
+        let caller = par::region(&mut self.scratch[..workers], program);
+        if let Some(level) = slots.level.into_inner() {
+            self.level = Some(level);
+            self.level_radius = input.radius;
+            self.rebuilds += 1;
+        }
+        // The caller always returns its outcome; the fallback is never
+        // taken.
+        let (seconds, discarded_sweeps, conflicts) = caller.unwrap_or_default();
+        PhaseWork {
+            clusters: self.contraction().supernode_count(),
+            selection: slots.selection.into_inner().unwrap_or_default(),
+            added: slots.added.into_inner().unwrap_or_default(),
+            conflicts,
+            seconds,
+            discarded_sweeps,
+        }
     }
 
     /// Folds the edges a phase decided to keep into the quotient. Call
@@ -200,16 +324,179 @@ impl PhaseEngine {
     /// contraction (they only ever removed same-phase additions, which are
     /// absorbed here and nowhere else).
     pub fn absorb_kept(&mut self, kept: impl IntoIterator<Item = Edge>) {
-        // Same prepare()-first contract as contraction().
-        let contraction = self
-            .contraction
+        // Same level-first contract as contraction().
+        let contraction = &mut self
+            .level
             .as_mut()
             // tc-lint: allow(panic-hygiene)
-            .expect("prepare() establishes a contraction");
+            .expect("a phase builds the level first")
+            .contraction;
         for e in kept {
             contraction.absorb(e);
         }
     }
+}
+
+/// The caller's outcome of a phase region: step seconds, discarded cover
+/// sweeps and the redundancy analysis.
+type CallerOutcome = ([f64; 5], usize, Option<RedundancyAnalysis>);
+
+/// One worker's program for a phase (see [`PhaseEngine::run_phase`]).
+/// Every worker runs it; the caller's copy also runs the sequential
+/// reductions and publishes their results in `slots`, and alone returns
+/// `Some`.
+fn phase_program<P: PointAccess + Sync + ?Sized>(
+    w: &Worker<'_>,
+    scratch: &mut BucketScratch,
+    input: &PhaseInput<'_, P>,
+    current: Option<&Level>,
+    greedy_from: Option<&[NodeId]>,
+    slots: &PhaseSlots,
+    start: Instant,
+) -> Option<CallerOutcome> {
+    let mut seconds = [0.0; 5];
+    let mut discarded_sweeps = 0;
+
+    // Step (i): the greedy level rebuild, when the phase needs one.
+    if let Some(previous) = greedy_from {
+        let cover = ClusterCover::greedy_in(
+            w,
+            scratch,
+            &slots.balls,
+            &slots.batch,
+            input.spanner,
+            input.radius,
+            previous,
+            Speculation::PHASE,
+        );
+        w.serial(|| {
+            if let Some((cover, discarded)) = cover {
+                discarded_sweeps = discarded;
+                let _ = slots.level.set(Level::new(cover, input.spanner));
+            }
+        });
+    }
+    let level = slots.level.get().or(current)?;
+    let contraction = &level.contraction;
+    let mut lap = Instant::now();
+    seconds[0] = (lap - start).as_secs_f64();
+    let mut split = |step: usize| {
+        let now = Instant::now();
+        seconds[step] = (now - lap).as_secs_f64();
+        lap = now;
+    };
+
+    // Step (ii): query-edge selection.
+    let selection = select_in(
+        w,
+        &slots.selection_steps,
+        input.points,
+        input.params,
+        input.spanner,
+        contraction,
+        input.bin_edges,
+        input.mechanisms,
+    );
+    w.serial(|| selection.map(|selection| slots.selection.set(selection)));
+    let selection = slots.selection.get()?;
+    split(1);
+
+    // Step (iii): the cluster graph H_{i-1}, represented by the level's
+    // incrementally maintained quotient. It is not touched again until the
+    // phase loop absorbs the kept edges, so it stays fixed for the phase's
+    // queries without a snapshot; only the bucket configuration is
+    // derived here, in O(1).
+    let quotient = contraction.quotient();
+    let config = contraction.bucket_config();
+    split(2);
+
+    // Step (iv): the spanner-path queries, all asked on the same frozen H
+    // (lazy updates), so they are independent. Without cluster-graph
+    // queries each one is answered exactly on the frozen partial spanner
+    // G'_{i-1} instead.
+    let queries = &selection.query_edges;
+    let t = input.params.t;
+    let verdicts = w.map_claimed(&slots.verdicts, queries.len(), |k| {
+        let edge = &queries[k];
+        if input.mechanisms.cluster_graph_queries {
+            needs_edge(scratch, contraction, quotient, &config, edge, t)
+        } else {
+            dijkstra::shortest_path_within(input.spanner, edge.u, edge.v, t * edge.weight).is_none()
+        }
+    });
+    w.serial(|| {
+        let added = queries
+            .iter()
+            .zip(verdicts)
+            .filter(|&(_, needed)| needed)
+            .map(|(&edge, _)| edge)
+            .collect();
+        slots.added.set(added)
+    });
+    let added = slots.added.get()?;
+    split(3);
+
+    // Step (v), the analysis: mutually redundant pairs among the
+    // additions, measured on the same frozen quotient.
+    let conflicts = if input.mechanisms.redundancy_removal {
+        analyze_in(
+            w,
+            scratch,
+            &slots.redundancy,
+            added,
+            contraction,
+            quotient,
+            &config,
+            input.params.t1,
+        )
+    } else {
+        None
+    };
+    split(4);
+    w.is_caller()
+        .then_some((seconds, discarded_sweeps, conflicts))
+}
+
+/// Step (iv) for one query edge: `true` when `sp_H(u, v) > t·w(u, v)` on
+/// the contracted `H` (`quotient` is the contraction's quotient or a copy
+/// of it), i.e. when the edge must be added.
+fn needs_edge<G: GraphView>(
+    scratch: &mut BucketScratch,
+    contraction: &Contraction,
+    quotient: &G,
+    config: &BucketConfig,
+    edge: &Edge,
+    t: f64,
+) -> bool {
+    let (su, du) = contraction.project(edge.u);
+    let (sv, dv) = contraction.project(edge.v);
+    // Any H-path between distinct clusters starts and ends with the
+    // endpoints' centre edges, so the quotient search only needs the
+    // remaining budget.
+    let remaining = t * edge.weight - du - dv;
+    if remaining < 0.0 {
+        return true;
+    }
+    scratch
+        .shortest_path_within(quotient, su, sv, remaining, config)
+        .is_none()
+}
+
+/// Step (iv) on one worker: entry `k` is `true` when query edge `k` must
+/// be added (tests compare the live quotient with a CSR copy of it).
+#[cfg(test)]
+fn answer_queries<G: GraphView>(
+    contraction: &Contraction,
+    quotient: &G,
+    config: &BucketConfig,
+    query_edges: &[Edge],
+    t: f64,
+) -> Vec<bool> {
+    let mut scratch = BucketScratch::new();
+    query_edges
+        .iter()
+        .map(|edge| needs_edge(&mut scratch, contraction, quotient, config, edge, t))
+        .collect()
 }
 
 #[cfg(test)]
@@ -244,8 +531,8 @@ mod tests {
     fn first_prepare_matches_the_oracle_greedy_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
-        let mut engine = PhaseEngine::new();
-        assert!(engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
+        let mut engine = PhaseEngine::new(1);
+        assert!(engine.prepare(&g, 0.3));
         let oracle = ClusterCover::greedy(&g, 0.3);
         assert_eq!(engine.cover().centers(), oracle.centers());
         for v in 0..30 {
@@ -258,16 +545,12 @@ mod tests {
     fn radii_within_the_level_growth_reuse_the_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
-        let mut engine = PhaseEngine::new();
-        assert!(engine.prepare(&g, 0.2, ClusterCover::greedy_with_candidates));
-        assert!(!engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
-        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, ClusterCover::greedy_with_candidates));
+        let mut engine = PhaseEngine::new(1);
+        assert!(engine.prepare(&g, 0.2));
+        assert!(!engine.prepare(&g, 0.3));
+        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH));
         assert_eq!(engine.rebuilds(), 1);
-        assert!(engine.prepare(
-            &g,
-            0.2 * LEVEL_GROWTH + 1e-9,
-            ClusterCover::greedy_with_candidates
-        ));
+        assert!(engine.prepare(&g, 0.2 * LEVEL_GROWTH + 1e-9));
         assert_eq!(engine.rebuilds(), 2);
     }
 
@@ -278,8 +561,8 @@ mod tests {
         // final graph with the same cover.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
-        let mut engine = PhaseEngine::new();
-        engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
+        let mut engine = PhaseEngine::new(1);
+        engine.prepare(&g, 0.25);
         let cover = engine.cover().clone();
         // Edges heavier than twice the radius keep the cover frozen-valid.
         let extra: Vec<Edge> = (0..8)
@@ -328,8 +611,8 @@ mod tests {
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
-            let mut engine = PhaseEngine::new();
-            engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
+            let mut engine = PhaseEngine::new(1);
+            engine.prepare(&g, 0.25);
             let mut kept = Vec::new();
             for _ in 0..extra {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -355,8 +638,8 @@ mod tests {
                 .collect();
             let t = 1.0 + rng.gen_range(0.1..2.0);
             prop_assert_eq!(
-                engine.answer_queries(live, &live_config, &queries, t),
-                engine.answer_queries(&csr, &csr_config, &queries, t)
+                answer_queries(contraction, live, &live_config, &queries, t),
+                answer_queries(contraction, &csr, &csr_config, &queries, t)
             );
 
             let k = contraction.supernode_count();
@@ -409,7 +692,7 @@ mod tests {
             }
             edges.sort();
             let mut spanner = WeightedGraph::new(n);
-            let mut engine = PhaseEngine::new();
+            let mut engine = PhaseEngine::new(1);
             let delta = 0.45; // < 1/2, like every validated parameter set
             let chunk = 4.max(edges.len() / 6);
             let mut processed = 0;
@@ -418,7 +701,7 @@ mod tests {
                 // Phase radius from the heaviest edge already *in* the
                 // spanner — the next chunk's edges are all heavier.
                 let radius = delta * w_prev;
-                engine.prepare(&spanner, radius, ClusterCover::greedy_with_candidates);
+                engine.prepare(&spanner, radius);
                 prop_assert!(
                     engine.cover().is_valid_cover(&spanner),
                     "cover invalid at radius {radius} with {} spanner edges",
@@ -433,7 +716,7 @@ mod tests {
                 processed = next;
             }
             // Final check after all additions.
-            engine.prepare(&spanner, delta * w_prev, ClusterCover::greedy_with_candidates);
+            engine.prepare(&spanner, delta * w_prev);
             prop_assert!(engine.cover().is_valid_cover(&spanner));
         }
     }

@@ -26,7 +26,12 @@
 //! changes after the phase's queries and redundancy sweeps, so it is the
 //! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
 //! per-phase cost then tracks the work of the phase's queries instead of
-//! `n` — see `docs/PERFORMANCE.md`, "Phase engine".
+//! `n` — see `docs/PERFORMANCE.md`, "Phase engine". Because nothing a
+//! phase reads changes until the phase is applied, each phase's level
+//! rebuild, selection, queries and redundancy sweeps run in one parallel
+//! region (`tc_graph::par::region`) on every worker, with per-worker
+//! scratch the engine keeps across phases, and every merge in item order
+//! — the spanner is the same bit for bit at any `TC_THREADS`.
 //! No construction builds `H` itself: the per-phase-rescan pipeline that
 //! does (a fresh greedy cover, the full cluster graph and the dense
 //! redundancy analysis in every phase) is test code, the oracle the
@@ -62,12 +67,12 @@ use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
-use hierarchy::PhaseEngine;
+use hierarchy::{PhaseEngine, PhaseInput};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, dijkstra, mis, par, Edge, NodeId, WeightedGraph};
+use tc_graph::{components, mis, par, Edge, NodeId, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -124,6 +129,11 @@ pub struct PhaseTiming {
     pub query_seconds: f64,
     /// Step (v): redundant-edge analysis and removal (0 for phase 0).
     pub redundant_seconds: f64,
+    /// Speculative sweeps a parallel level rebuild discarded because an
+    /// earlier ball of their batch claimed the candidate (0 without a
+    /// rebuild and on one worker). Depends on the worker count, so it is
+    /// reported here, beside the deterministic [`PhaseStats`].
+    pub discarded_cover_sweeps: usize,
 }
 
 impl PhaseTiming {
@@ -137,6 +147,7 @@ impl PhaseTiming {
             h_build_seconds: 0.0,
             query_seconds: 0.0,
             redundant_seconds: 0.0,
+            discarded_cover_sweeps: 0,
         }
     }
 }
@@ -204,11 +215,18 @@ pub(crate) trait PhaseRules {
         AblationConfig::full()
     }
 
-    /// Step (i) at a level rebuild (see `PhaseEngine::prepare`): greedy,
-    /// offering the previous level's centres `prev` centre-hood first, so
-    /// new clusters are unions of old ones wherever the radii allow.
-    fn level_cover(&mut self, graph: &WeightedGraph, radius: f64, prev: &[NodeId]) -> ClusterCover {
-        ClusterCover::greedy_with_candidates(graph, radius, prev)
+    /// Step (i) at a level rebuild (see `PhaseEngine::run_phase`), given
+    /// the previous level's centres `prev`. `None`, the default, leaves it
+    /// to the engine: the greedy cover offering `prev` centre-hood first,
+    /// so new clusters are unions of old ones wherever the radii allow,
+    /// built on all of the phase's workers.
+    fn level_cover(
+        &mut self,
+        _graph: &WeightedGraph,
+        _radius: f64,
+        _prev: &[NodeId],
+    ) -> Option<ClusterCover> {
+        None
     }
 
     /// Step (v): a maximal independent set of a non-trivial conflict
@@ -294,7 +312,7 @@ impl RelaxedGreedy {
     ///
     /// Returns [`PointCountMismatch`] if `points` does not have exactly one
     /// point per graph vertex.
-    pub fn run_on<P: PointAccess + ?Sized>(
+    pub fn run_on<P: PointAccess + Sync + ?Sized>(
         &self,
         points: &P,
         graph: &WeightedGraph,
@@ -310,7 +328,7 @@ impl RelaxedGreedy {
     ///
     /// Returns [`PointCountMismatch`] if `points` does not have exactly one
     /// point per graph vertex.
-    pub fn run_on_timed<P: PointAccess + ?Sized>(
+    pub fn run_on_timed<P: PointAccess + Sync + ?Sized>(
         &self,
         points: &P,
         graph: &WeightedGraph,
@@ -324,7 +342,7 @@ impl RelaxedGreedy {
     /// The phase loop both constructions run: phase 0, then steps
     /// (i)–(v) of every non-empty bin, with `rules` supplying the
     /// construction's variant steps.
-    pub(crate) fn run_with_rules<P: PointAccess + ?Sized, R: PhaseRules>(
+    pub(crate) fn run_with_rules<P: PointAccess + Sync + ?Sized, R: PhaseRules>(
         &self,
         points: &P,
         graph: &WeightedGraph,
@@ -351,7 +369,7 @@ impl RelaxedGreedy {
 
         let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
         let bins = BinPartition::new(graph, w0, self.params.r);
-        let mut engine = PhaseEngine::new();
+        let mut engine = PhaseEngine::new(par::thread_count(0));
         let mechanisms = rules.mechanisms();
 
         for bin_index in bins.non_empty_bins() {
@@ -441,13 +459,15 @@ impl RelaxedGreedy {
     }
 
     /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
-    /// cluster graph, query answering, redundant-edge removal — steps (i),
-    /// (iii), (iv) and (v) running through the hierarchical [`PhaseEngine`]
-    /// (frozen level covers, an incremental contraction queried in place),
-    /// with the level covers and the conflict MIS taken from `rules` and
-    /// the steps each of `mechanisms` switches off skipped.
+    /// cluster graph, query answering, redundant-edge removal. Steps
+    /// (i)–(iv) and the redundancy analysis run in one parallel region of
+    /// the hierarchical [`PhaseEngine`] (frozen level covers, an
+    /// incremental contraction queried in place); the conflict MIS comes
+    /// from `rules`, and the outcome is applied to the spanner and the
+    /// quotient afterwards. The steps each of `mechanisms` switches off
+    /// are skipped.
     #[allow(clippy::too_many_arguments)]
-    fn process_long_edges<P: PointAccess + ?Sized, R: PhaseRules>(
+    fn process_long_edges<P: PointAccess + Sync + ?Sized, R: PhaseRules>(
         &self,
         points: &P,
         spanner: &mut WeightedGraph,
@@ -460,86 +480,41 @@ impl RelaxedGreedy {
         timing: &mut PhaseTiming,
     ) -> PhaseStats {
         let w_prev = bins.upper(bin_index - 1);
-        let radius = self.params.delta * w_prev;
-
-        // Step (i): cluster cover of G'_{i-1} — reused from the engine's
-        // frozen level when the radius still fits, rebuilt by the rules'
-        // cover construction otherwise.
-        let step = Instant::now();
-        engine.prepare(spanner, radius, |g, r, previous| {
-            rules.level_cover(g, r, previous)
-        });
-        timing.cover_seconds = step.elapsed().as_secs_f64();
-        let clusters = engine.cover().cluster_count();
-
-        // Step (ii): query-edge selection.
-        let step = Instant::now();
-        let selection = select_query_edges(
+        let input = PhaseInput {
             points,
-            &self.params,
+            params: &self.params,
             spanner,
-            engine.cover(),
             bin_edges,
             mechanisms,
-        );
-        timing.selection_seconds = step.elapsed().as_secs_f64();
-
-        // Step (iii): the cluster graph H_{i-1}, represented by the
-        // engine's incrementally maintained quotient. It is not touched
-        // again until absorb_kept() below, so it stays fixed for the
-        // phase's queries without a snapshot; only the bucket
-        // configuration is derived here, in O(1).
-        let step = Instant::now();
-        let config = engine.contraction().bucket_config();
-        timing.h_build_seconds = step.elapsed().as_secs_f64();
-
-        // Step (iv): answer the spanner-path queries on the quotient. The
-        // bin's queries are all asked on the same *frozen* H (lazy
-        // updates), so they are independent; the engine fans them over
-        // TC_THREADS workers and merges verdicts in query order, keeping
-        // the spanner's insertion order identical to a sequential loop.
-        // Without cluster-graph queries each one is answered exactly on
-        // the frozen partial spanner G'_{i-1} instead.
-        let step = Instant::now();
-        let quotient = engine.contraction().quotient();
-        let t = self.params.t;
-        let needs_edge: Vec<bool> = if mechanisms.cluster_graph_queries {
-            engine.answer_queries(quotient, &config, &selection.query_edges, t)
-        } else {
-            selection
-                .query_edges
-                .iter()
-                .map(|e| dijkstra::shortest_path_within(spanner, e.u, e.v, t * e.weight).is_none())
-                .collect()
+            radius: self.params.delta * w_prev,
         };
-        let mut added: Vec<Edge> = Vec::new();
-        for (edge, needed) in selection.query_edges.iter().zip(needs_edge) {
-            if needed {
-                added.push(*edge);
-            }
-        }
+        // Step (i): the engine's frozen level when the radius still fits,
+        // otherwise a new level from the rules' cover (or, by default,
+        // the greedy cover built inside the phase's region).
+        let work = engine.run_phase(&input, |g, r, previous| rules.level_cover(g, r, previous));
+        let [cover, selection, h_build, query, analysis] = work.seconds;
+        timing.cover_seconds = cover;
+        timing.selection_seconds = selection;
+        timing.h_build_seconds = h_build;
+        timing.query_seconds = query;
+        timing.discarded_cover_sweeps = work.discarded_sweeps;
+
+        // Step (iv)'s additions, then step (v): remove mutually redundant
+        // edges, then fold the kept additions into the quotient so the
+        // next phase's H sees them. Removals only ever withdraw this
+        // phase's own additions, so absorbing after removal keeps the
+        // contraction exact without any quotient-deletion machinery.
+        let step = Instant::now();
+        let added = work.added;
         for e in &added {
             spanner.add(*e);
         }
-        timing.query_seconds = step.elapsed().as_secs_f64();
-
-        // Step (v): remove mutually redundant edges, then fold the kept
-        // additions into the quotient so the next phase's H sees them.
-        // Removals only ever withdraw this phase's own additions, so
-        // absorbing after removal keeps the contraction exact without any
-        // quotient-deletion machinery.
-        let step = Instant::now();
-        let removals = if mechanisms.redundancy_removal {
-            contracted_redundant_removals(
-                &added,
-                engine.contraction(),
-                quotient,
-                &config,
-                self.params.t1,
-                |conflict_graph| rules.conflict_mis(conflict_graph),
-            )
-        } else {
-            Vec::new()
+        let removals = match &work.conflicts {
+            Some(analysis) if !analysis.is_trivial() => {
+                let chosen = rules.conflict_mis(&analysis.conflict_graph);
+                removals_from_mis(analysis, &chosen)
+            }
+            _ => Vec::new(),
         };
         let mut keep = vec![true; added.len()];
         for &idx in &removals {
@@ -554,13 +529,14 @@ impl RelaxedGreedy {
                 .filter(|&(_, &kept)| kept)
                 .map(|(&e, _)| e),
         );
-        timing.redundant_seconds = step.elapsed().as_secs_f64();
+        timing.redundant_seconds = analysis + step.elapsed().as_secs_f64();
 
+        let selection = work.selection;
         PhaseStats {
             bin: bin_index,
             bin_upper: bins.upper(bin_index),
             edges_in_bin: bin_edges.len(),
-            clusters,
+            clusters: work.clusters,
             covered_edges: selection.covered,
             same_cluster_edges: selection.same_cluster,
             candidate_edges: selection.candidates,

@@ -39,11 +39,12 @@ pub(crate) fn per_phase_rescan(ubg: &UnitBallGraph, params: SpannerParams) -> We
         }
         let w_prev = bins.upper(bin_index - 1);
         let cover = ClusterCover::greedy(&spanner, params.delta * w_prev);
+        let (_, contraction) = cover.clone().into_contraction(&spanner);
         let selection = select_query_edges(
             points,
             &params,
             &spanner,
-            &cover,
+            &contraction,
             bin_edges,
             &AblationConfig::full(),
         );

@@ -13,12 +13,12 @@
 //! the `|uz| ≤ |uv|` comparison is made on the weights, which every
 //! weighting keeps monotone in the Euclidean length.
 
-use super::cover::ClusterCover;
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use tc_geometry::{angle_at_indices, PointAccess};
-use tc_graph::{Edge, WeightedGraph};
+use tc_graph::par::{self, ClaimQueue, Worker};
+use tc_graph::{Contraction, Edge, WeightedGraph};
 
 /// The outcome of query-edge selection for one bin.
 #[derive(Debug, Clone, Default)]
@@ -71,62 +71,222 @@ pub fn is_covered<P: PointAccess + ?Sized>(
     false
 }
 
-/// Selects the query edges of one bin: filters covered and same-cluster
-/// edges, then keeps one edge per cluster pair minimising
-/// `t·w(x, y) − sp(a, x) − sp(b, y)`. Without
-/// [`AblationConfig::covered_filter`] no edge counts as covered; without
-/// [`AblationConfig::per_cluster_pair`] every candidate is a query edge.
-pub fn select_query_edges<P: PointAccess + ?Sized>(
+/// Bin edges per claimed item of the classification: fixed, so the
+/// chunks never depend on the thread count.
+const SELECTION_CHUNK: usize = 1024;
+
+/// What step (ii) makes of one bin edge. The classification is a pure
+/// function of the edge and the phase's frozen state, so the edges of a
+/// bin are classified in parallel.
+#[derive(Debug, Clone, Copy)]
+enum EdgeClass {
+    /// Both endpoints lie in one cluster.
+    SameCluster,
+    /// Filtered out by the covered-edge test.
+    Covered,
+    /// A candidate between the clusters `pair` (ascending) with the
+    /// selection objective `t·w(x, y) − sp(a, x) − sp(b, y)`.
+    Candidate { pair: (u32, u32), objective: f64 },
+}
+
+/// Classifies `edge` against the frozen partial spanner and the level's
+/// clusters, read as `(cluster, distance to centre)` through `contraction`.
+fn classify<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
     spanner: &WeightedGraph,
-    cover: &ClusterCover,
+    contraction: &Contraction,
+    mechanisms: &AblationConfig,
+    edge: &Edge,
+) -> EdgeClass {
+    let (ca, da) = contraction.project(edge.u);
+    let (cb, db) = contraction.project(edge.v);
+    if ca == cb {
+        return EdgeClass::SameCluster;
+    }
+    if mechanisms.covered_filter && is_covered(points, params, spanner, edge) {
+        return EdgeClass::Covered;
+    }
+    let pair = if ca < cb { (ca, cb) } else { (cb, ca) };
+    EdgeClass::Candidate {
+        pair: (pair.0 as u32, pair.1 as u32),
+        objective: params.t * edge.weight - da - db,
+    }
+}
+
+/// A candidate edge offered for its cluster pair: its bin position and
+/// its selection objective.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Offer {
+    pair: (u32, u32),
+    position: u32,
+    objective: f64,
+}
+
+/// Cluster-pair partitions of the per-pair reduction: a pair's offers
+/// all land in one partition, so the partitions reduce independently.
+const PAIR_PARTS: usize = 16;
+
+fn part_of(pair: (u32, u32)) -> usize {
+    (pair.0.wrapping_mul(0x9E37_79B9) ^ pair.1) as usize % PAIR_PARTS
+}
+
+/// One chunk of classified bin edges: the class counts, and the
+/// candidates — as query edges when every candidate is one, as offers
+/// by cluster-pair partition otherwise.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkSelection {
+    same_cluster: usize,
+    covered: usize,
+    candidates: Vec<Edge>,
+    offers: Vec<Vec<Offer>>,
+}
+
+/// The values the steps of a parallel selection hand each other;
+/// declare one per phase, before its region.
+#[derive(Default)]
+pub(crate) struct SelectionSlots {
+    chunks: OnceLock<Vec<ChunkSelection>>,
+    chunk_queue: ClaimQueue<ChunkSelection>,
+    winner_queue: ClaimQueue<Vec<u32>>,
+}
+
+/// Step (ii) on every worker of a phase's region. The bin edges are
+/// classified in fixed chunks of [`SELECTION_CHUNK`], and each chunk
+/// files its candidates' offers by cluster pair into [`PAIR_PARTS`]
+/// partitions; then each partition keeps, per pair, the first offer (in
+/// bin order) of strictly minimal objective. The caller gathers the
+/// winners. Returns the selection on the caller, `None` on the other
+/// workers.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
+    w: &Worker<'_>,
+    slots: &SelectionSlots,
+    points: &P,
+    params: &SpannerParams,
+    spanner: &WeightedGraph,
+    contraction: &Contraction,
+    bin_edges: &[Edge],
+    mechanisms: &AblationConfig,
+) -> Option<QuerySelection> {
+    let chunk_count = bin_edges.len().div_ceil(SELECTION_CHUNK);
+    let chunks = w.map_claimed(&slots.chunk_queue, chunk_count, |c| {
+        let start = c * SELECTION_CHUNK;
+        let end = (start + SELECTION_CHUNK).min(bin_edges.len());
+        let mut chunk = ChunkSelection::default();
+        if mechanisms.per_cluster_pair {
+            chunk.offers = vec![Vec::new(); PAIR_PARTS];
+        }
+        for (position, edge) in bin_edges.iter().enumerate().take(end).skip(start) {
+            match classify(points, params, spanner, contraction, mechanisms, edge) {
+                EdgeClass::SameCluster => chunk.same_cluster += 1,
+                EdgeClass::Covered => chunk.covered += 1,
+                EdgeClass::Candidate { pair, objective } => {
+                    if mechanisms.per_cluster_pair {
+                        chunk.offers[part_of(pair)].push(Offer {
+                            pair,
+                            position: position as u32,
+                            objective,
+                        });
+                    } else {
+                        chunk.candidates.push(*edge);
+                    }
+                }
+            }
+        }
+        chunk
+    });
+    w.serial(|| slots.chunks.set(chunks));
+    let chunks = slots.chunks.get()?;
+    let parts = if mechanisms.per_cluster_pair {
+        PAIR_PARTS
+    } else {
+        0
+    };
+    let winners = w.map_claimed(&slots.winner_queue, parts, |part| {
+        let mut offers: Vec<Offer> = chunks
+            .iter()
+            .flat_map(|chunk| chunk.offers[part].iter().copied())
+            .collect();
+        // By pair, then bin position: each pair's offers in bin order.
+        offers.sort_unstable_by_key(|offer| (offer.pair, offer.position));
+        let mut winners = Vec::new();
+        for group in offers.chunk_by(|a, b| a.pair == b.pair) {
+            let mut best = group[0];
+            for offer in &group[1..] {
+                if offer.objective < best.objective {
+                    best = *offer;
+                }
+            }
+            winners.push(best.position);
+        }
+        winners
+    });
+    if !w.is_caller() {
+        return None;
+    }
+    let mut selection = QuerySelection::default();
+    for chunk in chunks {
+        selection.same_cluster += chunk.same_cluster;
+        selection.covered += chunk.covered;
+        selection.candidates += chunk.candidates.len();
+        selection.candidates += chunk.offers.iter().map(Vec::len).sum::<usize>();
+        selection.query_edges.extend_from_slice(&chunk.candidates);
+    }
+    selection.query_edges.extend(
+        winners
+            .iter()
+            .flatten()
+            .map(|&position| bin_edges[position as usize]),
+    );
+    // Canonical processing order: by weight, then endpoints (`Edge`'s Ord).
+    selection.query_edges.sort();
+    Some(selection)
+}
+
+/// Selects the query edges of one bin: filters covered and same-cluster
+/// edges, then keeps one edge per cluster pair minimising
+/// `t·w(x, y) − sp(a, x) − sp(b, y)`, with each node's cluster and
+/// distance to its centre read from the level's `contraction`. Without
+/// [`AblationConfig::covered_filter`] no edge counts as covered; without
+/// [`AblationConfig::per_cluster_pair`] every candidate is a query edge.
+/// This is the one-worker form of the phase loop's step (ii).
+pub fn select_query_edges<P: PointAccess + Sync + ?Sized>(
+    points: &P,
+    params: &SpannerParams,
+    spanner: &WeightedGraph,
+    contraction: &Contraction,
     bin_edges: &[Edge],
     mechanisms: &AblationConfig,
 ) -> QuerySelection {
-    let mut selection = QuerySelection::default();
-    // BTreeMap (not HashMap): its iteration order is deterministic, and
-    // the selected edges seed the spanner's insertion order, which reaches
-    // the serialized experiment output.
-    let mut best: BTreeMap<(usize, usize), (f64, Edge)> = BTreeMap::new();
-    for edge in bin_edges {
-        let ca = cover.cluster_of(edge.u);
-        let cb = cover.cluster_of(edge.v);
-        if ca == cb {
-            selection.same_cluster += 1;
-            continue;
-        }
-        if mechanisms.covered_filter && is_covered(points, params, spanner, edge) {
-            selection.covered += 1;
-            continue;
-        }
-        selection.candidates += 1;
-        if !mechanisms.per_cluster_pair {
-            selection.query_edges.push(*edge);
-            continue;
-        }
-        let objective =
-            params.t * edge.weight - cover.dist_to_center(edge.u) - cover.dist_to_center(edge.v);
-        let key = if ca < cb { (ca, cb) } else { (cb, ca) };
-        match best.get(&key) {
-            Some((current, _)) if *current <= objective => {}
-            _ => {
-                best.insert(key, (objective, *edge));
-            }
-        }
-    }
-    selection
-        .query_edges
-        .extend(best.into_values().map(|(_, e)| e));
-    // Canonical processing order: by weight, then endpoints (`Edge`'s Ord).
-    selection.query_edges.sort();
-    selection
+    let slots = SelectionSlots::default();
+    par::region(&mut [()], |w, _| {
+        select_in(
+            w,
+            &slots,
+            points,
+            params,
+            spanner,
+            contraction,
+            bin_edges,
+            mechanisms,
+        )
+    })
+    .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::cover::ClusterCover;
     use super::*;
     use tc_geometry::Point;
+
+    /// The contraction of the greedy cover of `spanner` at `radius`.
+    fn greedy_level(spanner: &WeightedGraph, radius: f64) -> Contraction {
+        ClusterCover::greedy(spanner, radius)
+            .into_contraction(spanner)
+            .1
+    }
 
     fn params() -> SpannerParams {
         SpannerParams::for_epsilon(1.0, 1.0).unwrap()
@@ -222,8 +382,8 @@ mod tests {
             g.add_edge(2, 3, 0.1);
             g
         };
-        let cover = ClusterCover::greedy(&spanner, 0.15);
-        assert_eq!(cover.cluster_count(), 2);
+        let cover = greedy_level(&spanner, 0.15);
+        assert_eq!(cover.supernode_count(), 2);
         let bin_edges = vec![
             Edge::new(0, 2, 1.0),
             Edge::new(1, 3, 1.0),
@@ -258,7 +418,7 @@ mod tests {
         ];
         let mut spanner = WeightedGraph::new(5);
         spanner.add_edge(0, 2, 0.2);
-        let cover = ClusterCover::greedy(&spanner, 0.0);
+        let cover = greedy_level(&spanner, 0.0);
         let bin_edges = vec![Edge::new(0, 1, 0.9), Edge::new(3, 4, 0.9)];
         let select = |mechanisms: AblationConfig| {
             select_query_edges(
@@ -285,7 +445,7 @@ mod tests {
         let mut joined = spanner.clone();
         joined.add_edge(0, 3, 0.1);
         joined.add_edge(1, 4, 0.1);
-        let cover = ClusterCover::greedy(&joined, 0.15);
+        let cover = greedy_level(&joined, 0.15);
         let pair = |mechanisms: AblationConfig| {
             select_query_edges(&points, &params(), &joined, &cover, &bin_edges, &mechanisms)
                 .query_edges
@@ -310,8 +470,8 @@ mod tests {
         let points = vec![Point::new2(0.0, 0.0), Point::new2(0.05, 0.0)];
         let mut spanner = WeightedGraph::new(2);
         spanner.add_edge(0, 1, 0.05);
-        let cover = ClusterCover::greedy(&spanner, 0.1);
-        assert_eq!(cover.cluster_count(), 1);
+        let cover = greedy_level(&spanner, 0.1);
+        assert_eq!(cover.supernode_count(), 1);
         let sel = select_query_edges(
             &points,
             &params(),
@@ -328,7 +488,7 @@ mod tests {
     fn empty_bin_selects_nothing() {
         let points = vec![Point::new2(0.0, 0.0)];
         let spanner = WeightedGraph::new(1);
-        let cover = ClusterCover::greedy(&spanner, 0.1);
+        let cover = greedy_level(&spanner, 0.1);
         let sel = select_query_edges(
             &points,
             &params(),

@@ -16,7 +16,9 @@
 //! guarantees each deleted edge retains at least one surviving partner,
 //! which is what the stretch argument needs.
 
+use std::sync::OnceLock;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
+use tc_graph::par::{self, ClaimQueue, Worker};
 use tc_graph::{Contraction, Edge, GraphView, NodeId, WeightedGraph};
 
 /// The conflict structure among the edges added in one phase.
@@ -100,6 +102,55 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
     t1 * max_w - min_w
 }
 
+/// Added edges per claimed item of the parallel candidate-pair tests:
+/// fixed, so the chunks never depend on the thread count.
+const PAIR_CHUNK: usize = 64;
+
+/// The endpoint supernodes of a phase's added edges, ascending, with the
+/// inverse index and the leg budget.
+#[derive(Debug)]
+pub(crate) struct Endpoints {
+    supers: Vec<usize>,
+    super_index: Vec<u32>,
+    budget: f64,
+}
+
+impl Endpoints {
+    fn new(added: &[Edge], contraction: &Contraction, t1: f64) -> Self {
+        let mut supers: Vec<usize> = added
+            .iter()
+            .flat_map(|e| [e.u, e.v])
+            .map(|x| contraction.supernode_of(x))
+            .collect();
+        supers.sort_unstable();
+        supers.dedup();
+        let mut super_index: Vec<u32> = vec![u32::MAX; contraction.supernode_count()];
+        for (i, &s) in supers.iter().enumerate() {
+            super_index[s] = i as u32;
+        }
+        Self {
+            supers,
+            super_index,
+            budget: leg_budget(added, t1),
+        }
+    }
+
+    fn index_of(&self, contraction: &Contraction, x: NodeId) -> usize {
+        self.super_index[contraction.supernode_of(x)] as usize
+    }
+}
+
+/// The values the steps of a parallel redundancy analysis hand each
+/// other; declare one per analysis, before its region.
+#[derive(Default)]
+pub(crate) struct RedundancySlots {
+    endpoints: OnceLock<Endpoints>,
+    rows: OnceLock<Vec<Vec<(u32, f64)>>>,
+    edges_at: OnceLock<Vec<Vec<u32>>>,
+    row_queue: ClaimQueue<Vec<(u32, f64)>>,
+    pair_queue: ClaimQueue<Vec<(u32, u32)>>,
+}
+
 /// Finds all mutually redundant pairs among `added` (the edges added in
 /// the current phase), measuring path lengths on the *contracted*
 /// cluster graph instead of the full `n`-node `H`: `quotient` is
@@ -120,36 +171,74 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 /// conflict. At 10^6 nodes the dense form allocated gigabytes per phase
 /// and its scattered lookups dominated the whole build (see
 /// docs/PERFORMANCE.md, "Phase engine").
-pub fn analyze_redundancy_contracted<G: GraphView>(
+///
+/// This is the one-worker form of the phase loop's step (v) analysis.
+pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
     added: &[Edge],
     contraction: &Contraction,
     quotient: &G,
     config: &BucketConfig,
     t1: f64,
 ) -> RedundancyAnalysis {
+    let slots = RedundancySlots::default();
+    let trivial = || RedundancyAnalysis {
+        conflict_graph: WeightedGraph::new(added.len()),
+        involved: Vec::new(),
+    };
+    par::region(&mut [BucketScratch::new()], |w, scratch| {
+        analyze_in(w, scratch, &slots, added, contraction, quotient, config, t1)
+    })
+    .unwrap_or_else(trivial)
+}
+
+/// [`analyze_redundancy_contracted`] on every worker of a phase's region:
+/// the ball rows are swept one endpoint supernode per claimed item, and
+/// the candidate pairs are derived and tested in fixed chunks of
+/// [`PAIR_CHUNK`] added edges, both merged in order, while the caller
+/// indexes the edges by endpoint and builds the conflict graph. Returns the analysis on the caller, `None` on the
+/// other workers; every worker must pass the same `added`.
+///
+/// # Panics
+///
+/// Panics if `t1 <= 1`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn analyze_in<G: GraphView + Sync>(
+    w: &Worker<'_>,
+    scratch: &mut BucketScratch,
+    slots: &RedundancySlots,
+    added: &[Edge],
+    contraction: &Contraction,
+    quotient: &G,
+    config: &BucketConfig,
+    t1: f64,
+) -> Option<RedundancyAnalysis> {
     assert!(t1 > 1.0, "t1 must exceed 1");
     let mut conflict_graph = WeightedGraph::new(added.len());
     if added.len() < 2 {
-        return RedundancyAnalysis {
+        return w.is_caller().then(|| RedundancyAnalysis {
             conflict_graph,
             involved: Vec::new(),
-        };
+        });
     }
-    let budget = leg_budget(added, t1);
-    let mut supers: Vec<usize> = added
-        .iter()
-        .flat_map(|e| [e.u, e.v])
-        .map(|x| contraction.supernode_of(x))
-        .collect();
-    supers.sort_unstable();
-    supers.dedup();
-    let mut super_index: Vec<u32> = vec![u32::MAX; contraction.supernode_count()];
-    for (i, &s) in supers.iter().enumerate() {
-        super_index[s] = i as u32;
-    }
-    let k = supers.len();
+    w.serial(|| slots.endpoints.set(Endpoints::new(added, contraction, t1)));
+    let ends = slots.endpoints.get()?;
+    let rows = w.map_claimed(&slots.row_queue, ends.supers.len(), |i| {
+        ball_row(
+            scratch,
+            quotient,
+            config,
+            ends.supers[i],
+            &ends.super_index,
+            ends.budget,
+        )
+    });
+    w.serial(|| {
+        let edges_at = edges_at(added, contraction, ends);
+        let _ = slots.rows.set(rows);
+        slots.edges_at.set(edges_at)
+    });
+    let (rows, edges_at) = (slots.rows.get()?, slots.edges_at.get()?);
 
-    let rows = ball_rows(quotient, config, &supers, &super_index, budget);
     let sp_quotient = |i: usize, j: usize| -> f64 {
         match rows[i].binary_search_by_key(&(j as u32), |&(x, _)| x) {
             Ok(pos) => rows[i][pos].1,
@@ -162,56 +251,46 @@ pub fn analyze_redundancy_contracted<G: GraphView>(
         }
         let (sx, dx) = contraction.project(x);
         let (sy, dy) = contraction.project(y);
-        let (si, sj) = (super_index[sx] as usize, super_index[sy] as usize);
+        let (si, sj) = (ends.super_index[sx] as usize, ends.super_index[sy] as usize);
         dx + sp_quotient(si, sj) + dy
     };
-
     // Candidate pairs by ball membership: for edges to conflict, each of
     // e1's endpoints must reach one of e2's within the leg budget, so in
     // particular some endpoint of e2 lies in a ball of e1's. Pairs never
-    // generated here have an infinite leg in every pairing.
-    let mut edges_at: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for (idx, e) in added.iter().enumerate() {
-        for x in [e.u, e.v] {
-            let j = super_index[contraction.supernode_of(x)] as usize;
-            edges_at[j].push(idx as u32);
-        }
-    }
-    let mut candidates: Vec<(u32, u32)> = Vec::new();
-    for (idx, e) in added.iter().enumerate() {
-        for x in [e.u, e.v] {
-            let i = super_index[contraction.supernode_of(x)] as usize;
-            for &(j, _) in &rows[i] {
-                for &other in &edges_at[j as usize] {
-                    if (other as usize) > idx {
-                        candidates.push((idx as u32, other));
+    // generated here have an infinite leg in every pairing. A chunk owns
+    // the pairs whose first edge it holds, so the chunks' sorted pairs
+    // concatenate to the sorted candidate list, and its conflicts to the
+    // conflicts in candidate order.
+    let conflicts = w.map_claimed(&slots.pair_queue, added.len().div_ceil(PAIR_CHUNK), |c| {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let end = ((c + 1) * PAIR_CHUNK).min(added.len());
+        for (idx, e) in added.iter().enumerate().take(end).skip(c * PAIR_CHUNK) {
+            for x in [e.u, e.v] {
+                for &(j, _) in &rows[ends.index_of(contraction, x)] {
+                    for &other in &edges_at[j as usize] {
+                        if (other as usize) > idx {
+                            pairs.push((idx as u32, other));
+                        }
                     }
                 }
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.retain(|&(i, j)| mutually_redundant(added[i as usize], added[j as usize], t1, sp));
+        pairs
+    });
+    if !w.is_caller() {
+        return None;
     }
-    candidates.sort_unstable();
-    candidates.dedup();
-
     let mut involved = vec![false; added.len()];
-    for &(i, j) in &candidates {
+    for (i, j) in conflicts.into_iter().flatten() {
         let (i, j) = (i as usize, j as usize);
-        let (e1, e2) = (added[i], added[j]);
-        // Pairing A: u<->u', v<->v'. Pairing B: u<->v', v<->u'.
-        let pairings = [
-            sp(e1.u, e2.u) + sp(e1.v, e2.v),
-            sp(e1.u, e2.v) + sp(e1.v, e2.u),
-        ];
-        let redundant = pairings.iter().any(|&s| {
-            s + e2.weight <= t1 * e1.weight + 1e-12 && s + e1.weight <= t1 * e2.weight + 1e-12
-        });
-        if redundant {
-            conflict_graph.add_edge(i, j, 1.0);
-            involved[i] = true;
-            involved[j] = true;
-        }
+        conflict_graph.add_edge(i, j, 1.0);
+        involved[i] = true;
+        involved[j] = true;
     }
-    RedundancyAnalysis {
+    Some(RedundancyAnalysis {
         conflict_graph,
         involved: involved
             .iter()
@@ -219,16 +298,61 @@ pub fn analyze_redundancy_contracted<G: GraphView>(
             .filter(|(_, &x)| x)
             .map(|(i, _)| i)
             .collect(),
-    }
+    })
 }
 
-/// One sparse row per endpoint supernode `supers[i]`: the `(index, dist)`
-/// pairs of the endpoint supernodes (indexed through `super_index`) inside
-/// its `budget` ball on `quotient`, sorted by index for binary-search
-/// lookup. Each node is settled at most once per sweep with a distance
-/// bitwise identical to the bounded Dijkstra's, so sorting makes the row
-/// independent of the (unspecified) visit order — and of the quotient's
-/// representation and bucket width.
+/// The added edges (by index) at each endpoint supernode (by endpoint
+/// index), in edge order.
+fn edges_at(added: &[Edge], contraction: &Contraction, ends: &Endpoints) -> Vec<Vec<u32>> {
+    let mut edges_at: Vec<Vec<u32>> = vec![Vec::new(); ends.supers.len()];
+    for (idx, e) in added.iter().enumerate() {
+        for x in [e.u, e.v] {
+            edges_at[ends.index_of(contraction, x)].push(idx as u32);
+        }
+    }
+    edges_at
+}
+
+/// Whether `e1` and `e2` are mutually redundant under `sp`, in either
+/// pairing of their endpoints (A: u↔u', v↔v'; B: u↔v', v↔u').
+fn mutually_redundant(e1: Edge, e2: Edge, t1: f64, sp: impl Fn(NodeId, NodeId) -> f64) -> bool {
+    let pairings = [
+        sp(e1.u, e2.u) + sp(e1.v, e2.v),
+        sp(e1.u, e2.v) + sp(e1.v, e2.u),
+    ];
+    pairings.iter().any(|&s| {
+        s + e2.weight <= t1 * e1.weight + 1e-12 && s + e1.weight <= t1 * e2.weight + 1e-12
+    })
+}
+
+/// The sparse row of endpoint supernode `source`: the `(index, dist)`
+/// pairs of the endpoint supernodes (indexed through `super_index`)
+/// inside its `budget` ball on `quotient`, sorted by index for
+/// binary-search lookup. Each node is settled at most once per sweep with
+/// a distance bitwise identical to the bounded Dijkstra's, so sorting
+/// makes the row independent of the (unspecified) visit order — and of
+/// the quotient's representation and bucket width.
+fn ball_row<G: GraphView>(
+    scratch: &mut BucketScratch,
+    quotient: &G,
+    config: &BucketConfig,
+    source: usize,
+    super_index: &[u32],
+    budget: f64,
+) -> Vec<(u32, f64)> {
+    let mut row: Vec<(u32, f64)> = Vec::new();
+    scratch.for_each_within(quotient, source, budget, config, |v, d| {
+        let j = super_index[v];
+        if j != u32::MAX {
+            row.push((j, d));
+        }
+    });
+    row.sort_unstable_by_key(|&(j, _)| j);
+    row
+}
+
+/// One [`ball_row`] per endpoint supernode `supers[i]`.
+#[cfg(test)]
 pub(super) fn ball_rows<G: GraphView>(
     quotient: &G,
     config: &BucketConfig,
@@ -239,17 +363,7 @@ pub(super) fn ball_rows<G: GraphView>(
     let mut scratch = BucketScratch::new();
     supers
         .iter()
-        .map(|&s| {
-            let mut row: Vec<(u32, f64)> = Vec::new();
-            scratch.for_each_within(quotient, s, budget, config, |v, d| {
-                let j = super_index[v];
-                if j != u32::MAX {
-                    row.push((j, d));
-                }
-            });
-            row.sort_unstable_by_key(|&(j, _)| j);
-            row
-        })
+        .map(|&s| ball_row(&mut scratch, quotient, config, s, super_index, budget))
         .collect()
 }
 
@@ -265,16 +379,7 @@ fn conflict_pairs(
     let mut involved = vec![false; added.len()];
     for i in 0..added.len() {
         for j in (i + 1)..added.len() {
-            let (e1, e2) = (added[i], added[j]);
-            // Pairing A: u<->u', v<->v'. Pairing B: u<->v', v<->u'.
-            let pairings = [
-                sp(e1.u, e2.u) + sp(e1.v, e2.v),
-                sp(e1.u, e2.v) + sp(e1.v, e2.u),
-            ];
-            let redundant = pairings.iter().any(|&s| {
-                s + e2.weight <= t1 * e1.weight + 1e-12 && s + e1.weight <= t1 * e2.weight + 1e-12
-            });
-            if redundant {
+            if mutually_redundant(added[i], added[j], t1, &sp) {
                 conflict_graph.add_edge(i, j, 1.0);
                 involved[i] = true;
                 involved[j] = true;
@@ -323,7 +428,7 @@ pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64)
 /// a maximal independent set of the conflict graph (greedy in the
 /// sequential algorithm, a message-passing protocol in the distributed
 /// one), and returns the indices of the edges to remove.
-pub fn contracted_redundant_removals<G: GraphView>(
+pub fn contracted_redundant_removals<G: GraphView + Sync>(
     added: &[Edge],
     contraction: &Contraction,
     quotient: &G,

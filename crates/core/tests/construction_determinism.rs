@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
-use tc_graph::par::THREADS_ENV;
+use tc_graph::par::{self, THREADS_ENV};
 use tc_spanner::{DistributedRelaxedGreedy, RelaxedGreedy, SpannerParams};
-use tc_ubg::{generators, UbgBuilder};
+use tc_ubg::{generators, GreyZonePolicy, UbgBuilder};
 
 /// Serialises every test that mutates `TC_THREADS` — environment variables
 /// are process-global and the tests in this binary run concurrently.
@@ -86,6 +86,51 @@ fn construction_is_bitwise_identical_across_thread_counts() {
             reference, run,
             "construction output diverged for TC_THREADS={threads:?}"
         );
+    }
+}
+
+/// A 3D grey-zone deployment large enough that the phase loop takes the
+/// parallel path: every level rebuild and the larger bins exceed the
+/// engine's inline cutoff.
+fn construct_grey_3d(seed: u64, n: usize) -> Fingerprint {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let side = generators::side_for_target_degree(n, 3, 12.0);
+    let points = generators::uniform_points(&mut rng, n, 3, side);
+    let ubg = UbgBuilder::new(0.6)
+        .grey_zone(GreyZonePolicy::Probabilistic {
+            probability: 0.5,
+            seed: seed ^ 0x6772_6579,
+        })
+        .build(points)
+        .expect("generator points share a dimension");
+    let params = SpannerParams::for_epsilon(1.0, 0.6).expect("valid parameters");
+    let result = RelaxedGreedy::new(params).run(&ubg);
+    Fingerprint {
+        base: edge_bits(ubg.graph()),
+        spanner: edge_bits(&result.spanner),
+        phases: serde_json::to_string(&result.phases).expect("phase stats serialize"),
+    }
+}
+
+#[test]
+fn parallel_phases_on_a_grey_zone_3d_deployment_are_bitwise_identical() {
+    let reference = with_threads(Some("1"), || construct_grey_3d(2006, 6_000));
+    for threads in [Some("2"), Some("3"), None] {
+        let (run, regions) = with_threads(threads, || {
+            let before = par::parallel_regions();
+            let run = construct_grey_3d(2006, 6_000);
+            (run, par::parallel_regions() - before)
+        });
+        assert_eq!(
+            reference, run,
+            "construction output diverged for TC_THREADS={threads:?}"
+        );
+        if threads.is_some() {
+            assert!(
+                regions > 0,
+                "TC_THREADS={threads:?} ran no region on more than one worker"
+            );
+        }
     }
 }
 

@@ -103,6 +103,11 @@ impl Contraction {
         contraction
     }
 
+    /// Number of nodes of the underlying graph.
+    pub fn node_count(&self) -> usize {
+        self.supernode_of.len()
+    }
+
     /// Number of supernodes.
     pub fn supernode_count(&self) -> usize {
         self.quotient.node_count()

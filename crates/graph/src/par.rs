@@ -1,39 +1,68 @@
-//! A small work-sharing scheduler for the embarrassingly parallel sweeps.
+//! A small work-sharing scheduler for the embarrassingly parallel sweeps
+//! and for the relaxed-greedy phase loop.
 //!
-//! The verification and measurement layers repeat one independent
-//! computation per source node (one Dijkstra per edge source, one
-//! experiment cell per table row). This module runs those sweeps on a
-//! fixed pool of scoped worker threads:
+//! Everything runs on one primitive, the **parallel region**
+//! ([`region`]): the calling thread works as worker 0 and the other
+//! workers are scoped threads spawned once for the region. Each worker
+//! borrows its own scratch value from a slice the caller owns, so a
+//! caller that keeps the slice (the phase engine keeps one
+//! `BucketScratch` per worker) reuses the scratch across regions. Inside
+//! a region every worker runs the same closure; it hands out work with
+//! [`Worker::map_claimed`] and separates steps with [`Worker::barrier`]
+//! and [`Worker::serial`]:
 //!
 //! * **Dynamic load balancing** — workers claim the next unclaimed index
-//!   from a shared atomic counter (or pop the next boxed job from a shared
-//!   queue), so an expensive item never leaves the other workers idle.
+//!   of a step from a shared atomic counter, so an expensive item never
+//!   leaves the other workers idle.
 //! * **Deterministic results** — every result carries the index of the
-//!   item that produced it, and the merged output is returned in input
-//!   order. The output of a parallel sweep is byte-identical to the
+//!   item that produced it, and the caller receives the merged output in
+//!   input order. The output of a parallel step is byte-identical to the
 //!   sequential one, whatever the thread count.
 //! * **`TC_THREADS` override** — setting the environment variable
 //!   `TC_THREADS=<k>` pins every pool in the process to `k` workers
 //!   (`TC_THREADS=1` recovers fully sequential execution; CI runs the
 //!   suite both pinned and unpinned).
-//! * **Structured panic propagation** — if a job panics, the panic payload
-//!   is re-raised on the calling thread via [`std::panic::resume_unwind`]
-//!   after the remaining workers have drained; no partial results escape.
-//! * **Worker-local scratch** — [`par_map_with`] hands every worker a
-//!   scratch value created once per worker (not once per item), which is
-//!   what lets the bucket Dijkstra in [`crate::bucket`] reuse its arrays
-//!   across the sources one worker processes.
+//! * **Structured panic propagation** — if a worker (the caller
+//!   included) panics, the others leave the region at their next barrier
+//!   and the first panic payload, by worker index, is re-raised on the
+//!   calling thread via [`std::panic::resume_unwind`]; no partial results
+//!   escape.
+//! * **One worker spawns nothing** — a region over a single scratch value
+//!   runs its closure inline on the caller, and its barriers and
+//!   `map_claimed` steps reduce to plain sequential code.
 //!
-//! The module lives in `tc-graph` (rather than the bench crate where the
-//! first version of [`run_jobs`] grew) so the graph algorithms themselves
-//! can use it; see `docs/PERFORMANCE.md` for the threading contract.
+//! Steps pass data through values declared *before* the region (a
+//! `OnceLock` the caller fills in a [`Worker::serial`] section, a
+//! [`ClaimQueue`] per claimed step): every crate forbids `unsafe`, so a
+//! worker cannot borrow a closure that outlives the region, and the
+//! region's program is written out as one closure that every worker runs.
+//!
+//! [`par_map_with`] and [`run_jobs`] are the one-shot forms: one region
+//! with one claimed step. The module lives in `tc-graph` (rather than the
+//! bench crate where the first version of [`run_jobs`] grew) so the graph
+//! algorithms themselves can use it; see `docs/PERFORMANCE.md` for the
+//! threading contract.
 
-use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Name of the environment variable that pins the worker-thread count.
 pub const THREADS_ENV: &str = "TC_THREADS";
+
+/// How long a worker that reached a barrier early spins before it blocks.
+/// Phase steps are often shorter than a futex wake-up, so a short spin
+/// keeps the step boundaries cheap; after it the worker sleeps on a
+/// condition variable and costs nothing while the caller works alone.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// The most indices one claim of a [`Worker::map_claimed`] step takes.
+const MAX_GRAIN: usize = 64;
+
+/// Regions that ran on more than one worker, process-wide.
+static PARALLEL_REGIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Resolves the worker-thread count for a parallel region.
 ///
@@ -67,6 +96,301 @@ fn env_threads() -> Option<usize> {
     trimmed.parse::<usize>().ok().filter(|&k| k >= 1)
 }
 
+/// Number of regions this process has run on more than one worker (the
+/// one-worker inline path does not count). Tests read it to check that a
+/// workload actually took the parallel path.
+pub fn parallel_regions() -> usize {
+    PARALLEL_REGIONS.load(Ordering::Relaxed)
+}
+
+/// The shared state of one region's workers: a reusable barrier with an
+/// abandon flag that releases every waiter once some worker panicked.
+struct Team {
+    workers: usize,
+    arrived: Mutex<usize>,
+    generation: AtomicUsize,
+    abandoned: AtomicBool,
+    wake: Condvar,
+}
+
+/// Unwind payload of a worker that left a region because another worker
+/// panicked; never re-raised on the caller.
+struct Abandoned;
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Team {
+    fn new(workers: usize) -> Self {
+        Self {
+            workers,
+            arrived: Mutex::new(0),
+            generation: AtomicUsize::new(0),
+            abandoned: AtomicBool::new(false),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Runs one worker's share, turning its panic into an abandoned team
+    /// so the other workers stop waiting for it.
+    fn guard<R>(&self, share: impl FnOnce() -> R) -> Result<R, Box<dyn Any + Send>> {
+        panic::catch_unwind(AssertUnwindSafe(share)).inspect_err(|_| {
+            let _arrived = lock(&self.arrived);
+            self.abandoned.store(true, Ordering::Release);
+            self.wake.notify_all();
+        })
+    }
+
+    fn leave() -> ! {
+        panic::resume_unwind(Box::new(Abandoned))
+    }
+
+    /// Waits until every worker arrived; the last one to arrive runs
+    /// `action` before anyone is released.
+    fn barrier_then(&self, action: impl FnOnce()) {
+        let mut arrived = lock(&self.arrived);
+        if self.abandoned.load(Ordering::Acquire) {
+            drop(arrived);
+            Self::leave();
+        }
+        let generation = self.generation.load(Ordering::Acquire);
+        *arrived += 1;
+        if *arrived == self.workers {
+            *arrived = 0;
+            action();
+            self.generation.store(generation + 1, Ordering::Release);
+            self.wake.notify_all();
+            return;
+        }
+        drop(arrived);
+        let start = Instant::now();
+        let mut spins = 0u32;
+        loop {
+            if self.generation.load(Ordering::Acquire) != generation {
+                return;
+            }
+            if self.abandoned.load(Ordering::Acquire) {
+                Self::leave();
+            }
+            std::hint::spin_loop();
+            spins = spins.wrapping_add(1);
+            if spins.is_multiple_of(64) && start.elapsed() >= SPIN {
+                break;
+            }
+        }
+        let mut arrived = lock(&self.arrived);
+        while self.generation.load(Ordering::Acquire) == generation
+            && !self.abandoned.load(Ordering::Acquire)
+        {
+            arrived = self
+                .wake
+                .wait(arrived)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(arrived);
+        if self.generation.load(Ordering::Acquire) == generation {
+            Self::leave();
+        }
+    }
+}
+
+/// One worker's handle inside a [`region`]: its index, the team size, and
+/// the step primitives.
+pub struct Worker<'r> {
+    index: usize,
+    team: &'r Team,
+}
+
+impl Worker<'_> {
+    /// This worker's index; the calling thread is worker 0.
+    pub fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Number of workers in the region (1 on the inline path).
+    pub fn count(&self) -> usize {
+        self.team.workers
+    }
+
+    /// Whether this worker is the calling thread (worker 0).
+    pub fn is_caller(&self) -> bool {
+        self.index == 0
+    }
+
+    /// Waits until every worker of the region reached this barrier. A
+    /// worker panics out of the region here if another worker panicked.
+    pub fn barrier(&self) {
+        if self.team.workers > 1 {
+            self.team.barrier_then(|| ());
+        }
+    }
+
+    /// Runs `f` on the caller only, then waits at a barrier, so whatever
+    /// `f` publishes (say, into a `OnceLock` declared before the region)
+    /// is visible to every worker afterwards. Returns `f`'s value on the
+    /// caller and `None` on the other workers.
+    pub fn serial<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        let out = self.is_caller().then(f);
+        self.barrier();
+        out
+    }
+
+    /// One claimed step: every worker calls this with the same `total`,
+    /// claims indices of `0..total` in small contiguous blocks, and runs
+    /// `f` on each. The step ends with a barrier; the caller then receives
+    /// the results in index order (the other workers receive an empty
+    /// vector). The result is identical to `(0..total).map(f).collect()`
+    /// whatever the thread count, which is exactly what the one-worker
+    /// path runs.
+    ///
+    /// `queue` carries the claims and the merge; it may serve any number
+    /// of consecutive steps of one region.
+    pub fn map_claimed<R: Send>(
+        &self,
+        queue: &ClaimQueue<R>,
+        total: usize,
+        mut f: impl FnMut(usize) -> R,
+    ) -> Vec<R> {
+        let workers = self.team.workers;
+        if workers == 1 {
+            return (0..total).map(f).collect();
+        }
+        // About eight claims per worker: enough to balance uneven items,
+        // few enough that cheap items do not queue on the shared counter.
+        let grain = (total / (8 * workers)).clamp(1, MAX_GRAIN);
+        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let start = queue.next.fetch_add(grain, Ordering::Relaxed);
+            if start >= total {
+                break;
+            }
+            let end = (start + grain).min(total);
+            local.push((start, (start..end).map(&mut f).collect()));
+        }
+        if !local.is_empty() {
+            lock(&queue.parts).append(&mut local);
+        }
+        self.team.barrier_then(|| {
+            let parts = std::mem::take(&mut *lock(&queue.parts));
+            *lock(&queue.merged) = merge_blocks(parts, total);
+            queue.next.store(0, Ordering::Relaxed);
+        });
+        if self.is_caller() {
+            std::mem::take(&mut *lock(&queue.merged))
+        } else {
+            Vec::new()
+        }
+    }
+}
+
+/// The claimed step results of a [`ClaimQueue`]: `(first index, results)`
+/// blocks as the workers deposit them.
+type Blocks<R> = Vec<(usize, Vec<R>)>;
+
+/// The claim counter and merge buffers of [`Worker::map_claimed`] steps.
+/// Declare one before the region for each kind of step result.
+pub struct ClaimQueue<R> {
+    next: AtomicUsize,
+    parts: Mutex<Blocks<R>>,
+    merged: Mutex<Vec<R>>,
+}
+
+impl<R> ClaimQueue<R> {
+    /// An idle queue.
+    pub fn new() -> Self {
+        Self {
+            next: AtomicUsize::new(0),
+            parts: Mutex::new(Vec::new()),
+            merged: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<R> Default for ClaimQueue<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Runs `work` once on each of `scratch.len()` workers — the calling
+/// thread as worker 0 with `scratch[0]`, and one scoped thread per further
+/// scratch value — and returns worker 0's result.
+///
+/// A one-element slice spawns nothing: `work` runs inline. Otherwise
+/// `scratch.len() − 1` threads are spawned once for the whole region, so
+/// a caller that has several steps to run should run them all in one
+/// region, separated by [`Worker::barrier`]s. If any worker panics, the
+/// others leave at their next barrier and the first payload by worker
+/// index is re-raised here once all have returned.
+///
+/// # Panics
+///
+/// Panics if `scratch` is empty, and re-raises a worker's panic.
+pub fn region<S, R, F>(scratch: &mut [S], work: F) -> R
+where
+    S: Send,
+    F: Fn(&Worker<'_>, &mut S) -> R + Sync,
+{
+    let team = Team::new(scratch.len());
+    let Some((first, rest)) = scratch.split_first_mut() else {
+        // Documented contract (see `# Panics`). tc-lint: allow(panic-hygiene)
+        panic!("a parallel region needs at least one worker scratch");
+    };
+    if rest.is_empty() {
+        return work(
+            &Worker {
+                index: 0,
+                team: &team,
+            },
+            first,
+        );
+    }
+    PARALLEL_REGIONS.fetch_add(1, Ordering::Relaxed);
+    let team = &team;
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .enumerate()
+            .map(|(i, s)| {
+                scope.spawn(move || {
+                    team.guard(|| {
+                        work(&Worker { index: i + 1, team }, s);
+                    })
+                })
+            })
+            .collect();
+        let caller = team.guard(|| work(&Worker { index: 0, team }, first));
+        let mut failure: Option<Box<dyn Any + Send>> = None;
+        let mut keep = |payload: Box<dyn Any + Send>| {
+            if failure.is_none() && !payload.is::<Abandoned>() {
+                failure = Some(payload);
+            }
+        };
+        let result = match caller {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                keep(payload);
+                None
+            }
+        };
+        for handle in handles {
+            match handle.join() {
+                Ok(Ok(())) => {}
+                Ok(Err(payload)) | Err(payload) => keep(payload),
+            }
+        }
+        match (failure, result) {
+            (None, Some(value)) => value,
+            (Some(payload), _) => panic::resume_unwind(payload),
+            // Only an abandoned caller has no result, and abandoning
+            // needs a real panic first. tc-lint: allow(panic-hygiene)
+            (None, None) => panic!("a region worker left without a panic payload"),
+        }
+    })
+}
+
 /// Runs the given closures, each producing one result, on up to
 /// `max_threads` worker threads (subject to the [`THREADS_ENV`] override),
 /// and returns the results in input order.
@@ -79,34 +403,19 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let total = jobs.len();
-    let threads = thread_count(max_threads).min(total);
-    if threads <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    // Workers pop the next job from the front of a shared queue (stored
-    // reversed so `pop` is O(1)) and collect `(index, result)` pairs
-    // locally; the pairs are merged back into input order at the end.
-    let queue: Mutex<Vec<(usize, F)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let parts = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
-                        match next {
-                            Some((index, job)) => local.push((index, job())),
-                            None => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        join_all(handles)
-    });
-    merge_indexed(parts, total)
+    // Each job is taken out of its slot by the one worker that claimed
+    // its index.
+    let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    par_map_with(
+        &slots,
+        max_threads,
+        || (),
+        |_, _, slot| {
+            // Each index is claimed exactly once. tc-lint: allow(panic-hygiene)
+            let job = lock(slot).take().expect("every job runs once");
+            job()
+        },
+    )
 }
 
 /// Applies `work` to every item of `items` on up to `max_threads` worker
@@ -118,73 +427,36 @@ where
 /// would otherwise be paid per item (distance arrays, bucket rings). The
 /// result sequence is identical to
 /// `items.iter().enumerate().map(|(i, x)| work(&mut init(), i, x))`
-/// regardless of the thread count.
+/// regardless of the thread count. This is one [`region`] with one
+/// claimed step.
 pub fn par_map_with<T, S, R, I, W>(items: &[T], max_threads: usize, init: I, work: W) -> Vec<R>
 where
     T: Sync,
+    S: Send,
     R: Send,
     I: Fn() -> S + Sync,
     W: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let total = items.len();
-    let threads = thread_count(max_threads).min(total);
-    if threads <= 1 {
-        let mut scratch = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| work(&mut scratch, i, item))
-            .collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let parts = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= total {
-                            break;
-                        }
-                        local.push((index, work(&mut scratch, index, &items[index])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        join_all(handles)
-    });
-    merge_indexed(parts, total)
+    let threads = thread_count(max_threads).min(items.len()).max(1);
+    let mut scratch: Vec<S> = (0..threads).map(|_| init()).collect();
+    let queue = ClaimQueue::new();
+    region(&mut scratch, |worker, scratch| {
+        worker.map_claimed(&queue, items.len(), |i| work(scratch, i, &items[i]))
+    })
 }
 
-/// Joins every worker, re-raising the first panic payload (by worker
-/// index) on the caller after the scope has drained the remaining workers.
-fn join_all<T>(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Vec<(usize, T)>>>,
-) -> Vec<(usize, T)> {
-    let mut parts = Vec::new();
-    for handle in handles {
-        match handle.join() {
-            Ok(mut local) => parts.append(&mut local),
-            Err(payload) => panic::resume_unwind(payload),
-        }
-    }
-    parts
-}
-
-/// Restores input order from `(index, result)` pairs. Every index in
-/// `0..total` is produced exactly once (each was claimed by exactly one
-/// worker), so after sorting the payloads can be extracted positionally.
-fn merge_indexed<T>(mut parts: Vec<(usize, T)>, total: usize) -> Vec<T> {
-    parts.sort_unstable_by_key(|&(index, _)| index);
+/// Restores input order from the claimed blocks. Every index in
+/// `0..total` is claimed exactly once, so the blocks sorted by their first
+/// index concatenate to the results in input order.
+fn merge_blocks<T>(mut parts: Blocks<T>, total: usize) -> Vec<T> {
+    parts.sort_unstable_by_key(|&(start, _)| start);
+    let merged: Vec<T> = parts.into_iter().flat_map(|(_, block)| block).collect();
     assert_eq!(
-        parts.len(),
+        merged.len(),
         total,
         "every claimed index must produce exactly one result"
     );
-    parts.into_iter().map(|(_, value)| value).collect()
+    merged
 }
 
 #[cfg(test)]
@@ -273,6 +545,115 @@ mod tests {
             .or_else(|| err.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("exploded"), "unexpected payload: {msg}");
+    }
+
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(str::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
+    }
+
+    /// A region of `workers` workers in which worker `culprit` panics
+    /// after the first barrier while the others wait at the second.
+    fn region_with_panicking_worker(workers: usize, culprit: usize) -> String {
+        let mut scratch = vec![0usize; workers];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            region(&mut scratch, |w, _| {
+                w.barrier();
+                if w.index() == culprit {
+                    panic!("worker {culprit} exploded");
+                }
+                w.barrier();
+                w.index()
+            })
+        }))
+        .expect_err("the worker's panic must propagate");
+        panic_message(err.as_ref())
+    }
+
+    #[test]
+    fn a_panic_in_a_spawned_worker_propagates() {
+        assert_eq!(region_with_panicking_worker(3, 2), "worker 2 exploded");
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_propagates() {
+        assert_eq!(region_with_panicking_worker(3, 0), "worker 0 exploded");
+        assert_eq!(region_with_panicking_worker(1, 0), "worker 0 exploded");
+    }
+
+    #[test]
+    fn a_panic_inside_a_claimed_step_propagates() {
+        let mut scratch = vec![(); 2];
+        let queue = ClaimQueue::new();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            region(&mut scratch, |w, _| {
+                w.map_claimed(&queue, 40, |i| {
+                    assert!(i != 17, "item 17 exploded");
+                    i
+                })
+            })
+        }))
+        .expect_err("the item's panic must propagate");
+        assert_eq!(panic_message(err.as_ref()), "item 17 exploded");
+    }
+
+    #[test]
+    fn claimed_steps_handle_zero_items_and_fewer_items_than_workers() {
+        for workers in [1, 2, 4] {
+            let mut scratch = vec![(); workers];
+            let queue = ClaimQueue::new();
+            let (empty, few, many) = region(&mut scratch, |w, _| {
+                let empty = w.map_claimed(&queue, 0, |i| i);
+                let few = w.map_claimed(&queue, 1, |i| i * 10);
+                let many = w.map_claimed(&queue, 9, |i| i * i);
+                (empty, few, many)
+            });
+            assert!(empty.is_empty(), "workers = {workers}");
+            assert_eq!(few, vec![0], "workers = {workers}");
+            assert_eq!(many, (0..9).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(par_map_with(&[] as &[u8], 4, || (), |_, _, &x| x).is_empty());
+        assert_eq!(par_map_with(&[3u8], 4, || (), |_, _, &x| x), vec![3]);
+    }
+
+    #[test]
+    fn serial_sections_publish_to_every_worker() {
+        let mut scratch = vec![0usize; 3];
+        let slot = std::sync::OnceLock::new();
+        let seen = region(&mut scratch, |w, seen| {
+            let caller_value = w.serial(|| {
+                let _ = slot.set(41);
+                7
+            });
+            *seen = slot.get().copied().unwrap_or(0) + 1;
+            caller_value
+        });
+        assert_eq!(seen, Some(7));
+        assert_eq!(scratch, vec![42; 3]);
+    }
+
+    #[test]
+    fn worker_scratch_is_reused_across_regions() {
+        // Each worker counts the items it processed into its own scratch;
+        // the slice outlives both regions, so the counts accumulate.
+        let mut scratch = vec![0usize; 3];
+        let queue = ClaimQueue::new();
+        for round in 1..=2 {
+            let before = parallel_regions();
+            let out = region(&mut scratch, |w, seen| {
+                w.map_claimed(&queue, 50, |i| {
+                    *seen += 1;
+                    i
+                })
+            });
+            assert_eq!(out, (0..50).collect::<Vec<_>>());
+            assert_eq!(scratch.iter().sum::<usize>(), 50 * round);
+            assert!(parallel_regions() > before);
+        }
     }
 
     #[test]

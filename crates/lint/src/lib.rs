@@ -22,8 +22,9 @@
 //!   the graph only through bounded-radius / target-directed / `GridIndex`
 //!   queries, never (transitively) through global sweeps;
 //! * **scheduler-discipline** — closures handed to
-//!   `run_jobs`/`par_map_with` must not write captured state, take locks,
-//!   or (transitively) perform I/O;
+//!   `run_jobs`/`par_map_with`, to a parallel `region` or to a
+//!   `map_claimed` step must not write captured state, take locks, or
+//!   (transitively) perform I/O;
 //! * **transitive-panic** — panic-hygiene followed through the call graph.
 //!
 //! The binary walks the workspace, applies inline

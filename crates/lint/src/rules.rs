@@ -65,9 +65,9 @@ pub fn describe(rule: &str) -> &'static str {
              bounded-radius / target-directed / GridIndex queries only"
         }
         SCHEDULER_DISCIPLINE => {
-            "flags closures handed to run_jobs/par_map_with that write captured \
-             bindings, take locks, or (transitively) perform I/O; accumulate via \
-             returned values, merge in input order"
+            "flags closures handed to run_jobs/par_map_with/region/map_claimed that \
+             write captured bindings, take locks, or (transitively) perform I/O; \
+             accumulate via returned values, merge in input order"
         }
         TRANSITIVE_PANIC => {
             "flags library calls whose every resolution can panic (unwrap/expect/panic! \
@@ -844,7 +844,7 @@ fn node_count_key(end_toks: &[&Token], node_idents: &BTreeSet<String>) -> Option
 // ---------------------------------------------------------------------------
 
 /// The `tc_graph::par` entry points whose closures the rule inspects.
-const SCHEDULER_FNS: [&str; 2] = ["run_jobs", "par_map_with"];
+const SCHEDULER_FNS: [&str; 4] = ["run_jobs", "par_map_with", "region", "map_claimed"];
 
 /// Macros that perform I/O when expanded (fmt-`write!` into a `Formatter`
 /// is deliberately excluded).

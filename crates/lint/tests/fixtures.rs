@@ -141,6 +141,16 @@ fn good_scheduler() {
 }
 
 #[test]
+fn bad_region() {
+    run_fixture("bad_region");
+}
+
+#[test]
+fn good_region() {
+    run_fixture("good_region");
+}
+
+#[test]
 fn bad_transitive() {
     run_fixture("bad_transitive");
 }

@@ -1,0 +1,20 @@
+//@path: crates/bench/src/fake_region_ok.rs
+//! A disciplined region: per-worker scratch, per-item returns, the
+//! caller's merged result reported after the region.
+
+use tc_graph::par::{region, ClaimQueue};
+
+pub fn quiet_region(items: &[f64]) -> f64 {
+    let mut scratch: Vec<Vec<f64>> = vec![Vec::new(); 2];
+    let queue = ClaimQueue::new();
+    let per_item = region(&mut scratch, |worker, buffer| {
+        worker.map_claimed(&queue, items.len(), |i| {
+            buffer.clear();
+            buffer.extend([items[i], items[i]]);
+            buffer.iter().sum::<f64>()
+        })
+    });
+    let total: f64 = per_item.iter().sum();
+    println!("total {total}");
+    total
+}
