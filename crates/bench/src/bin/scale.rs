@@ -19,9 +19,6 @@
 //!               "stretch_target",        // t = 1 + ε, verified against
 //!               "max_stretch", "disconnected_pairs", "weight_ratio",
 //!               "verify_seconds",
-//!               "discarded_cover_sweeps", // speculative level-rebuild
-//!                                         // sweeps discarded (0 on one
-//!                                         // worker)
 //!               "phases": {             // parallel arrays, one entry per
 //!                 "bin": [...],         // non-empty bin ≥ 1 phase
 //!                 "seconds": [...],     // whole-phase wall clock
@@ -151,7 +148,6 @@ struct ScaleRun {
     disconnected_pairs: usize,
     weight_ratio: f64,
     verify_seconds: f64,
-    discarded_cover_sweeps: usize,
     phases: PhaseBreakdown,
     peak_rss_kb: Option<u64>,
     ubg_edge_hash: String,
@@ -309,7 +305,6 @@ fn run_one(n: usize) -> ScaleRun {
         disconnected_pairs: report.disconnected_pairs,
         weight_ratio: report.weight_ratio,
         verify_seconds,
-        discarded_cover_sweeps: timings.iter().map(|p| p.discarded_cover_sweeps).sum(),
         phases: PhaseBreakdown::from_timings(&timings),
         peak_rss_kb: sequential_peak_rss_kb,
         ubg_edge_hash: edge_hash(ubg.graph()),

@@ -308,10 +308,10 @@ impl PhaseRules for DistributedRules {
         spanner: &WeightedGraph,
         radius: f64,
         _previous: &[NodeId],
-    ) -> Option<ClusterCover> {
+    ) -> ClusterCover {
         let (cover, stats) = mis_cover(spanner, radius, self.protocol);
         self.cover_mis = Some(stats);
-        Some(cover)
+        cover
     }
 
     fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
@@ -441,15 +441,15 @@ mod tests {
             spanner: &WeightedGraph,
             radius: f64,
             previous: &[NodeId],
-        ) -> Option<ClusterCover> {
-            let cover = self.inner.level_cover(spanner, radius, previous)?;
+        ) -> ClusterCover {
+            let cover = self.inner.level_cover(spanner, radius, previous);
             assert!(
                 cover.is_valid_cover(spanner),
                 "the MIS cover at radius {radius} is not a valid cover"
             );
             assert_eq!(cover.radius(), radius);
             self.rebuilt = true;
-            Some(cover)
+            cover
         }
 
         fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {

@@ -8,59 +8,8 @@
 //! relaxed greedy algorithm computes a cover of the partial spanner
 //! `G'_{i-1}` with radius `δ·W_{i-1}`.
 
-use std::sync::{PoisonError, RwLock};
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::par::{self, ClaimQueue, Worker};
 use tc_graph::{Contraction, NodeId, WeightedGraph};
-
-/// Ball members a speculative batch of a parallel level rebuild aims to
-/// sweep: after each batch the next one takes as many candidates as the
-/// batch's mean ball size fits, so the early levels (mostly singleton
-/// balls) pay one step per thousands of candidates while the late levels
-/// (large balls, where a large batch would sweep many candidates an
-/// earlier ball of the batch claims) keep their batches small.
-const BATCH_MEMBERS: usize = 16_384;
-
-/// The largest speculative batch.
-const MAX_BATCH: usize = 4096;
-
-/// Centres the caller of a parallel level rebuild sweeps alone before it
-/// looks at the ball sizes again.
-const SEQUENTIAL_RUN: usize = 256;
-
-/// How a parallel level rebuild speculates (see
-/// [`ClusterCover::greedy_in`]); the output never depends on it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Speculation {
-    /// The fewest candidates of a speculative batch.
-    pub min_batch: usize,
-    /// The mean ball size, in nodes, below which the caller sweeps alone;
-    /// 0 speculates from the first candidate.
-    pub min_ball: usize,
-}
-
-impl Speculation {
-    /// The phase engine's setting: batches of at least 64 candidates,
-    /// and speculation once the balls average 8 nodes.
-    pub(crate) const PHASE: Self = Self {
-        min_batch: 64,
-        min_ball: 8,
-    };
-}
-
-/// The members of `source`'s `radius` ball and their distances, in the
-/// sweep's visit order.
-fn ball(
-    scratch: &mut BucketScratch,
-    graph: &WeightedGraph,
-    source: NodeId,
-    radius: f64,
-    config: &BucketConfig,
-) -> Vec<(NodeId, f64)> {
-    let mut members = Vec::new();
-    scratch.for_each_within(graph, source, radius, config, |v, d| members.push((v, d)));
-    members
-}
 
 /// A cluster cover with a unique cluster assignment per node.
 ///
@@ -105,180 +54,42 @@ impl ClusterCover {
     /// the claiming sweeps still run on the real graph — coverage radii
     /// and centre separation are exact, never quotient approximations.
     ///
-    /// This is the one-worker form of the phase engine's level rebuild,
-    /// which sweeps batches of candidates in parallel and reproduces this
-    /// cover exactly (see [`ClusterCover::greedy_in`]).
-    ///
     /// # Panics
     ///
     /// Panics if `radius < 0` or a priority node is out of range.
     pub fn greedy_with_candidates(graph: &WeightedGraph, radius: f64, priority: &[NodeId]) -> Self {
-        let mut scratch = [BucketScratch::new()];
-        let queue = ClaimQueue::new();
-        let batch = RwLock::new(Vec::new());
-        par::region(&mut scratch, |w, scratch| {
-            Self::greedy_in(
-                w,
-                scratch,
-                &queue,
-                &batch,
-                graph,
-                radius,
-                priority,
-                Speculation::PHASE,
-            )
-        })
-        .map(|(cover, _)| cover)
-        .unwrap_or_else(|| Self::empty(radius))
-    }
-
-    /// The greedy cover of [`ClusterCover::greedy_with_candidates`] on
-    /// every worker of a region. Returns the cover and the number of
-    /// discarded speculative sweeps on the caller, `None` elsewhere.
-    ///
-    /// One worker runs the sequential loop. With several, the caller runs
-    /// it too while the balls stay smaller than `spec.min_ball` nodes on
-    /// average (a tiny ball costs less to sweep than to hand out), and
-    /// speculates otherwise: it takes the next still-unclaimed candidates
-    /// (in candidate order; at least `spec.min_batch`, more while the
-    /// balls stay small) and publishes them in `slot`, every worker sweeps
-    /// the radius ball of the candidates it claims from `queue`, and the
-    /// caller applies the balls in candidate order. A candidate that an
-    /// earlier ball of its batch claimed is no centre, and its ball is
-    /// discarded; every other ball claims exactly the still-uncovered
-    /// nodes the sequential sweep from it would claim, with the same
-    /// distances, so the cover is the sequential one centre for centre
-    /// and bit for bit, for any batch size and worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius < 0`, a priority node is out of range or
-    /// `spec.min_batch` is 0.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn greedy_in(
-        w: &Worker<'_>,
-        scratch: &mut BucketScratch,
-        queue: &ClaimQueue<Vec<(NodeId, f64)>>,
-        slot: &RwLock<Vec<NodeId>>,
-        graph: &WeightedGraph,
-        radius: f64,
-        priority: &[NodeId],
-        spec: Speculation,
-    ) -> Option<(Self, usize)> {
         assert!(radius >= 0.0, "the cluster radius must be non-negative");
-        assert!(
-            spec.min_batch > 0,
-            "a speculative batch holds at least one candidate"
-        );
         let n = graph.node_count();
-        // One bucket config for the whole construction: the per-centre
-        // searches are radius-bounded visitor sweeps, so each one costs
-        // O(nodes actually reached) — never O(n) — which is what keeps
-        // the cover construction near-linear at 10^6 nodes.
+        let mut centers = Vec::new();
+        let mut cluster_of = vec![usize::MAX; n];
+        let mut dist_to_center = vec![f64::INFINITY; n];
+        // One bucket config and scratch for the whole construction: the
+        // per-centre searches are radius-bounded visitor sweeps, so each
+        // one costs O(nodes actually reached) — never O(n) — which is what
+        // keeps the cover construction near-linear at 10^6 nodes.
         let config = BucketConfig::for_graph(graph);
-        if !w.is_caller() {
-            loop {
-                w.barrier();
-                let batch = slot.read().unwrap_or_else(PoisonError::into_inner);
-                if batch.is_empty() {
-                    return None;
-                }
-                let _ = w.map_claimed(queue, batch.len(), |k| {
-                    ball(scratch, graph, batch[k], radius, &config)
-                });
+        let mut scratch = BucketScratch::new();
+        for u in priority.iter().copied().chain(0..n) {
+            assert!(u < n, "priority node {u} is out of range");
+            if cluster_of[u] != usize::MAX {
+                continue;
             }
+            let cluster_index = centers.len();
+            centers.push(u);
+            // A node is claimed at most once per sweep, so the (unspecified)
+            // visit order cannot change the resulting assignment.
+            scratch.for_each_within(graph, u, radius, &config, |v, d| {
+                if cluster_of[v] == usize::MAX {
+                    cluster_of[v] = cluster_index;
+                    dist_to_center[v] = d;
+                }
+            });
         }
-        let mut cover = Self::empty(radius);
-        cover.cluster_of = vec![usize::MAX; n];
-        cover.dist_to_center = vec![f64::INFINITY; n];
-        let mut discarded = 0;
-        let mut pending = priority.iter().copied().chain(0..n).peekable();
-        let mut speculate = w.count() > 1 && spec.min_ball == 0;
-        let mut batch_len = spec.min_batch;
-        while pending.peek().is_some() {
-            let (swept, members) = if speculate {
-                {
-                    let mut next = slot.write().unwrap_or_else(PoisonError::into_inner);
-                    next.clear();
-                    for u in pending.by_ref() {
-                        assert!(u < n, "priority node {u} is out of range");
-                        if cover.cluster_of[u] == usize::MAX {
-                            next.push(u);
-                            if next.len() == batch_len {
-                                break;
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        break;
-                    }
-                }
-                w.barrier();
-                let batch = slot.read().unwrap_or_else(PoisonError::into_inner);
-                let balls = w.map_claimed(queue, batch.len(), |k| {
-                    ball(scratch, graph, batch[k], radius, &config)
-                });
-                let swept = balls.len();
-                let members: usize = balls.iter().map(Vec::len).sum();
-                for (&u, ball) in batch.iter().zip(balls) {
-                    if cover.cluster_of[u] != usize::MAX {
-                        discarded += 1;
-                        continue;
-                    }
-                    let cluster_index = cover.centers.len();
-                    cover.centers.push(u);
-                    for (v, d) in ball {
-                        cover.claim(v, cluster_index, d);
-                    }
-                }
-                (swept, members)
-            } else {
-                let (mut swept, mut members) = (0, 0);
-                while w.count() == 1 || swept < SEQUENTIAL_RUN {
-                    let Some(u) = pending.next() else { break };
-                    assert!(u < n, "priority node {u} is out of range");
-                    if cover.cluster_of[u] != usize::MAX {
-                        continue;
-                    }
-                    let cluster_index = cover.centers.len();
-                    cover.centers.push(u);
-                    // A node is claimed at most once per sweep, so the
-                    // (unspecified) visit order cannot change the
-                    // assignment.
-                    scratch.for_each_within(graph, u, radius, &config, |v, d| {
-                        members += 1;
-                        cover.claim(v, cluster_index, d);
-                    });
-                    swept += 1;
-                }
-                (swept, members)
-            };
-            speculate = w.count() > 1 && members >= spec.min_ball * swept;
-            batch_len = (BATCH_MEMBERS * swept / members.max(1))
-                .clamp(spec.min_batch, MAX_BATCH.max(spec.min_batch));
-        }
-        // The empty batch releases the other workers.
-        slot.write().unwrap_or_else(PoisonError::into_inner).clear();
-        w.barrier();
-        Some((cover, discarded))
-    }
-
-    /// A cover without nodes.
-    fn empty(radius: f64) -> Self {
         Self {
             radius,
-            centers: Vec::new(),
-            cluster_of: Vec::new(),
-            dist_to_center: Vec::new(),
-        }
-    }
-
-    /// Assigns `v` to cluster `cluster_index` at distance `d` unless an
-    /// earlier centre claimed it.
-    fn claim(&mut self, v: NodeId, cluster_index: usize, d: f64) {
-        if self.cluster_of[v] == usize::MAX {
-            self.cluster_of[v] = cluster_index;
-            self.dist_to_center[v] = d;
+            centers,
+            cluster_of,
+            dist_to_center,
         }
     }
 
@@ -531,74 +342,6 @@ mod tests {
     fn negative_radius_rejected() {
         let g = path_graph(3, 1.0);
         let _ = ClusterCover::greedy(&g, -1.0);
-    }
-
-    /// The cover `greedy_in` builds on `workers` workers.
-    fn speculative_cover(
-        g: &WeightedGraph,
-        radius: f64,
-        priority: &[NodeId],
-        workers: usize,
-        spec: Speculation,
-    ) -> (ClusterCover, usize) {
-        let mut scratch: Vec<BucketScratch> = (0..workers).map(|_| BucketScratch::new()).collect();
-        let queue = ClaimQueue::new();
-        let slot = RwLock::new(Vec::new());
-        par::region(&mut scratch, |w, scratch| {
-            ClusterCover::greedy_in(w, scratch, &queue, &slot, g, radius, priority, spec)
-        })
-        .expect("the caller returns the cover")
-    }
-
-    fn cover_bits(cover: &ClusterCover) -> (Vec<NodeId>, Vec<usize>, Vec<u64>) {
-        (
-            cover.centers.clone(),
-            cover.cluster_of.clone(),
-            cover.dist_to_center.iter().map(|d| d.to_bits()).collect(),
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        /// The speculative cover equals the sequential greedy cover centre
-        /// for centre and bit for bit, at batch sizes 1, 3 and 64, with
-        /// and without a priority list (holding duplicates and nodes the
-        /// tail repeats), speculating from the first candidate or only
-        /// once the balls grow.
-        #[test]
-        fn speculative_cover_equals_the_sequential_greedy_cover(
-            seed in 0u64..500,
-            n in 1usize..60,
-            p in 0.05f64..0.4,
-            radius in 0.0f64..1.5,
-            with_priority in 0u8..2,
-        ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut g = WeightedGraph::new(n);
-            for u in 0..n {
-                for v in (u + 1)..n {
-                    if rng.gen_bool(p) {
-                        g.add_edge(u, v, rng.gen_range(0.0..1.0));
-                    }
-                }
-            }
-            let priority: Vec<NodeId> = if with_priority == 1 {
-                (0..n / 2).map(|_| rng.gen_range(0..n)).collect()
-            } else {
-                Vec::new()
-            };
-            let expected = cover_bits(&ClusterCover::greedy_with_candidates(&g, radius, &priority));
-            for min_batch in [1, 3, 64] {
-                for min_ball in [0, 8] {
-                    let spec = Speculation { min_batch, min_ball };
-                    for workers in [2, 3] {
-                        let (cover, discarded) = speculative_cover(&g, radius, &priority, workers, spec);
-                        prop_assert_eq!(&cover_bits(&cover), &expected);
-                        prop_assert!(discarded <= n + priority.len());
-                    }
-                }
-            }
-        }
     }
 
     proptest! {

@@ -53,12 +53,12 @@
 //! date as it absorbs edges, so a phase starts its searches in O(1)
 //! instead of copying or rescanning the whole quotient.
 
-use super::cover::{ClusterCover, Speculation};
+use super::cover::ClusterCover;
 use super::query::{select_in, QuerySelection, SelectionSlots};
 use super::redundant::{analyze_in, RedundancyAnalysis, RedundancySlots};
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use std::sync::{OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
@@ -73,9 +73,8 @@ use tc_graph::{dijkstra, Contraction, Edge, GraphView, NodeId, WeightedGraph};
 /// per-phase-rebuild baseline.
 const LEVEL_GROWTH: f64 = 2.0;
 
-/// Work items below which a phase runs inline on the calling thread: its
-/// bin edges, plus the spanner's nodes when the phase rebuilds its level.
-/// A phase this small costs about as much as spawning a worker for it
+/// Bin edges below which a phase runs inline on the calling thread. A
+/// phase this small costs about as much as spawning a worker for it
 /// (tens of microseconds), and its selection fits in two
 /// 1 024-edge chunks anyway. Fixed, so it is not a tuning knob: outputs
 /// never depend on it, only where the time goes.
@@ -127,19 +126,14 @@ pub(crate) struct PhaseWork {
     pub conflicts: Option<RedundancyAnalysis>,
     /// Wall-clock seconds of steps (i)–(v) (step (v): the analysis).
     pub seconds: [f64; 5],
-    /// Speculative cover sweeps the level rebuild discarded.
-    pub discarded_sweeps: usize,
 }
 
 /// The values the steps of one phase's region hand each other, declared
 /// before the region (see [`tc_graph::par`]).
 #[derive(Default)]
 struct PhaseSlots {
-    level: OnceLock<Level>,
     selection: OnceLock<QuerySelection>,
     added: OnceLock<Vec<Edge>>,
-    batch: RwLock<Vec<NodeId>>,
-    balls: ClaimQueue<Vec<(NodeId, f64)>>,
     selection_steps: SelectionSlots,
     verdicts: ClaimQueue<bool>,
     redundancy: RedundancySlots,
@@ -194,24 +188,29 @@ impl PhaseEngine {
         }
     }
 
-    /// Installs `cover`, built at `radius` over `spanner`, as the level.
-    fn install(&mut self, spanner: &WeightedGraph, radius: f64, cover: ClusterCover) {
-        self.level = Some(Level::new(cover, spanner));
-        self.level_radius = radius;
-        self.rebuilds += 1;
-    }
-
-    /// Rebuilds the level with the greedy cover if `radius` outgrew it
-    /// (the phase loop does this inside a phase's region); returns whether
-    /// a rebuild happened.
-    #[cfg(test)]
-    pub fn prepare(&mut self, spanner: &WeightedGraph, radius: f64) -> bool {
+    /// Step (i): ensures the engine holds a cover usable for a phase of
+    /// radius `radius` over the current `spanner`, rebuilding the level
+    /// if the radius outgrew it. Returns whether a rebuild happened.
+    ///
+    /// Only a rebuild calls `build_cover(spanner, radius, previous)`, with
+    /// `previous` the previous level's centres (ascending id); the previous
+    /// level is freed before the call. Any cover whose centres are more
+    /// than `radius` apart and which reaches every node within `radius`
+    /// serves the level.
+    pub fn prepare(
+        &mut self,
+        spanner: &WeightedGraph,
+        radius: f64,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
+    ) -> bool {
         if !self.needs_rebuild(radius) {
             return false;
         }
         let previous = self.retire_level();
-        let cover = ClusterCover::greedy_with_candidates(spanner, radius, &previous);
-        self.install(spanner, radius, cover);
+        let cover = build_cover(spanner, radius, &previous);
+        self.level = Some(Level::new(cover, spanner));
+        self.level_radius = radius;
+        self.rebuilds += 1;
         true
     }
 
@@ -227,18 +226,13 @@ impl PhaseEngine {
     }
 
     /// The current contraction (quotient graph over the level's clusters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no level was built yet.
+    #[cfg(test)]
     pub fn contraction(&self) -> &Contraction {
-        // Documented API contract (see `# Panics` above): the phase loop
-        // builds a level first.
         &self
             .level
             .as_ref()
-            // tc-lint: allow(panic-hygiene)
-            .expect("a phase builds the level first")
+            // Test helper. tc-lint: allow(panic-hygiene)
+            .expect("prepare() establishes a level")
             .contraction
     }
 
@@ -248,74 +242,50 @@ impl PhaseEngine {
         self.rebuilds
     }
 
-    /// Runs steps (i)–(iv) and the analysis of step (v) of one phase in
-    /// one parallel region: the calling thread and the engine's other
-    /// workers (spawned once for the phase, each searching with its own
-    /// scratch) share the level rebuild's speculative sweeps, the bin's
-    /// edge classification, the queries, the redundancy balls and the
+    /// Runs steps (i)–(iv) and the analysis of step (v) of one phase.
+    /// Step (i), the level rebuild when the phase's radius outgrew the
+    /// level (see [`PhaseEngine::prepare`]), runs on the caller;
+    /// the other steps run in one parallel region: the calling thread and
+    /// the engine's other workers (spawned once for the phase, each
+    /// searching with its own scratch) share the bin's edge
+    /// classification, the queries, the redundancy balls and the
     /// candidate-pair tests, while the caller runs the sequential
-    /// reductions in between. A phase under [`PHASE_INLINE_ITEMS`] work
-    /// items runs inline on the caller.
+    /// reductions in between. A phase under [`PHASE_INLINE_ITEMS`] bin
+    /// edges runs inline on the caller.
     ///
-    /// When the phase's radius outgrew the level, `custom_cover` is asked
-    /// for the new cover first (with the previous level's centres); if it
-    /// declines, the region builds the greedy cover, offering the previous
-    /// centres centre-hood first. The spanner, the level and the quotient
-    /// are only read, so every query sees the same frozen `H_{i-1}` (lazy
-    /// updating); the phase loop applies the outcome afterwards.
+    /// The spanner, the level and the quotient are only read, so every
+    /// query sees the same frozen `H_{i-1}` (lazy updating); the phase
+    /// loop applies the outcome afterwards.
     pub fn run_phase<P: PointAccess + Sync + ?Sized>(
         &mut self,
         input: &PhaseInput<'_, P>,
-        custom_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> Option<ClusterCover>,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
     ) -> PhaseWork {
         let start = Instant::now();
-        let mut greedy_from: Option<Vec<NodeId>> = None;
-        if self.needs_rebuild(input.radius) {
-            let previous = self.retire_level();
-            match custom_cover(input.spanner, input.radius, &previous) {
-                Some(cover) => self.install(input.spanner, input.radius, cover),
-                None => greedy_from = Some(previous),
-            }
-        }
-        let rebuild_items = if greedy_from.is_some() {
-            input.spanner.node_count()
-        } else {
-            0
-        };
-        let workers = if input.bin_edges.len() + rebuild_items < PHASE_INLINE_ITEMS {
+        self.prepare(input.spanner, input.radius, build_cover);
+        let cover_seconds = start.elapsed().as_secs_f64();
+        let workers = if input.bin_edges.len() < PHASE_INLINE_ITEMS {
             1
         } else {
             self.scratch.len()
         };
         let slots = PhaseSlots::default();
-        let current = self.level.as_ref();
+        // prepare() always leaves a level. tc-lint: allow(panic-hygiene)
+        let level = self.level.as_ref().expect("step (i) builds the level");
         let program = |w: &Worker<'_>, scratch: &mut BucketScratch| {
-            phase_program(
-                w,
-                scratch,
-                input,
-                current,
-                greedy_from.as_deref(),
-                &slots,
-                start,
-            )
+            phase_program(w, scratch, input, level, &slots)
         };
         let caller = par::region(&mut self.scratch[..workers], program);
-        if let Some(level) = slots.level.into_inner() {
-            self.level = Some(level);
-            self.level_radius = input.radius;
-            self.rebuilds += 1;
-        }
         // The caller always returns its outcome; the fallback is never
         // taken.
-        let (seconds, discarded_sweeps, conflicts) = caller.unwrap_or_default();
+        let (mut seconds, conflicts) = caller.unwrap_or_default();
+        seconds[0] = cover_seconds;
         PhaseWork {
-            clusters: self.contraction().supernode_count(),
+            clusters: level.contraction.supernode_count(),
             selection: slots.selection.into_inner().unwrap_or_default(),
             added: slots.added.into_inner().unwrap_or_default(),
             conflicts,
             seconds,
-            discarded_sweeps,
         }
     }
 
@@ -324,7 +294,7 @@ impl PhaseEngine {
     /// contraction (they only ever removed same-phase additions, which are
     /// absorbed here and nowhere else).
     pub fn absorb_kept(&mut self, kept: impl IntoIterator<Item = Edge>) {
-        // Same level-first contract as contraction().
+        // A phase builds the level first.
         let contraction = &mut self
             .level
             .as_mut()
@@ -337,49 +307,24 @@ impl PhaseEngine {
     }
 }
 
-/// The caller's outcome of a phase region: step seconds, discarded cover
-/// sweeps and the redundancy analysis.
-type CallerOutcome = ([f64; 5], usize, Option<RedundancyAnalysis>);
+/// The caller's outcome of a phase region: step seconds (step (i), the
+/// rebuild before the region, left at 0) and the redundancy analysis.
+type CallerOutcome = ([f64; 5], Option<RedundancyAnalysis>);
 
-/// One worker's program for a phase (see [`PhaseEngine::run_phase`]).
-/// Every worker runs it; the caller's copy also runs the sequential
-/// reductions and publishes their results in `slots`, and alone returns
-/// `Some`.
+/// One worker's program for steps (ii)–(v) of a phase (see
+/// [`PhaseEngine::run_phase`]). Every worker runs it; the caller's copy
+/// also runs the sequential reductions and publishes their results in
+/// `slots`, and alone returns `Some`.
 fn phase_program<P: PointAccess + Sync + ?Sized>(
     w: &Worker<'_>,
     scratch: &mut BucketScratch,
     input: &PhaseInput<'_, P>,
-    current: Option<&Level>,
-    greedy_from: Option<&[NodeId]>,
+    level: &Level,
     slots: &PhaseSlots,
-    start: Instant,
 ) -> Option<CallerOutcome> {
     let mut seconds = [0.0; 5];
-    let mut discarded_sweeps = 0;
-
-    // Step (i): the greedy level rebuild, when the phase needs one.
-    if let Some(previous) = greedy_from {
-        let cover = ClusterCover::greedy_in(
-            w,
-            scratch,
-            &slots.balls,
-            &slots.batch,
-            input.spanner,
-            input.radius,
-            previous,
-            Speculation::PHASE,
-        );
-        w.serial(|| {
-            if let Some((cover, discarded)) = cover {
-                discarded_sweeps = discarded;
-                let _ = slots.level.set(Level::new(cover, input.spanner));
-            }
-        });
-    }
-    let level = slots.level.get().or(current)?;
     let contraction = &level.contraction;
     let mut lap = Instant::now();
-    seconds[0] = (lap - start).as_secs_f64();
     let mut split = |step: usize| {
         let now = Instant::now();
         seconds[step] = (now - lap).as_secs_f64();
@@ -453,8 +398,7 @@ fn phase_program<P: PointAccess + Sync + ?Sized>(
         None
     };
     split(4);
-    w.is_caller()
-        .then_some((seconds, discarded_sweeps, conflicts))
+    w.is_caller().then_some((seconds, conflicts))
 }
 
 /// Step (iv) for one query edge: `true` when `sp_H(u, v) > t·w(u, v)` on
@@ -532,7 +476,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
         let mut engine = PhaseEngine::new(1);
-        assert!(engine.prepare(&g, 0.3));
+        assert!(engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
         let oracle = ClusterCover::greedy(&g, 0.3);
         assert_eq!(engine.cover().centers(), oracle.centers());
         for v in 0..30 {
@@ -546,11 +490,15 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
         let mut engine = PhaseEngine::new(1);
-        assert!(engine.prepare(&g, 0.2));
-        assert!(!engine.prepare(&g, 0.3));
-        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH));
+        assert!(engine.prepare(&g, 0.2, ClusterCover::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, ClusterCover::greedy_with_candidates));
         assert_eq!(engine.rebuilds(), 1);
-        assert!(engine.prepare(&g, 0.2 * LEVEL_GROWTH + 1e-9));
+        assert!(engine.prepare(
+            &g,
+            0.2 * LEVEL_GROWTH + 1e-9,
+            ClusterCover::greedy_with_candidates
+        ));
         assert_eq!(engine.rebuilds(), 2);
     }
 
@@ -562,7 +510,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
         let mut engine = PhaseEngine::new(1);
-        engine.prepare(&g, 0.25);
+        engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
         let cover = engine.cover().clone();
         // Edges heavier than twice the radius keep the cover frozen-valid.
         let extra: Vec<Edge> = (0..8)
@@ -612,7 +560,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
             let mut engine = PhaseEngine::new(1);
-            engine.prepare(&g, 0.25);
+            engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
             let mut kept = Vec::new();
             for _ in 0..extra {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -701,7 +649,7 @@ mod tests {
                 // Phase radius from the heaviest edge already *in* the
                 // spanner — the next chunk's edges are all heavier.
                 let radius = delta * w_prev;
-                engine.prepare(&spanner, radius);
+                engine.prepare(&spanner, radius, ClusterCover::greedy_with_candidates);
                 prop_assert!(
                     engine.cover().is_valid_cover(&spanner),
                     "cover invalid at radius {radius} with {} spanner edges",
@@ -716,7 +664,7 @@ mod tests {
                 processed = next;
             }
             // Final check after all additions.
-            engine.prepare(&spanner, delta * w_prev);
+            engine.prepare(&spanner, delta * w_prev, ClusterCover::greedy_with_candidates);
             prop_assert!(engine.cover().is_valid_cover(&spanner));
         }
     }

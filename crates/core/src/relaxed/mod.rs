@@ -27,9 +27,8 @@
 //! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
 //! per-phase cost then tracks the work of the phase's queries instead of
 //! `n` — see `docs/PERFORMANCE.md`, "Phase engine". Because nothing a
-//! phase reads changes until the phase is applied, each phase's level
-//! rebuild, selection, queries and redundancy sweeps run in one parallel
-//! region (`tc_graph::par::region`) on every worker, with per-worker
+//! phase reads changes until the phase is applied, each phase's
+//! selection, queries and redundancy sweeps run in one parallel region (`tc_graph::par::region`) on every worker, with per-worker
 //! scratch the engine keeps across phases, and every merge in item order
 //! — the spanner is the same bit for bit at any `TC_THREADS`.
 //! No construction builds `H` itself: the per-phase-rescan pipeline that
@@ -59,8 +58,7 @@ pub use bins::BinPartition;
 pub use cover::ClusterCover;
 pub use query::{is_covered, select_query_edges, QuerySelection};
 pub use redundant::{
-    analyze_redundancy_contracted, contracted_redundant_removals, removals_from_mis,
-    RedundancyAnalysis,
+    analyze_redundancy_contracted, redundant_removals, removals_from_mis, RedundancyAnalysis,
 };
 
 use crate::ablation::AblationConfig;
@@ -129,11 +127,6 @@ pub struct PhaseTiming {
     pub query_seconds: f64,
     /// Step (v): redundant-edge analysis and removal (0 for phase 0).
     pub redundant_seconds: f64,
-    /// Speculative sweeps a parallel level rebuild discarded because an
-    /// earlier ball of their batch claimed the candidate (0 without a
-    /// rebuild and on one worker). Depends on the worker count, so it is
-    /// reported here, beside the deterministic [`PhaseStats`].
-    pub discarded_cover_sweeps: usize,
 }
 
 impl PhaseTiming {
@@ -147,7 +140,6 @@ impl PhaseTiming {
             h_build_seconds: 0.0,
             query_seconds: 0.0,
             redundant_seconds: 0.0,
-            discarded_cover_sweeps: 0,
         }
     }
 }
@@ -215,18 +207,11 @@ pub(crate) trait PhaseRules {
         AblationConfig::full()
     }
 
-    /// Step (i) at a level rebuild (see `PhaseEngine::run_phase`), given
-    /// the previous level's centres `prev`. `None`, the default, leaves it
-    /// to the engine: the greedy cover offering `prev` centre-hood first,
-    /// so new clusters are unions of old ones wherever the radii allow,
-    /// built on all of the phase's workers.
-    fn level_cover(
-        &mut self,
-        _graph: &WeightedGraph,
-        _radius: f64,
-        _prev: &[NodeId],
-    ) -> Option<ClusterCover> {
-        None
+    /// Step (i) at a level rebuild (see `PhaseEngine::prepare`): greedy,
+    /// offering the previous level's centres `prev` centre-hood first, so
+    /// new clusters are unions of old ones wherever the radii allow.
+    fn level_cover(&mut self, graph: &WeightedGraph, radius: f64, prev: &[NodeId]) -> ClusterCover {
+        ClusterCover::greedy_with_candidates(graph, radius, prev)
     }
 
     /// Step (v): a maximal independent set of a non-trivial conflict
@@ -460,8 +445,8 @@ impl RelaxedGreedy {
 
     /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
     /// cluster graph, query answering, redundant-edge removal. Steps
-    /// (i)–(iv) and the redundancy analysis run in one parallel region of
-    /// the hierarchical [`PhaseEngine`] (frozen level covers, an
+    /// (i)–(iv) and the redundancy analysis run in the hierarchical
+    /// [`PhaseEngine`], all but the level rebuild in one parallel region (frozen level covers, an
     /// incremental contraction queried in place); the conflict MIS comes
     /// from `rules`, and the outcome is applied to the spanner and the
     /// quotient afterwards. The steps each of `mechanisms` switches off
@@ -489,15 +474,13 @@ impl RelaxedGreedy {
             radius: self.params.delta * w_prev,
         };
         // Step (i): the engine's frozen level when the radius still fits,
-        // otherwise a new level from the rules' cover (or, by default,
-        // the greedy cover built inside the phase's region).
+        // otherwise a new level from the rules' cover.
         let work = engine.run_phase(&input, |g, r, previous| rules.level_cover(g, r, previous));
         let [cover, selection, h_build, query, analysis] = work.seconds;
         timing.cover_seconds = cover;
         timing.selection_seconds = selection;
         timing.h_build_seconds = h_build;
         timing.query_seconds = query;
-        timing.discarded_cover_sweeps = work.discarded_sweeps;
 
         // Step (iv)'s additions, then step (v): remove mutually redundant
         // edges, then fold the kept additions into the quotient so the
@@ -510,11 +493,8 @@ impl RelaxedGreedy {
             spanner.add(*e);
         }
         let removals = match &work.conflicts {
-            Some(analysis) if !analysis.is_trivial() => {
-                let chosen = rules.conflict_mis(&analysis.conflict_graph);
-                removals_from_mis(analysis, &chosen)
-            }
-            _ => Vec::new(),
+            Some(analysis) => redundant_removals(analysis, |j| rules.conflict_mis(j)),
+            None => Vec::new(),
         };
         let mut keep = vec![true; added.len()];
         for &idx in &removals {

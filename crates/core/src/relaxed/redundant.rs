@@ -412,36 +412,26 @@ pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec
 
 /// Step (v) on the full cluster graph `h`: analyses redundancy, computes a
 /// greedy MIS of the conflict graph, and returns the indices of the edges
-/// to remove — the oracle of [`contracted_redundant_removals`].
+/// to remove — the oracle of the phase engine's step (v).
 #[cfg(test)]
 pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<usize> {
-    let analysis = analyze_redundancy(added, h, t1);
-    if analysis.is_trivial() {
-        return Vec::new();
-    }
-    let chosen = tc_graph::mis::greedy_mis(&analysis.conflict_graph);
-    removals_from_mis(&analysis, &chosen)
+    redundant_removals(&analyze_redundancy(added, h, t1), tc_graph::mis::greedy_mis)
 }
 
-/// The hierarchical phase engine's step (v): analyses redundancy on the
-/// phase's quotient instead of a materialised `H`, lets `choose_mis` pick
-/// a maximal independent set of the conflict graph (greedy in the
-/// sequential algorithm, a message-passing protocol in the distributed
-/// one), and returns the indices of the edges to remove.
-pub fn contracted_redundant_removals<G: GraphView + Sync>(
-    added: &[Edge],
-    contraction: &Contraction,
-    quotient: &G,
-    config: &BucketConfig,
-    t1: f64,
+/// Step (v)'s removal rule: lets `choose_mis` pick a maximal independent
+/// set of `analysis`'s conflict graph (greedy in the sequential algorithm,
+/// a message-passing protocol in the distributed one) and returns the
+/// indices of the edges to remove. A trivial analysis removes nothing and
+/// asks for no MIS.
+pub fn redundant_removals(
+    analysis: &RedundancyAnalysis,
     choose_mis: impl FnOnce(&WeightedGraph) -> Vec<NodeId>,
 ) -> Vec<usize> {
-    let analysis = analyze_redundancy_contracted(added, contraction, quotient, config, t1);
     if analysis.is_trivial() {
         return Vec::new();
     }
     let chosen = choose_mis(&analysis.conflict_graph);
-    removals_from_mis(&analysis, &chosen)
+    removals_from_mis(analysis, &chosen)
 }
 
 #[cfg(test)]
@@ -571,7 +561,7 @@ mod tests {
         );
         assert_eq!(
             sequential_redundant_removals(added, h, t1),
-            contracted_redundant_removals(added, &c, c.quotient(), &config, t1, mis::greedy_mis)
+            redundant_removals(&contracted, mis::greedy_mis)
         );
     }
 

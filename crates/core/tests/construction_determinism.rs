@@ -90,8 +90,7 @@ fn construction_is_bitwise_identical_across_thread_counts() {
 }
 
 /// A 3D grey-zone deployment large enough that the phase loop takes the
-/// parallel path: every level rebuild and the larger bins exceed the
-/// engine's inline cutoff.
+/// parallel path: its larger bins exceed the engine's inline cutoff.
 fn construct_grey_3d(seed: u64, n: usize) -> Fingerprint {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let side = generators::side_for_target_degree(n, 3, 12.0);

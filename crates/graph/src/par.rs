@@ -47,16 +47,9 @@ use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Name of the environment variable that pins the worker-thread count.
 pub const THREADS_ENV: &str = "TC_THREADS";
-
-/// How long a worker that reached a barrier early spins before it blocks.
-/// Phase steps are often shorter than a futex wake-up, so a short spin
-/// keeps the step boundaries cheap; after it the worker sleeps on a
-/// condition variable and costs nothing while the caller works alone.
-const SPIN: Duration = Duration::from_micros(50);
 
 /// The most indices one claim of a [`Worker::map_claimed`] step takes.
 const MAX_GRAIN: usize = 64;
@@ -163,23 +156,9 @@ impl Team {
             self.wake.notify_all();
             return;
         }
-        drop(arrived);
-        let start = Instant::now();
-        let mut spins = 0u32;
-        loop {
-            if self.generation.load(Ordering::Acquire) != generation {
-                return;
-            }
-            if self.abandoned.load(Ordering::Acquire) {
-                Self::leave();
-            }
-            std::hint::spin_loop();
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) && start.elapsed() >= SPIN {
-                break;
-            }
-        }
-        let mut arrived = lock(&self.arrived);
+        // An early worker sleeps until the last one arrives, so it costs
+        // nothing while the caller works alone; spinning before the sleep
+        // measured no faster (docs/PERFORMANCE.md, "Threading").
         while self.generation.load(Ordering::Acquire) == generation
             && !self.abandoned.load(Ordering::Acquire)
         {
