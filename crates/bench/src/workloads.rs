@@ -73,12 +73,6 @@ impl Workload {
         self
     }
 
-    /// Overrides the deployment shape.
-    pub fn with_deployment(mut self, deployment: Deployment) -> Self {
-        self.deployment = deployment;
-        self
-    }
-
     /// Realises the workload as an α-UBG.
     pub fn build(&self) -> UnitBallGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
@@ -135,7 +129,11 @@ mod tests {
             Deployment::Clustered,
             Deployment::Corridor,
         ] {
-            let ubg = Workload::udg(3, 80).with_deployment(deployment).build();
+            let ubg = Workload {
+                deployment,
+                ..Workload::udg(3, 80)
+            }
+            .build();
             assert_eq!(ubg.len(), 80);
         }
         let ubg3d = Workload::udg(4, 80).with_dim(3).build();

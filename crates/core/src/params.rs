@@ -242,13 +242,6 @@ impl SpannerParams {
         }
         Ok(())
     }
-
-    /// Whether `r` also satisfies the Theorem 13 bound `r < (t_δ+1)/2`
-    /// (true for derived parameters, possibly false after
-    /// [`SpannerParams::with_bin_growth`]).
-    pub fn weight_bound_applies(&self) -> bool {
-        self.r < (self.t_delta() + 1.0) / 2.0
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +255,6 @@ mod tests {
             for &alpha in &[0.3, 0.5, 0.75, 1.0] {
                 let p = SpannerParams::for_epsilon(eps, alpha).unwrap();
                 assert!(p.validate().is_ok(), "eps={eps} alpha={alpha}");
-                assert!(p.weight_bound_applies(), "eps={eps} alpha={alpha}");
                 assert!(p.t_delta() > 1.0, "eps={eps} alpha={alpha}");
                 assert!(p.r > 1.0 && p.r < (p.t_delta() + 1.0) / 2.0);
                 assert!(p.theta > 0.0 && p.theta < std::f64::consts::FRAC_PI_4);
@@ -344,7 +336,8 @@ mod tests {
             .with_bin_growth(2.0);
         assert_eq!(p.r, 2.0);
         assert!(p.validate().is_ok());
-        assert!(!p.weight_bound_applies());
+        // The override leaves Theorem 13's bound `r < (t_δ+1)/2`.
+        assert!(p.r >= (p.t_delta() + 1.0) / 2.0);
     }
 
     #[test]
@@ -380,7 +373,7 @@ mod tests {
             let p = SpannerParams::for_epsilon(eps, alpha).unwrap();
             prop_assert!(p.validate().is_ok());
             prop_assert!(p.t_delta() > 1.0);
-            prop_assert!(p.weight_bound_applies());
+            prop_assert!(p.r < (p.t_delta() + 1.0) / 2.0);
         }
     }
 }

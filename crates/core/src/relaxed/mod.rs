@@ -184,12 +184,6 @@ pub struct SpannerResult {
 }
 
 impl SpannerResult {
-    /// Total number of edges added across all phases (after redundancy
-    /// removal).
-    pub fn edges_kept(&self) -> usize {
-        self.spanner.edge_count()
-    }
-
     /// Number of phases that actually processed edges.
     pub fn phase_count(&self) -> usize {
         self.phases.len()
@@ -659,7 +653,7 @@ mod tests {
             }
         }
         assert_eq!(total_bin_edges, ubg.graph().edge_count());
-        assert!(result.edges_kept() <= ubg.graph().edge_count());
+        assert!(result.spanner.edge_count() <= ubg.graph().edge_count());
     }
 
     #[test]

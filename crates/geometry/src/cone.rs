@@ -44,19 +44,6 @@ impl ConePartition2d {
         Self { cones }
     }
 
-    /// Smallest number of cones whose angular diameter is at most `theta`
-    /// radians. This mirrors the paper's requirement that any two points in
-    /// a cone subtend an angle at most `θ` at the apex.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `theta <= 0`.
-    pub fn with_max_angle(theta: f64) -> Self {
-        assert!(theta > 0.0, "the cone angle must be positive");
-        let cones = (TAU / theta).ceil() as usize;
-        Self::new(cones.max(1))
-    }
-
     /// Number of cones in the partition.
     pub fn cones(&self) -> usize {
         self.cones
@@ -89,28 +76,12 @@ impl ConePartition2d {
         let idx = (angle / self.angle()).floor() as usize;
         idx.min(self.cones - 1)
     }
-
-    /// Yao's upper bound on the number of cones of angular diameter `θ`
-    /// needed to cover the unit ball in `d` dimensions:
-    /// `O(d^{3/2} · sin^{-d}(θ/2) · log(d · sin^{-1}(θ/2)))`.
-    ///
-    /// The paper uses this count `T` in the proof of Theorem 11; we expose
-    /// it so the degree experiment can report the theoretical constant next
-    /// to the measured maximum degree.
-    pub fn yao_cone_bound(d: usize, theta: f64) -> f64 {
-        assert!(d >= 1, "dimension must be at least 1");
-        assert!(theta > 0.0, "the cone angle must be positive");
-        let s = (theta / 2.0).sin().max(f64::MIN_POSITIVE);
-        let inv = 1.0 / s;
-        (d as f64).powf(1.5) * inv.powi(d as i32) * (d as f64 * inv).ln().max(1.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::f64::consts::PI;
 
     #[test]
     fn four_cones_cover_the_axes() {
@@ -127,21 +98,6 @@ mod tests {
         let cones = ConePartition2d::new(6);
         let o = Point::new2(1.0, 1.0);
         assert_eq!(cones.cone_of(&o, &o), 0);
-    }
-
-    #[test]
-    fn with_max_angle_respects_bound() {
-        let cones = ConePartition2d::with_max_angle(PI / 4.0);
-        assert!(cones.cones() >= 8);
-        assert!(cones.angle() <= PI / 4.0 + 1e-12);
-    }
-
-    #[test]
-    fn yao_bound_grows_with_dimension() {
-        let t2 = ConePartition2d::yao_cone_bound(2, PI / 6.0);
-        let t3 = ConePartition2d::yao_cone_bound(3, PI / 6.0);
-        assert!(t3 > t2);
-        assert!(t2 > 0.0);
     }
 
     #[test]

@@ -1,15 +1,8 @@
 //! Axis-parallel grid spatial index.
 //!
-//! Two uses in the reproduction:
-//!
-//! 1. The proof of Theorem 11 overlays an infinite grid of cells of side
-//!    `α/√d` on the unit ball around a vertex; the number of cells that
-//!    intersect the ball is a constant, which is half of the degree
-//!    argument. [`GridIndex::cells_intersecting_ball_bound`] exposes that
-//!    count so the degree experiment can report it.
-//! 2. Constructing an α-UBG on `n` points requires finding all pairs at
-//!    distance at most 1. A grid with cell side equal to the query radius
-//!    turns that into a near-linear scan of neighbouring cells.
+//! Constructing an α-UBG on `n` points requires finding all pairs at
+//! distance at most 1. A grid with cell side equal to the query radius
+//! turns that into a near-linear scan of neighbouring cells.
 //!
 //! The index is *cell-sorted*, with no hash table: the node IDs ordered by
 //! lexicographic cell key (ties by ID), the sorted unique cell keys with
@@ -28,12 +21,8 @@
 //! [`GridScratch`] and perform no per-query allocation.
 
 use crate::store::PointAccess;
-use crate::Point;
 use std::cmp::Ordering;
 use std::ops::Range;
-
-/// Integer coordinates of a grid cell.
-pub type CellCoord = Vec<i64>;
 
 /// Reusable buffers for allocation-free [`GridIndex`] queries.
 ///
@@ -116,7 +105,6 @@ impl GridIndex {
     /// let empty: [Point; 0] = [];
     /// let grid = GridIndex::build(&empty, 1.0);
     /// assert_eq!(grid.occupied_cells(), 0);
-    /// assert!(grid.query_ball(&empty, &Point::new2(0.0, 0.0), 5.0).is_empty());
     /// ```
     ///
     /// # Panics
@@ -154,14 +142,6 @@ impl GridIndex {
             starts,
             coords,
         }
-    }
-
-    /// Cell coordinates of the given point.
-    pub fn cell_of(&self, p: &Point) -> CellCoord {
-        p.coords()
-            .iter()
-            .map(|&c| cell_index(c, self.cell_size))
-            .collect()
     }
 
     /// Cell side length.
@@ -223,35 +203,13 @@ impl GridIndex {
         scratch
             .center
             .extend((0..self.dim).map(|axis| points.coord(index, axis)));
-        self.collect_ball(Some(index), radius, scratch);
+        self.collect_ball(index, radius, scratch);
         &scratch.out
-    }
-
-    /// Indices of all points within distance `radius` of an arbitrary query
-    /// point (which need not belong to the indexed set), in ascending index
-    /// order. `points` must be the set the index was built from.
-    pub fn query_ball<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        center: &Point,
-        radius: f64,
-    ) -> Vec<usize> {
-        debug_assert_eq!(points.len(), self.order.len(), "not the indexed set");
-        let mut scratch = GridScratch::new();
-        scratch
-            .center
-            .extend(center.coords().iter().take(self.dim).copied());
-        if scratch.center.len() < self.dim {
-            // A lower-dimensional centre lies in no cell of the index.
-            return Vec::new();
-        }
-        self.collect_ball(None, radius, &mut scratch);
-        scratch.out
     }
 
     /// Fills `scratch.out` with the indices of the points within `radius`
     /// of `scratch.center` (except `exclude`), in ascending order.
-    fn collect_ball(&self, exclude: Option<usize>, radius: f64, scratch: &mut GridScratch) {
+    fn collect_ball(&self, exclude: usize, radius: f64, scratch: &mut GridScratch) {
         let GridScratch {
             center,
             base,
@@ -266,7 +224,7 @@ impl GridIndex {
         self.for_each_row(base, self.reach(radius), 0, offsets, prefix, |row| {
             for pos in row {
                 let j = self.order[pos];
-                if Some(j) != exclude && distance(self.coords_at(pos), center) <= radius {
+                if j != exclude && distance(self.coords_at(pos), center) <= radius {
                     out.push(j);
                 }
             }
@@ -425,24 +383,12 @@ impl GridIndex {
         }
         lo
     }
-
-    /// Upper bound on the number of grid cells of side `alpha/√d` that can
-    /// intersect a unit-radius ball in `R^d` — the `O(1/α^d)` constant in
-    /// the proof of Theorem 11.
-    pub fn cells_intersecting_ball_bound(dim: usize, alpha: f64) -> f64 {
-        assert!(dim >= 1, "dimension must be at least 1");
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must lie in (0, 1]");
-        let cell_side = alpha / (dim as f64).sqrt();
-        // A ball of radius 1 fits in a cube of side 2 (+ one cell of slack
-        // on each side for partial overlaps).
-        ((2.0 / cell_side) + 2.0).powi(dim as i32)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PointStore;
+    use crate::{Point, PointStore};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -580,18 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn query_ball_accepts_external_centers() {
-        let points = vec![
-            Point::new2(0.0, 0.0),
-            Point::new2(1.0, 0.0),
-            Point::new2(5.0, 5.0),
-        ];
-        let grid = GridIndex::build(&points, 1.0);
-        let hits = grid.query_ball(&points, &Point::new2(0.4, 0.0), 0.7);
-        assert_eq!(hits, vec![0, 1]);
-    }
-
-    #[test]
     fn occupied_cells_and_cell_size_reported() {
         let points = vec![
             Point::new2(0.1, 0.1),
@@ -601,16 +535,6 @@ mod tests {
         let grid = GridIndex::build(&points, 1.0);
         assert_eq!(grid.occupied_cells(), 2);
         assert_eq!(grid.cell_size(), 1.0);
-        assert_eq!(grid.cell_of(&Point::new2(0.5, 0.5)), vec![0, 0]);
-        assert_eq!(grid.cell_of(&Point::new2(-0.5, 0.5)), vec![-1, 0]);
-    }
-
-    #[test]
-    fn theorem11_cell_bound_is_finite_and_positive() {
-        let b2 = GridIndex::cells_intersecting_ball_bound(2, 0.5);
-        let b3 = GridIndex::cells_intersecting_ball_bound(3, 0.5);
-        assert!(b2 > 0.0 && b2.is_finite());
-        assert!(b3 > b2);
     }
 
     #[test]
@@ -627,9 +551,6 @@ mod tests {
         let grid = GridIndex::build(&empty, 1.0);
         assert_eq!(grid.occupied_cells(), 0);
         assert_eq!(grid.cell_size(), 1.0);
-        assert!(grid
-            .query_ball(&empty, &Point::new2(0.3, -0.7), 10.0)
-            .is_empty());
     }
 
     /// Every pair within `radius`, by the O(n²) definition: `(u < v,
@@ -796,9 +717,6 @@ mod tests {
             .is_empty());
         assert!(grid
             .neighbors_within(points.as_slice(), nan + 1, 5.0)
-            .is_empty());
-        assert!(grid
-            .query_ball(points.as_slice(), &Point::new2(f64::NAN, 0.0), 1.0)
             .is_empty());
     }
 

@@ -90,27 +90,6 @@ impl Metric for PowerMetric {
     }
 }
 
-/// The hop metric: every distinct pair is at distance 1.
-///
-/// Not used by the spanner itself, but convenient in tests and when
-/// counting hops of paths produced by the simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HopMetric;
-
-impl Metric for HopMetric {
-    fn distance(&self, u: &Point, v: &Point) -> f64 {
-        if u == v {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "hop"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,14 +129,6 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn power_metric_rejects_small_gamma() {
         let _ = PowerMetric::new(1.0, 0.5);
-    }
-
-    #[test]
-    fn hop_metric_distinguishes_identity() {
-        let u = Point::new2(0.0, 0.0);
-        let v = Point::new2(0.5, 0.0);
-        assert_eq!(HopMetric.distance(&u, &u), 0.0);
-        assert_eq!(HopMetric.distance(&u, &v), 1.0);
     }
 
     proptest! {

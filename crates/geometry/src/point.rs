@@ -38,7 +38,7 @@ impl std::error::Error for DimensionMismatch {}
 ///
 /// let p = Point::new(vec![1.0, 2.0, 2.0]);
 /// assert_eq!(p.dim(), 3);
-/// assert!((p.norm() - 3.0).abs() < 1e-12);
+/// assert!((p.distance(&Point::origin(3)) - 3.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Point {
@@ -95,17 +95,11 @@ impl Point {
         &self.coords
     }
 
-    /// Mutable access to the coordinates.
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.coords
-    }
-
     /// Squared Euclidean distance to `other`.
     ///
     /// # Panics
     ///
-    /// Panics if the dimensions differ; use [`Point::try_distance`] for a
-    /// fallible variant.
+    /// Panics if the dimensions differ.
     pub fn distance_squared(&self, other: &Point) -> f64 {
         assert_eq!(
             self.dim(),
@@ -124,23 +118,6 @@ impl Point {
         self.distance_squared(other).sqrt()
     }
 
-    /// Fallible Euclidean distance that reports dimension mismatches
-    /// instead of panicking.
-    pub fn try_distance(&self, other: &Point) -> Result<f64, DimensionMismatch> {
-        if self.dim() != other.dim() {
-            return Err(DimensionMismatch {
-                left: self.dim(),
-                right: other.dim(),
-            });
-        }
-        Ok(self.distance(other))
-    }
-
-    /// Euclidean norm (distance to the origin).
-    pub fn norm(&self) -> f64 {
-        self.coords.iter().map(|c| c * c).sum::<f64>().sqrt()
-    }
-
     /// The vector `other - self`, as a coordinate vector.
     pub fn vector_to(&self, other: &Point) -> Vec<f64> {
         assert_eq!(
@@ -153,13 +130,6 @@ impl Point {
             .zip(other.coords.iter())
             .map(|(a, b)| b - a)
             .collect()
-    }
-
-    /// Dot product of the vectors `self -> a` and `self -> b`.
-    pub fn dot_from(&self, a: &Point, b: &Point) -> f64 {
-        let va = self.vector_to(a);
-        let vb = self.vector_to(b);
-        va.iter().zip(vb.iter()).map(|(x, y)| x * y).sum()
     }
 
     /// Coordinate-wise midpoint of `self` and `other`.
@@ -197,11 +167,6 @@ impl Point {
                 .map(|(a, d)| a + d)
                 .collect(),
         )
-    }
-
-    /// Scales the point about the origin.
-    pub fn scaled(&self, factor: f64) -> Point {
-        Point::new(self.coords.iter().map(|a| a * factor).collect())
     }
 }
 
@@ -259,15 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn try_distance_reports_mismatch() {
-        let u = Point::new2(0.0, 0.0);
-        let v = Point::new3(0.0, 0.0, 0.0);
-        let err = u.try_distance(&v).unwrap_err();
-        assert_eq!(err, DimensionMismatch { left: 2, right: 3 });
-        assert!(err.to_string().contains("dimension mismatch"));
-    }
-
-    #[test]
     #[should_panic(expected = "different dimensions")]
     fn distance_panics_on_mismatch() {
         let u = Point::new2(0.0, 0.0);
@@ -292,18 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn translate_and_scale() {
+    fn translate() {
         let u = Point::new2(1.0, 2.0);
         assert_eq!(u.translated(&[1.0, -1.0]), Point::new2(2.0, 1.0));
-        assert_eq!(u.scaled(2.0), Point::new2(2.0, 4.0));
-    }
-
-    #[test]
-    fn dot_from_is_zero_for_perpendicular_directions() {
-        let origin = Point::new2(0.0, 0.0);
-        let a = Point::new2(1.0, 0.0);
-        let b = Point::new2(0.0, 1.0);
-        assert_eq!(origin.dot_from(&a, &b), 0.0);
     }
 
     #[test]
@@ -341,17 +288,6 @@ mod tests {
             let (a, b) = (Point::new(a), Point::new(b));
             prop_assert!(a.distance(&b) >= 0.0);
             prop_assert!((a.distance(&b) - b.distance(&a)).abs() < 1e-12);
-        }
-
-        #[test]
-        fn scaling_scales_distances(
-            a in proptest::collection::vec(-10.0f64..10.0, 2),
-            b in proptest::collection::vec(-10.0f64..10.0, 2),
-            s in 0.0f64..10.0,
-        ) {
-            let (a, b) = (Point::new(a), Point::new(b));
-            let scaled = a.scaled(s).distance(&b.scaled(s));
-            prop_assert!((scaled - s * a.distance(&b)).abs() < 1e-6);
         }
     }
 }

@@ -16,7 +16,7 @@
 //! suite relies on.
 
 use crate::point::{DimensionMismatch, Point};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Why a point set cannot become a [`PointStore`].
@@ -203,7 +203,7 @@ impl<const N: usize> PointAccess for [Point; N] {
 /// assert_eq!(store.dim(), 2);
 /// assert!((store.distance(0, 1) - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct PointStore {
     len: usize,
     dim: usize,
@@ -423,13 +423,5 @@ mod tests {
         assert_eq!(points.as_slice().dim_of(1), 3);
         let store = PointStore::from_points(&[Point::new2(0.0, 0.0)]).unwrap();
         assert_eq!(store.dim_of(0), 2);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_coordinates() {
-        let store = PointStore::from_points(&sample_points()).unwrap();
-        let json = serde_json::to_string(&store).unwrap();
-        let back: PointStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(store, back);
     }
 }

@@ -8,17 +8,12 @@
 use crate::{GraphView, NodeId, WeightedGraph};
 use std::collections::VecDeque;
 
-/// Hop distances (number of edges) from `source`; `None` for unreachable
-/// nodes.
+/// Hop distances (number of edges) from `source`, truncated at
+/// `max_hops`; `None` for nodes farther away or unreachable.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range.
-pub fn hop_distances<G: GraphView>(graph: &G, source: NodeId) -> Vec<Option<usize>> {
-    hop_distances_bounded(graph, source, usize::MAX)
-}
-
-/// Hop distances from `source`, truncated at `max_hops`.
 pub fn hop_distances_bounded<G: GraphView>(
     graph: &G,
     source: NodeId,
@@ -82,16 +77,6 @@ pub fn k_hop_subgraph<G: GraphView>(
     (sub, members)
 }
 
-/// Graph eccentricity in hops from `source` (longest hop distance to a
-/// reachable node).
-pub fn hop_eccentricity<G: GraphView>(graph: &G, source: NodeId) -> usize {
-    hop_distances(graph, source)
-        .into_iter()
-        .flatten()
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,7 +93,7 @@ mod tests {
     fn hop_distances_on_a_path() {
         let g = path_graph(4);
         assert_eq!(
-            hop_distances(&g, 0),
+            hop_distances_bounded(&g, 0, usize::MAX),
             vec![Some(0), Some(1), Some(2), Some(3)]
         );
     }
@@ -152,16 +137,8 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_of_path_endpoints() {
-        let g = path_graph(6);
-        assert_eq!(hop_eccentricity(&g, 0), 5);
-        assert_eq!(hop_eccentricity(&g, 3), 3);
-    }
-
-    #[test]
-    fn isolated_node_has_zero_eccentricity() {
+    fn isolated_node_sees_only_itself() {
         let g = WeightedGraph::new(3);
-        assert_eq!(hop_eccentricity(&g, 1), 0);
         assert_eq!(k_hop_neighborhood(&g, 1, 5), vec![1]);
     }
 }

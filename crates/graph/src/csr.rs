@@ -229,15 +229,6 @@ impl CsrGraph {
                 })
         })
     }
-
-    /// Expands back into the mutable adjacency-list representation.
-    pub fn to_weighted(&self) -> WeightedGraph {
-        WeightedGraph::from_adjacency(
-            (0..self.node_count())
-                .map(|u| self.neighbors(u).collect())
-                .collect(),
-        )
-    }
 }
 
 /// Panics unless `nodes` nodes and `entries` directed edge entries fit the
@@ -446,17 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn to_weighted_round_trips() {
-        let g = random_graph(6, 25, 0.4);
-        let back = CsrGraph::from(&g).to_weighted();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        for e in g.edges() {
-            assert_eq!(back.edge_weight(e.u, e.v), Some(e.weight));
-        }
-    }
-
-    #[test]
     fn empty_and_isolated_graphs() {
         let empty = CsrGraph::new(0);
         assert_eq!(empty.node_count(), 0);
@@ -514,10 +494,6 @@ mod tests {
                 prop_assert_eq!(a.key(), b.key());
                 // Bitwise, not approximate: conversion must not touch weights.
                 prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-            }
-            let back = csr.to_weighted();
-            for e in g.edges() {
-                prop_assert_eq!(back.edge_weight(e.u, e.v).unwrap().to_bits(), e.weight.to_bits());
             }
         }
 

@@ -187,11 +187,6 @@ impl ShortestPathTree {
         path.reverse();
         Some(path)
     }
-
-    /// Number of hops (edges) of the shortest path to `target`.
-    pub fn hops_to(&self, target: NodeId) -> Option<usize> {
-        self.path_to(target).map(|p| p.len().saturating_sub(1))
-    }
 }
 
 /// Full Dijkstra with predecessor tracking.
@@ -224,21 +219,6 @@ pub fn shortest_path_tree<G: GraphView>(graph: &G, source: NodeId) -> ShortestPa
         prev,
         source,
     }
-}
-
-/// All-pairs shortest path distances, as a row-major `n × n` matrix with
-/// `f64::INFINITY` for unreachable pairs. Runs `n` Dijkstra computations;
-/// intended for verification and experiments, not for the algorithm itself
-/// (prefer handing it a [`CsrGraph`](crate::CsrGraph)).
-pub fn all_pairs_shortest_paths<G: GraphView>(graph: &G) -> Vec<Vec<f64>> {
-    (0..graph.node_count())
-        .map(|s| {
-            shortest_path_distances(graph, s)
-                .into_iter()
-                .map(|d| d.unwrap_or(f64::INFINITY))
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -321,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_reconstructs_paths_and_hops() {
+    fn tree_reconstructs_paths() {
         let mut g = WeightedGraph::new(5);
         g.add_edge(0, 1, 1.0);
         g.add_edge(1, 2, 1.0);
@@ -330,10 +310,8 @@ mod tests {
         g.add_edge(4, 2, 0.5);
         let tree = shortest_path_tree(&g, 0);
         assert_eq!(tree.path_to(2), Some(vec![0, 3, 4, 2]));
-        assert_eq!(tree.hops_to(2), Some(3));
         assert_eq!(tree.dist[2], Some(1.5));
         assert_eq!(tree.path_to(0), Some(vec![0]));
-        assert_eq!(tree.hops_to(0), Some(0));
     }
 
     #[test]
@@ -342,21 +320,6 @@ mod tests {
         g.grow_to(3);
         let tree = shortest_path_tree(&g, 0);
         assert_eq!(tree.path_to(2), None);
-        assert_eq!(tree.hops_to(2), None);
-    }
-
-    #[test]
-    fn all_pairs_matches_single_source() {
-        let mut g = WeightedGraph::new(4);
-        g.add_edge(0, 1, 2.0);
-        g.add_edge(1, 2, 2.0);
-        g.add_edge(0, 2, 5.0);
-        let apsp = all_pairs_shortest_paths(&g);
-        assert_eq!(apsp[0][2], 4.0);
-        assert_eq!(apsp[2][0], 4.0);
-        assert!(apsp[0][3].is_infinite());
-        assert_eq!(apsp[1][1], 0.0);
-        assert_eq!(apsp, all_pairs_shortest_paths(&CsrGraph::from(&g)));
     }
 
     #[test]

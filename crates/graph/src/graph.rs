@@ -1,7 +1,7 @@
 //! The adjacency-list weighted undirected graph.
 
 use crate::{Edge, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Errors reported by graph operations.
@@ -61,7 +61,7 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.degree(1), 2);
 /// assert_eq!(g.edge_weight(0, 1), Some(1.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct WeightedGraph {
     adjacency: Vec<Vec<(NodeId, f64)>>,
     edge_count: usize,

@@ -1,12 +1,10 @@
-//! Minimum spanning trees (Kruskal and Prim).
+//! Minimum spanning trees (Kruskal).
 //!
 //! Theorem 13 bounds the spanner weight by `O(w(MST(G)))`; every experiment
 //! that reports a weight ratio needs `w(MST(G))` as the denominator. For a
 //! disconnected input the functions return a minimum spanning *forest*.
 
-use crate::{cmp_f64, Edge, GraphView, NodeId, UnionFind, WeightedGraph};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::{Edge, GraphView, UnionFind, WeightedGraph};
 
 /// A minimum spanning forest: the chosen edges and their total weight.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,73 +41,6 @@ pub fn kruskal<G: GraphView>(graph: &G) -> SpanningForest {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PrimEntry {
-    weight: f64,
-    from: NodeId,
-    to: NodeId,
-}
-
-impl Eq for PrimEntry {}
-
-impl PartialOrd for PrimEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PrimEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for the min-heap; weights are finite by construction.
-        cmp_f64(&other.weight, &self.weight).then_with(|| other.to.cmp(&self.to))
-    }
-}
-
-/// Prim's algorithm, included as an independent implementation used to
-/// cross-check Kruskal in tests; handles disconnected graphs by restarting
-/// from every unreached vertex.
-pub fn prim<G: GraphView>(graph: &G) -> SpanningForest {
-    let n = graph.node_count();
-    let mut in_tree = vec![false; n];
-    let mut chosen = Vec::new();
-    let mut total = 0.0;
-    for start in 0..n {
-        if in_tree[start] {
-            continue;
-        }
-        in_tree[start] = true;
-        let mut heap = BinaryHeap::new();
-        graph.for_each_neighbor(start, |v, w| {
-            heap.push(PrimEntry {
-                weight: w,
-                from: start,
-                to: v,
-            });
-        });
-        while let Some(PrimEntry { weight, from, to }) = heap.pop() {
-            if in_tree[to] {
-                continue;
-            }
-            in_tree[to] = true;
-            chosen.push(Edge::new(from, to, weight));
-            total += weight;
-            graph.for_each_neighbor(to, |v, w| {
-                if !in_tree[v] {
-                    heap.push(PrimEntry {
-                        weight: w,
-                        from: to,
-                        to: v,
-                    });
-                }
-            });
-        }
-    }
-    SpanningForest {
-        edges: chosen,
-        total_weight: total,
-    }
-}
-
 /// Total weight of a minimum spanning forest of the graph.
 pub fn mst_weight<G: GraphView>(graph: &G) -> f64 {
     kruskal(graph).total_weight
@@ -118,8 +49,77 @@ pub fn mst_weight<G: GraphView>(graph: &G) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{cmp_f64, NodeId};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct PrimEntry {
+        weight: f64,
+        from: NodeId,
+        to: NodeId,
+    }
+
+    impl Eq for PrimEntry {}
+
+    impl PartialOrd for PrimEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for PrimEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed for the min-heap; weights are finite by construction.
+            cmp_f64(&other.weight, &self.weight).then_with(|| other.to.cmp(&self.to))
+        }
+    }
+
+    /// Prim's algorithm, an independent oracle for Kruskal; handles
+    /// disconnected graphs by restarting from every unreached vertex.
+    fn prim<G: GraphView>(graph: &G) -> SpanningForest {
+        let n = graph.node_count();
+        let mut in_tree = vec![false; n];
+        let mut chosen = Vec::new();
+        let mut total = 0.0;
+        for start in 0..n {
+            if in_tree[start] {
+                continue;
+            }
+            in_tree[start] = true;
+            let mut heap = BinaryHeap::new();
+            graph.for_each_neighbor(start, |v, w| {
+                heap.push(PrimEntry {
+                    weight: w,
+                    from: start,
+                    to: v,
+                });
+            });
+            while let Some(PrimEntry { weight, from, to }) = heap.pop() {
+                if in_tree[to] {
+                    continue;
+                }
+                in_tree[to] = true;
+                chosen.push(Edge::new(from, to, weight));
+                total += weight;
+                graph.for_each_neighbor(to, |v, w| {
+                    if !in_tree[v] {
+                        heap.push(PrimEntry {
+                            weight: w,
+                            from: to,
+                            to: v,
+                        });
+                    }
+                });
+            }
+        }
+        SpanningForest {
+            edges: chosen,
+            total_weight: total,
+        }
+    }
 
     #[test]
     fn kruskal_on_a_square_with_diagonal() {

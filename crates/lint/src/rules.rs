@@ -352,9 +352,8 @@ fn float_ordering(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
 /// crates repeatedly pays the pointer-chasing cost the CSR snapshot exists
 /// to avoid — and the conversion is one `ubg.to_csr()` / `CsrGraph::from`
 /// away.
-const MEASURE_FNS: [&str; 26] = [
+const MEASURE_FNS: [&str; 22] = [
     "kruskal",
-    "prim",
     "mst_weight",
     "component_labels",
     "connected_components",
@@ -373,12 +372,9 @@ const MEASURE_FNS: [&str; 26] = [
     "shortest_path_to",
     "shortest_path_within",
     "shortest_path_tree",
-    "all_pairs_shortest_paths",
-    "hop_distances",
     "hop_distances_bounded",
     "k_hop_neighborhood",
     "k_hop_subgraph",
-    "hop_eccentricity",
 ];
 
 fn csr_boundary(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
@@ -595,12 +591,9 @@ fn in_locality_scope(path: &str) -> bool {
 /// Graph APIs whose cost is inherently global (full Dijkstra sweeps,
 /// whole-graph statistics, component labelling). A call *path* from scoped
 /// code to any of these breaks the locality guarantee.
-const GLOBAL_REACH_FNS: [&str; 21] = [
-    "all_pairs_shortest_paths",
+const GLOBAL_REACH_FNS: [&str; 17] = [
     "shortest_path_distances",
     "shortest_path_tree",
-    "hop_distances",
-    "hop_eccentricity",
     "edge_stretches",
     "edge_stretches_seq",
     "edge_stretches_with_threads",
@@ -612,7 +605,6 @@ const GLOBAL_REACH_FNS: [&str; 21] = [
     "weight_ratio",
     "mst_weight",
     "kruskal",
-    "prim",
     "connected_components",
     "component_labels",
     "component_count",
@@ -1112,7 +1104,8 @@ fn check_scheduler_closure(
     let (b0, b1) = body;
     let sched = &site.callee;
 
-    // Locals: closure params, `let`/`for` bindings, nested-closure params.
+    // Locals: closure params, `let`/`for` bindings, and the params of nested
+    // closures and of the closures around the call site.
     let mut locals: BTreeSet<String> = BTreeSet::new();
     for t in &toks[params.0..=params.1] {
         if let Some(id) = t.ident() {
@@ -1154,9 +1147,21 @@ fn check_scheduler_closure(
         }
         i += 1;
     }
-    let mut nested: Vec<(usize, usize, usize, usize)> = Vec::new();
-    collect_closures(toks, b0 + 1, b1, &mut nested);
-    for &(p0, p1, ..) in &nested {
+    let mut closures: Vec<(usize, usize, usize, usize)> = Vec::new();
+    collect_closures(toks, b0 + 1, b1, &mut closures);
+    // The closures around the call site count too: a `map_claimed` step
+    // inside a `region` body may write the worker's own scratch, which the
+    // region closure receives as a parameter.
+    if let Some((f0, f1)) = site.caller.and_then(|c| ws.symbols.fns()[c].body) {
+        let mut around: Vec<(usize, usize, usize, usize)> = Vec::new();
+        collect_closures(toks, f0 + 1, f1, &mut around);
+        closures.extend(
+            around
+                .into_iter()
+                .filter(|&(_, _, c0, c1)| c0 < site.tok && site.tok <= c1),
+        );
+    }
+    for &(p0, p1, ..) in &closures {
         for t in &toks[p0..=p1] {
             if let Some(id) = t.ident() {
                 locals.insert(id.to_string());
@@ -1523,5 +1528,54 @@ mod tests {
         assert!(lint_source("crates/bench/src/bad.rs", src)
             .iter()
             .all(|f| f.rule != "parallel-ready"));
+    }
+
+    /// Every name the csr-boundary, locality and scheduler-discipline rules
+    /// watch must be a function the workspace ships (defined outside test
+    /// code): an entry whose function was deleted, renamed or moved into
+    /// tests silently covers nothing.
+    #[test]
+    fn api_name_lists_name_shipped_functions() {
+        use super::{is_test_path, GLOBAL_REACH_FNS, MEASURE_FNS, SCHEDULER_FNS};
+        use crate::engine::FileData;
+        use crate::symbols::{FileInput, SymbolTable};
+        use crate::walk::{find_workspace_root, source_files};
+        use std::path::Path;
+
+        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
+        let files: Vec<FileData> = source_files(&root)
+            .expect("workspace is readable")
+            .into_iter()
+            .filter(|path| !path.starts_with("crates/lint/"))
+            .map(|path| {
+                let source = std::fs::read_to_string(root.join(&path)).expect("readable source");
+                FileData::parse(&path, &source)
+            })
+            .collect();
+        let inputs: Vec<FileInput<'_>> = files
+            .iter()
+            .map(|fd| FileInput {
+                path: &fd.path,
+                tokens: &fd.tokens,
+                test_ranges: &fd.test_ranges,
+            })
+            .collect();
+        let symbols = SymbolTable::build(&inputs);
+        let unresolved: Vec<&str> = MEASURE_FNS
+            .iter()
+            .chain(&GLOBAL_REACH_FNS)
+            .chain(&SCHEDULER_FNS)
+            .copied()
+            .filter(|name| {
+                !symbols.ids_named(name).iter().any(|&id| {
+                    let def = &symbols.fns()[id];
+                    !def.in_test && !is_test_path(&def.path)
+                })
+            })
+            .collect();
+        assert!(
+            unresolved.is_empty(),
+            "lint API lists name functions the workspace does not ship: {unresolved:?}"
+        );
     }
 }

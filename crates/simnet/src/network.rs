@@ -32,14 +32,6 @@ impl<M> StepResult<M> {
         }
     }
 
-    /// Sends the given addressed messages.
-    pub fn send_all(outgoing: Vec<(NodeId, M)>) -> Self {
-        Self {
-            outgoing,
-            halt: false,
-        }
-    }
-
     /// Marks the node passive for the coming rounds (it will be woken by
     /// incoming messages).
     pub fn halt(mut self) -> Self {

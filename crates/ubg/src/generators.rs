@@ -3,8 +3,8 @@
 //! The paper evaluates nothing empirically, so the workloads here are the
 //! standard deployments used throughout the topology-control literature:
 //! uniform random deployment in a cube, clustered (Gaussian blob)
-//! deployments, jittered grids (near-regular sensor fields) and long thin
-//! corridors (the adversarial case for hop counts).
+//! deployments and long thin corridors (the adversarial case for hop
+//! counts).
 
 use rand::Rng;
 use tc_geometry::Point;
@@ -70,35 +70,6 @@ fn reflect_into_cube(x: f64, side: f64) -> f64 {
     } else {
         2.0 * side - folded
     }
-}
-
-/// A near-regular grid: the lattice points of a `k × k × …` grid with
-/// spacing `spacing`, each perturbed by uniform jitter of magnitude at most
-/// `jitter` per coordinate. Returns exactly `k^dim` points.
-pub fn grid_jitter_points<R: Rng + ?Sized>(
-    rng: &mut R,
-    k: usize,
-    dim: usize,
-    spacing: f64,
-    jitter: f64,
-) -> Vec<Point> {
-    assert!(dim >= 1, "dimension must be at least 1");
-    assert!(k >= 1, "grid must have at least one point per side");
-    assert!(spacing > 0.0, "spacing must be positive");
-    assert!(jitter >= 0.0, "jitter must be non-negative");
-    let total = k.pow(dim as u32);
-    (0..total)
-        .map(|mut idx| {
-            let mut coords = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                let cell = idx % k;
-                idx /= k;
-                let base = cell as f64 * spacing;
-                coords.push(base + rng.gen_range(-jitter..=jitter));
-            }
-            Point::new(coords)
-        })
-        .collect()
 }
 
 /// `n` points in a long thin corridor of the given `length` and `width`
@@ -219,19 +190,6 @@ mod tests {
         coords.sort_unstable();
         coords.dedup();
         assert_eq!(coords.len(), pts.len(), "coincident points");
-    }
-
-    #[test]
-    fn grid_jitter_produces_k_to_the_d_points() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let pts = grid_jitter_points(&mut rng, 4, 2, 1.0, 0.1);
-        assert_eq!(pts.len(), 16);
-        let pts3 = grid_jitter_points(&mut rng, 3, 3, 1.0, 0.0);
-        assert_eq!(pts3.len(), 27);
-        // With zero jitter, points are exactly on the lattice.
-        assert!(pts3
-            .iter()
-            .any(|p| p == &tc_geometry::Point::new3(2.0, 2.0, 2.0)));
     }
 
     #[test]

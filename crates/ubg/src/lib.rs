@@ -21,10 +21,10 @@
 //!   equal to Euclidean distances (the paper's default weighting),
 //! * [`GreyZonePolicy`] — how grey-zone pairs are resolved (always, never,
 //!   Bernoulli, distance-falloff, obstruction field),
-//! * [`UbgBuilder`] — constructs the graph from points using a spatial
-//!   hash, so building large instances is near-linear,
+//! * [`UbgBuilder`] — constructs the graph from points with a cell-sorted
+//!   grid sweep, so building large instances is near-linear,
 //! * [`generators`] — the random point workloads the experiments use
-//!   (uniform, Gaussian clusters, perturbed grid, corridor).
+//!   (uniform, Gaussian clusters, corridor).
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! The realised α-quasi unit ball graph: node positions plus the graph.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_geometry::{Metric, Point, PointAccess, PointStore};
 use tc_graph::{CsrGraph, WeightedGraph};
 
@@ -15,7 +15,7 @@ use tc_graph::{CsrGraph, WeightedGraph};
 /// coordinate array per axis — so million-node instances stay cache-friendly
 /// and free of per-point allocations. [`Self::points`] hands out the store;
 /// index-based readers go through [`PointAccess`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct UnitBallGraph {
     points: PointStore,
     alpha: f64,
