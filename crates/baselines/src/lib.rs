@@ -57,13 +57,13 @@ pub use proximity::{gabriel_graph, relative_neighborhood_graph};
 pub use xtc::xtc;
 pub use yao::{theta_graph, yao_graph};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// The set of baselines, as an enumeration the experiment harness can
 /// iterate over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Baseline {
     /// Yao graph with the given number of cones.
     Yao {

@@ -9,7 +9,7 @@ use crate::table::{fmt_f, Table};
 use crate::workloads::Workload;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_baselines::Baseline;
 use tc_graph::par::run_jobs;
 use tc_graph::properties::{spanner_report, stretch_factor, SpannerReport};
@@ -29,7 +29,7 @@ use tc_ubg::UnitBallGraph;
 type RowResult = Result<Vec<String>, ParamError>;
 
 /// How large the experiment sweeps are.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Scale {
     /// Tiny instances for unit tests and smoke runs.
     Smoke,

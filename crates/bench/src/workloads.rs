@@ -3,12 +3,12 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_geometry::PointStore;
 use tc_ubg::{generators, GreyZonePolicy, UbgBuilder, UnitBallGraph};
 
 /// The spatial distribution of the deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Deployment {
     /// Uniform in a cube sized for the configured target mean degree.
     Uniform,
@@ -19,7 +19,7 @@ pub enum Deployment {
 }
 
 /// A reproducible network workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Workload {
     /// Seed for the point generator (and the grey-zone policy, if random).
     pub seed: u64,

@@ -33,13 +33,13 @@
 use crate::params::SpannerParams;
 use crate::relaxed::{PhaseRules, PointCountMismatch, RelaxedGreedy, SpannerResult};
 use crate::weighting::EdgeWeighting;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_geometry::PointAccess;
 use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// Which mechanisms of the relaxed greedy construction are enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AblationConfig {
     /// Apply the Czumaj–Zhao covered-edge filter.
     pub covered_filter: bool,

@@ -54,7 +54,7 @@ use crate::relaxed::{
     SpannerResult,
 };
 use crate::weighting::EdgeWeighting;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::{par, NodeId, WeightedGraph};
@@ -68,7 +68,7 @@ const J_SWEEP_CHUNK: usize = 4096;
 
 /// Which distributed MIS protocol stands in for the paper's
 /// Kuhn–Moscibroda–Wattenhofer black box.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum MisProtocol {
     /// Deterministic highest-rank-joins protocol (ranks = node ids).
     #[default]

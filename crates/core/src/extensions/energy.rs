@@ -15,7 +15,7 @@
 use crate::params::SpannerParams;
 use crate::relaxed::{RelaxedGreedy, SpannerResult};
 use crate::weighting::EdgeWeighting;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_ubg::UnitBallGraph;
 
 /// Builds an energy spanner: a `(1+ε)`-spanner of the α-UBG under the
@@ -44,7 +44,7 @@ pub fn energy_spanner(
 
 /// Power costs of the full topology versus a selected subgraph, under the
 /// energy metric `c·d^γ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerCostComparison {
     /// Power cost of the maximum-power topology (the full α-UBG).
     pub full_topology: f64,

@@ -20,7 +20,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_graph::{dijkstra, properties, NodeId, WeightedGraph};
 
 /// Builds a k-fault-tolerant `t`-spanner by the greedy rule described in
@@ -72,7 +72,7 @@ fn disjoint_short_paths(
 }
 
 /// The kind of faults injected by [`fault_tolerance_report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultKind {
     /// Remove vertices (and their incident edges).
     Vertex,
@@ -81,7 +81,7 @@ pub enum FaultKind {
 }
 
 /// The outcome of randomized fault-injection trials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultToleranceReport {
     /// Number of trials run.
     pub trials: usize,

@@ -19,7 +19,7 @@
 //! alone; [`SpannerParams::validate`] re-checks every constraint so
 //! hand-tuned parameter sets are caught early.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Error returned when a parameter set violates one of the proofs'
@@ -102,7 +102,7 @@ impl std::error::Error for ParamError {}
 
 /// A complete, validated parameter assignment for the relaxed greedy
 /// algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpannerParams {
     /// Stretch target `t = 1 + ε`.
     pub t: f64,

@@ -66,7 +66,7 @@ use crate::params::SpannerParams;
 use crate::seq_greedy::seq_greedy_on_subset;
 use crate::weighting::EdgeWeighting;
 use hierarchy::{PhaseEngine, PhaseInput};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
@@ -106,7 +106,7 @@ impl std::error::Error for PointCountMismatch {}
 /// (and everything else in [`SpannerResult`]) are part of the deterministic
 /// construction output, which must be bitwise identical across runs and
 /// thread counts — wall-clock readings are not.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseTiming {
     /// Bin index `i` the timed phase processed.
     pub bin: usize,
@@ -145,7 +145,7 @@ impl PhaseTiming {
 }
 
 /// Per-phase statistics of a relaxed-greedy run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhaseStats {
     /// Bin index `i` this phase processed.
     pub bin: usize,

@@ -14,11 +14,11 @@
 //!   subsets of spanner edges — the cases the paper's own case analysis
 //!   (|S ∩ E_i| ∈ {1, 2, >2}) distinguishes.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tc_graph::{properties, CsrGraph, Edge, WeightedGraph};
 
 /// The outcome of verifying a spanner against its base graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VerificationReport {
     /// The stretch target that was verified against.
     pub t: f64,

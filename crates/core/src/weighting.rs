@@ -8,14 +8,14 @@
 //! here is a monotone function of the Euclidean distance, which is the
 //! property the binning and cluster arguments rely on.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Cow;
 use tc_geometry::{Euclidean, Metric, Point, PowerMetric};
 use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// Which weight function the spanner is built and measured under.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum EdgeWeighting {
     /// Euclidean length `|uv|` (the paper's default).
     #[default]

@@ -12,7 +12,7 @@
 //! that consume this type are planar constructions.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::f64::consts::TAU;
 
 /// A partition of the plane around an apex into `k` equal-angle cones.
@@ -28,7 +28,7 @@ use std::f64::consts::TAU;
 /// assert_eq!(cones.cone_of(&apex, &Point::new2(1.0, 0.1)), 0);
 /// assert_eq!(cones.cone_of(&apex, &Point::new2(-1.0, -0.1)), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ConePartition2d {
     cones: usize,
 }
@@ -42,11 +42,6 @@ impl ConePartition2d {
     pub fn new(cones: usize) -> Self {
         assert!(cones > 0, "a cone partition needs at least one cone");
         Self { cones }
-    }
-
-    /// Number of cones in the partition.
-    pub fn cones(&self) -> usize {
-        self.cones
     }
 
     /// Angular width of each cone in radians.

@@ -50,15 +50,16 @@ impl GridScratch {
 /// A uniform, cell-sorted grid over a set of points in `R^d`.
 ///
 /// ```
-/// use tc_geometry::{GridIndex, Point};
+/// use tc_geometry::{GridIndex, GridScratch, Point};
 /// let pts = vec![
 ///     Point::new2(0.0, 0.0),
 ///     Point::new2(0.5, 0.0),
 ///     Point::new2(3.0, 3.0),
 /// ];
 /// let grid = GridIndex::build(&pts, 1.0);
-/// let near_origin = grid.neighbors_within(&pts, 0, 1.0);
-/// assert_eq!(near_origin, vec![1]);
+/// let mut scratch = GridScratch::new();
+/// let near_origin = grid.neighbors_within_with(&pts, 0, 1.0, &mut scratch);
+/// assert_eq!(near_origin, [1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GridIndex {
@@ -144,11 +145,6 @@ impl GridIndex {
         }
     }
 
-    /// Cell side length.
-    pub fn cell_size(&self) -> f64 {
-        self.cell_size
-    }
-
     /// Number of non-empty cells. The cells are numbered
     /// `0..occupied_cells()` in lexicographic key order, the numbering
     /// [`Self::for_each_pair_within`] takes its cell range in.
@@ -174,23 +170,9 @@ impl GridIndex {
     /// Indices of all points within Euclidean distance `radius` of point
     /// `index` (excluding the point itself), in ascending index order.
     ///
-    /// `points` must be the same set the index was built from. Allocates a
-    /// fresh result vector per call; hot loops should use
-    /// [`Self::neighbors_within_with`] instead.
-    pub fn neighbors_within<P: PointAccess + ?Sized>(
-        &self,
-        points: &P,
-        index: usize,
-        radius: f64,
-    ) -> Vec<usize> {
-        let mut scratch = GridScratch::new();
-        self.neighbors_within_with(points, index, radius, &mut scratch)
-            .to_vec()
-    }
-
-    /// Allocation-free variant of [`Self::neighbors_within`]: fills (and
+    /// `points` must be the same set the index was built from. Fills (and
     /// returns a view of) the scratch's output buffer instead of
-    /// allocating. Returns the same indices in the same ascending order.
+    /// allocating.
     pub fn neighbors_within_with<'s, P: PointAccess + ?Sized>(
         &self,
         points: &P,
@@ -392,6 +374,20 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    impl GridIndex {
+        /// [`GridIndex::neighbors_within_with`] into a fresh vector: the
+        /// allocating form the tests compare against their oracles.
+        fn neighbors_within<P: PointAccess + ?Sized>(
+            &self,
+            points: &P,
+            index: usize,
+            radius: f64,
+        ) -> Vec<usize> {
+            self.neighbors_within_with(points, index, radius, &mut GridScratch::new())
+                .to_vec()
+        }
+    }
+
     fn brute_force_neighbors(points: &[Point], index: usize, radius: f64) -> Vec<usize> {
         let mut out: Vec<usize> = (0..points.len())
             .filter(|&j| j != index && points[j].distance(&points[index]) <= radius)
@@ -526,7 +522,7 @@ mod tests {
     }
 
     #[test]
-    fn occupied_cells_and_cell_size_reported() {
+    fn occupied_cells_reported() {
         let points = vec![
             Point::new2(0.1, 0.1),
             Point::new2(0.2, 0.2),
@@ -534,7 +530,6 @@ mod tests {
         ];
         let grid = GridIndex::build(&points, 1.0);
         assert_eq!(grid.occupied_cells(), 2);
-        assert_eq!(grid.cell_size(), 1.0);
     }
 
     #[test]
@@ -550,7 +545,6 @@ mod tests {
         let empty: [Point; 0] = [];
         let grid = GridIndex::build(&empty, 1.0);
         assert_eq!(grid.occupied_cells(), 0);
-        assert_eq!(grid.cell_size(), 1.0);
     }
 
     /// Every pair within `radius`, by the O(n²) definition: `(u < v,

@@ -7,7 +7,7 @@
 //! verification and the benchmarks can be run under either weighting.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A symmetric, non-negative weight function on pairs of points.
 ///
@@ -26,7 +26,7 @@ pub trait Metric {
 }
 
 /// The Euclidean metric `|uv|` — the paper's default edge weight.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Euclidean;
 
 impl Metric for Euclidean {
@@ -52,7 +52,7 @@ impl Metric for Euclidean {
 /// let v = Point::new2(0.0, 3.0);
 /// assert!((m.distance(&u, &v) - 9.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PowerMetric {
     /// Multiplicative constant `c > 0`.
     pub c: f64,

@@ -1,6 +1,6 @@
 //! Points in `R^d` for arbitrary dimension `d ≥ 1`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Error returned when two points of different dimensions are combined.
@@ -40,7 +40,7 @@ impl std::error::Error for DimensionMismatch {}
 /// assert_eq!(p.dim(), 3);
 /// assert!((p.distance(&Point::origin(3)) - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct Point {
     coords: Vec<f64>,
 }

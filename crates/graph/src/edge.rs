@@ -1,14 +1,14 @@
 //! Undirected weighted edges.
 
 use crate::{cmp_f64, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 
 /// An undirected, weighted edge `{u, v}` with `u ≤ v` after normalisation.
 ///
 /// Edges compare by weight first (then by endpoints for determinism), which
 /// is exactly the ordering `SEQ-GREEDY` processes edges in.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Edge {
     /// First endpoint (the smaller index after [`Edge::new`]).
     pub u: NodeId,

@@ -10,8 +10,8 @@
 //!
 //! Use [`OrdF64`] where an `Ord` *type* is needed (heap entries, sort
 //! keys, `BTreeMap` keys) and [`cmp_f64`] where a comparator *function* is
-//! needed (`sort_by`, manual `Ord` impls). The `tc-lint` `float-ordering`
-//! rule points offending code here.
+//! needed (`sort_by`, manual `Ord` impls). The `clippy.toml` entry that
+//! disallows `partial_cmp` points offending code here.
 
 use std::cmp::Ordering;
 

@@ -10,10 +10,10 @@
 
 use crate::bucket::{BucketConfig, BucketScratch};
 use crate::{dijkstra, mst, par, Edge, GraphView};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Degree statistics of a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct DegreeStats {
     /// Maximum degree Δ.
     pub max: usize,
@@ -216,7 +216,7 @@ where
 /// Stretch measurement split into a finite maximum and an explicit
 /// disconnection count, so reports stay representable in JSON (the vendored
 /// `serde_json` writes non-finite floats as `null`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct StretchSummary {
     /// Maximum stretch over the base edges whose endpoints the subgraph
     /// connects (1.0 when there are none). Always finite.
@@ -354,7 +354,7 @@ pub fn weight_ratio<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> f64 {
 
 /// A compact summary of all the measured spanner properties, as reported by
 /// the experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpannerReport {
     /// Number of nodes of the base graph.
     pub nodes: usize,

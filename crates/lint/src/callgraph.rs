@@ -13,13 +13,14 @@
 //!   global sweep is worse than a spurious flag behind an `allow`).
 //! * [`CallGraph::panic_closure`] — "must this call panic-risk?" Every
 //!   matching candidate has to panic before the call is flagged, so
-//!   ambiguity produces *fewer* findings (used by `transitive-panic`, which
+//!   ambiguity produces *fewer* findings (used by `panic-hygiene`, which
 //!   would otherwise drown real sites in name-collision noise).
 //!
 //! Both propagations are monotone worklist/fixpoint computations, so
 //! recursion cycles terminate without special-casing.
 
-use crate::symbols::{crate_of, FileInput, SymbolTable};
+use crate::engine::FileData;
+use crate::symbols::{crate_of, SymbolTable};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How a call site spells its callee.
@@ -74,7 +75,7 @@ pub struct CallGraph {
 impl CallGraph {
     /// Extracts every call site from `files`, attributing each to its
     /// innermost enclosing fn in `table`.
-    pub fn build(files: &[FileInput<'_>], table: &SymbolTable) -> CallGraph {
+    pub fn build(files: &[FileData], table: &SymbolTable) -> CallGraph {
         let mut graph = CallGraph::default();
         for (file_idx, file) in files.iter().enumerate() {
             extract_sites(file_idx, file, table, &mut graph.sites);
@@ -296,13 +297,8 @@ impl Reach {
     }
 }
 
-fn extract_sites(
-    file_idx: usize,
-    file: &FileInput<'_>,
-    table: &SymbolTable,
-    out: &mut Vec<CallSite>,
-) {
-    let toks = file.tokens;
+fn extract_sites(file_idx: usize, file: &FileData, table: &SymbolTable, out: &mut Vec<CallSite>) {
+    let toks = &file.tokens;
     for i in 0..toks.len() {
         let Some(name) = toks[i].ident() else {
             continue;
@@ -338,7 +334,7 @@ fn extract_sites(
             style,
             caller: table.enclosing_fn(file_idx, i),
             in_test: file.in_test_mod(toks[i].line),
-            krate: crate_of(file.path).to_string(),
+            krate: crate_of(&file.path).to_string(),
         });
     }
 }
@@ -346,23 +342,14 @@ fn extract_sites(
 /// Convenience for tests and single-entry analyses: lexes `sources`
 /// in-place and builds both passes.
 #[cfg(test)]
-pub fn analyze(sources: &[(&str, &str)]) -> (Vec<crate::lexer::Lexed>, SymbolTable, CallGraph) {
-    let lexed: Vec<_> = sources
+pub fn analyze(sources: &[(&str, &str)]) -> (SymbolTable, CallGraph) {
+    let files: Vec<FileData> = sources
         .iter()
-        .map(|(_, src)| crate::lexer::lex(src))
+        .map(|(path, src)| FileData::parse(path, src))
         .collect();
-    let inputs: Vec<FileInput<'_>> = sources
-        .iter()
-        .zip(&lexed)
-        .map(|((path, _), lx)| FileInput {
-            path,
-            tokens: &lx.tokens,
-            test_ranges: &[],
-        })
-        .collect();
-    let table = SymbolTable::build(&inputs);
-    let graph = CallGraph::build(&inputs, &table);
-    (lexed, table, graph)
+    let table = SymbolTable::build(&files);
+    let graph = CallGraph::build(&files, &table);
+    (table, graph)
 }
 
 #[cfg(test)]
@@ -378,7 +365,7 @@ mod tests {
 
     #[test]
     fn bare_calls_resolve_to_free_fns_only() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "pub fn build() -> u32 { 1 }\n\
              pub struct A; impl A { pub fn build(&self) -> u32 { 2 } }\n\
@@ -396,7 +383,7 @@ mod tests {
 
     #[test]
     fn method_calls_resolve_to_methods_only() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "pub fn tick() -> u32 { 1 }\n\
              pub struct A; impl A { pub fn tick(&self) -> u32 { 2 } }\n\
@@ -414,7 +401,7 @@ mod tests {
 
     #[test]
     fn qualified_calls_narrow_by_impl_target() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "pub struct A; impl A { pub fn make() -> u32 { 1 } }\n\
              pub struct B; impl B { pub fn make() -> u32 { 2 } }\n\
@@ -432,7 +419,7 @@ mod tests {
 
     #[test]
     fn reach_any_handles_recursion_cycles() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "fn sink() {}\n\
              fn ping(n: u32) { if n > 0 { pong(n - 1) } }\n\
@@ -453,7 +440,7 @@ mod tests {
 
     #[test]
     fn panic_closure_requires_all_candidates_to_panic() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "pub fn risky() -> u32 { 1 }\n\
              pub struct A; impl A { pub fn risky(&self) -> u32 { 2 } }\n\
@@ -469,7 +456,7 @@ mod tests {
 
     #[test]
     fn panic_closure_is_cycle_tolerant_and_two_level() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "fn boom() { loop {} }\n\
              fn mid(n: u32) { if n > 0 { mid(n - 1) } boom() }\n\
@@ -486,7 +473,7 @@ mod tests {
 
     #[test]
     fn call_paths_chain_through_witnesses() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "fn deep() {}\n\
              fn shallow() { deep() }\n\
@@ -507,7 +494,7 @@ mod tests {
 
     #[test]
     fn callback_parameters_do_not_resolve_to_workspace_defs() {
-        let (_lx, table, graph) = analyze(&[
+        let (table, graph) = analyze(&[
             (
                 "crates/graph/src/csr.rs",
                 "pub fn for_each_edge<F>(n: usize, mut visit: F) { visit(0); }\n",
@@ -530,7 +517,7 @@ mod tests {
 
     #[test]
     fn same_crate_candidates_shadow_foreign_ones() {
-        let (_lx, table, graph) = analyze(&[
+        let (table, graph) = analyze(&[
             (
                 "crates/graph/src/bucket.rs",
                 "pub struct R; impl R { pub fn run(&self) {} }\n\
@@ -553,7 +540,7 @@ mod tests {
 
     #[test]
     fn blocked_sites_stop_propagation() {
-        let (_lx, table, graph) = analyze(&[(
+        let (table, graph) = analyze(&[(
             "crates/x/src/lib.rs",
             "fn sink() {}\n\
              fn vetted() { sink() }\n\
@@ -573,21 +560,14 @@ mod tests {
 
     #[test]
     fn test_definitions_never_resolve() {
-        let lexed = crate::lexer::lex(
+        let (table, graph) = analyze(&[(
+            "crates/x/src/lib.rs",
             "pub fn caller() -> u32 { helper() }\n\
              #[cfg(test)]\n\
              mod tests {\n\
                  pub fn helper() -> u32 { 1 }\n\
              }\n",
-        );
-        let ranges = vec![(2u32, 5u32)];
-        let input = FileInput {
-            path: "crates/x/src/lib.rs",
-            tokens: &lexed.tokens,
-            test_ranges: &ranges,
-        };
-        let table = SymbolTable::build(std::slice::from_ref(&input));
-        let graph = CallGraph::build(std::slice::from_ref(&input), &table);
+        )]);
         let site = graph
             .sites()
             .iter()

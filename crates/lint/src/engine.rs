@@ -1,18 +1,17 @@
-//! The lint engine: per-file context, the workspace pipeline, rule scoping
-//! and finding plumbing.
+//! The lint engine: lexed files, the workspace pipeline and finding
+//! plumbing.
 //!
-//! Local rules see one [`FileCtx`] at a time. The cross-file rules
-//! (`locality`, `scheduler-discipline`, `transitive-panic`) run after every
-//! file is lexed, over a [`WorkspaceCtx`] carrying the symbol table and
-//! call graph built from the full file set — see [`lint_files`].
+//! Every file is lexed once; the symbol table and call graph are built
+//! over the whole set, and every rule runs over the resulting
+//! [`WorkspaceCtx`] — see [`lint_files`].
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{self, Suppression, Token};
 use crate::rules;
-use crate::symbols::{FileInput, SymbolTable};
+use crate::symbols::SymbolTable;
 
 /// One lint finding, addressed by repo-relative path and 1-based position.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Repo-relative path (unix separators), e.g. `crates/graph/src/mst.rs`.
     pub path: String,
@@ -20,14 +19,11 @@ pub struct Finding {
     pub line: u32,
     /// 1-based source column.
     pub col: u32,
-    /// Rule name, e.g. `determinism`.
+    /// Rule name, e.g. `locality`.
     pub rule: &'static str,
     /// Human-readable explanation with the suggested fix.
     pub message: String,
-    /// The trimmed source line the finding points at (used for baseline
-    /// matching, which must survive unrelated line-number churn).
-    pub snippet: String,
-    /// For cross-file findings: the call chain from the flagged site to the
+    /// For call-graph findings: the call chain from the flagged site to the
     /// definition that violates the property, e.g.
     /// `helper -> deeper -> shortest_path_tree`.
     pub call_path: Option<String>,
@@ -48,97 +44,18 @@ impl Finding {
     }
 }
 
-/// Names of all rules, in the order they run and report.
-pub const RULE_NAMES: [&str; 8] = [
-    rules::DETERMINISM,
-    rules::FLOAT_ORDERING,
+/// Names of all rules.
+pub const RULE_NAMES: [&str; 4] = [
     rules::CSR_BOUNDARY,
-    rules::PANIC_HYGIENE,
-    rules::PARALLEL_READY,
     rules::LOCALITY,
     rules::SCHEDULER_DISCIPLINE,
-    rules::TRANSITIVE_PANIC,
+    rules::PANIC_HYGIENE,
 ];
-
-/// Everything a local rule needs to inspect one file.
-pub struct FileCtx<'a> {
-    /// Repo-relative path with unix separators.
-    pub path: &'a str,
-    /// The token stream.
-    pub tokens: &'a [Token],
-    /// Source split into lines (0-indexed; line N of a finding is `lines[N-1]`).
-    pub lines: &'a [&'a str],
-    /// Line ranges (inclusive) covered by `#[cfg(test)] mod … { … }` blocks.
-    pub test_ranges: &'a [(u32, u32)],
-}
-
-impl FileCtx<'_> {
-    /// The identifier text of token `i`, if it is an identifier.
-    pub fn ident(&self, i: usize) -> Option<&str> {
-        self.tokens.get(i).and_then(|t| t.ident())
-    }
-
-    /// True if token `i` exists and is the punctuation `ch`.
-    pub fn punct(&self, i: usize, ch: char) -> bool {
-        self.tokens.get(i).is_some_and(|t| t.is_punct(ch))
-    }
-
-    /// Given `self.tokens[open]` == `(`, returns the index just past the
-    /// matching `)`. Returns `tokens.len()` if unbalanced.
-    pub fn after_matching_paren(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while i < self.tokens.len() {
-            if self.punct(i, '(') {
-                depth += 1;
-            } else if self.punct(i, ')') {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            i += 1;
-        }
-        self.tokens.len()
-    }
-
-    /// True if `line` falls inside a `#[cfg(test)]` module.
-    pub fn in_test_mod(&self, line: u32) -> bool {
-        self.test_ranges
-            .iter()
-            .any(|&(start, end)| (start..=end).contains(&line))
-    }
-
-    /// Builds a finding at token `i` with the source snippet filled in.
-    pub fn finding(&self, i: usize, rule: &'static str, message: String) -> Finding {
-        let (line, col) = self
-            .tokens
-            .get(i)
-            .map(|t| (t.line, t.col))
-            .unwrap_or((1, 1));
-        let snippet = self
-            .lines
-            .get(line.saturating_sub(1) as usize)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
-        Finding {
-            path: self.path.to_string(),
-            line,
-            col,
-            rule,
-            message,
-            snippet,
-            call_path: None,
-        }
-    }
-}
 
 /// One fully lexed file in the workspace pipeline.
 pub struct FileData {
     /// Repo-relative path with unix separators.
     pub path: String,
-    /// The original source text.
-    pub source: String,
     /// The token stream.
     pub tokens: Vec<Token>,
     /// Inline `tc-lint: allow(..)` suppressions.
@@ -154,7 +71,6 @@ impl FileData {
         let test_ranges = find_test_mod_ranges(&lexed.tokens);
         FileData {
             path: path.to_string(),
-            source: source.to_string(),
             tokens: lexed.tokens,
             suppressions: lexed.suppressions,
             test_ranges,
@@ -167,10 +83,25 @@ impl FileData {
             .iter()
             .any(|&(start, end)| (start..=end).contains(&line))
     }
+
+    /// True if an inline `allow` silences `rule` on `line`.
+    pub fn suppressed(&self, rule: &str, line: u32) -> bool {
+        self.suppressions.iter().any(|s| s.covers(rule, line))
+    }
+
+    /// The identifier text of token `i`, if it is an identifier.
+    pub fn ident(&self, i: usize) -> Option<&str> {
+        self.tokens.get(i).and_then(Token::ident)
+    }
+
+    /// True if token `i` exists and is the punctuation `ch`.
+    pub fn punct(&self, i: usize, ch: char) -> bool {
+        self.tokens.get(i).is_some_and(|t| t.is_punct(ch))
+    }
 }
 
-/// Everything a cross-file rule needs: every file plus the symbol table and
-/// call graph built over them.
+/// Everything a rule needs: every file plus the symbol table and call graph
+/// built over them.
 pub struct WorkspaceCtx<'a> {
     /// All lexed files; indices match [`SymbolTable`]/[`CallGraph`] file ids.
     pub files: &'a [FileData],
@@ -181,7 +112,7 @@ pub struct WorkspaceCtx<'a> {
 }
 
 impl WorkspaceCtx<'_> {
-    /// Builds a finding at `(file, line, col)` with the snippet filled in.
+    /// Builds a finding at `(file, line, col)`.
     pub fn finding(
         &self,
         file: usize,
@@ -191,88 +122,53 @@ impl WorkspaceCtx<'_> {
         message: String,
         call_path: Option<String>,
     ) -> Finding {
-        let fd = &self.files[file];
-        let snippet = fd
-            .source
-            .lines()
-            .nth(line.saturating_sub(1) as usize)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
         Finding {
-            path: fd.path.clone(),
+            path: self.files[file].path.clone(),
             line,
             col,
             rule,
             message,
-            snippet,
             call_path,
         }
     }
 }
 
-/// Lints a set of files as one workspace: local rules per file, then the
-/// call-graph rules across the whole set, then inline suppressions (the
-/// baseline is applied separately; see [`crate::baseline`]). Paths must use
-/// `/` separators because rule scoping is path-based.
-pub fn lint_files(files: &[(String, String)], enabled: &[&str]) -> Vec<Finding> {
+/// Lints a set of files as one workspace: builds the symbol table and call
+/// graph over the whole set, runs every rule, then drops the findings an
+/// inline suppression covers. Findings come back sorted by path, then
+/// position. Paths must use `/` separators because rule scoping is
+/// path-based.
+pub fn lint_files(files: &[(String, String)]) -> Vec<Finding> {
     let data: Vec<FileData> = files
         .iter()
         .map(|(path, source)| FileData::parse(path, source))
         .collect();
-
+    let symbols = SymbolTable::build(&data);
+    let calls = CallGraph::build(&data, &symbols);
+    let ws = WorkspaceCtx {
+        files: &data,
+        symbols: &symbols,
+        calls: &calls,
+    };
     let mut findings = Vec::new();
-    for fd in &data {
-        let lines: Vec<&str> = fd.source.lines().collect();
-        let ctx = FileCtx {
-            path: &fd.path,
-            tokens: &fd.tokens,
-            lines: &lines,
-            test_ranges: &fd.test_ranges,
-        };
-        for &rule in enabled {
-            rules::run_rule(rule, &ctx, &mut findings);
-        }
-    }
-
-    if enabled.iter().any(|r| rules::CROSS_FILE_RULES.contains(r)) {
-        let inputs: Vec<FileInput<'_>> = data
-            .iter()
-            .map(|fd| FileInput {
-                path: &fd.path,
-                tokens: &fd.tokens,
-                test_ranges: &fd.test_ranges,
-            })
-            .collect();
-        let symbols = SymbolTable::build(&inputs);
-        let calls = CallGraph::build(&inputs, &symbols);
-        let ws = WorkspaceCtx {
-            files: &data,
-            symbols: &symbols,
-            calls: &calls,
-        };
-        rules::run_workspace_rules(&ws, enabled, &mut findings);
-    }
+    rules::run_all(&ws, &mut findings);
 
     findings.retain(|f| {
-        let Some(fd) = data.iter().find(|fd| fd.path == f.path) else {
-            return true;
-        };
-        !fd.suppressions.iter().any(|s| s.covers(f.rule, f.line))
+        !data
+            .iter()
+            .any(|fd| fd.path == f.path && fd.suppressed(f.rule, f.line))
     });
-    findings.sort();
+    findings.sort_by(|a, b| {
+        (&a.path, a.line, a.col, a.rule, &a.message)
+            .cmp(&(&b.path, b.line, b.col, b.rule, &b.message))
+    });
     findings
 }
 
-/// Lints one file's source text with every rule. Single-file analysis still
-/// runs the cross-file rules (over a one-file "workspace"), which is what
-/// the golden fixtures exercise.
+/// Lints one file's source text as a one-file workspace, which is what the
+/// golden fixtures exercise.
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
-    lint_source_filtered(rel_path, source, &RULE_NAMES)
-}
-
-/// Like [`lint_source`], but only runs the rules named in `enabled`.
-pub fn lint_source_filtered(rel_path: &str, source: &str, enabled: &[&str]) -> Vec<Finding> {
-    lint_files(&[(rel_path.to_string(), source.to_string())], enabled)
+    lint_files(&[(rel_path.to_string(), source.to_string())])
 }
 
 /// Locates `#[cfg(test)] mod name { … }` regions so rules can exempt test
@@ -376,31 +272,34 @@ mod tests {
 
     #[test]
     fn suppressions_silence_same_and_next_line() {
-        let src = "fn f(m: &std::collections::HashMap<u32, u32>) {\n\
-                   // tc-lint: allow(determinism)\n\
-                   for (k, v) in m {\n\
-                       let _ = (k, v);\n\
+        let src = "pub fn f(x: Option<u32>) -> u32 {\n\
+                   // tc-lint: allow(panic-hygiene)\n\
+                   x.unwrap() + x.unwrap()\n\
                    }\n\
+                   pub fn g(x: Option<u32>) -> u32 {\n\
+                   x.unwrap() // tc-lint: allow(panic-hygiene)\n\
                    }\n";
         let findings = lint_source("crates/x/src/lib.rs", src);
-        assert!(
-            findings.iter().all(|f| f.rule != "determinism"),
-            "suppressed: {findings:?}"
-        );
+        assert!(findings.is_empty(), "suppressed: {findings:#?}");
     }
 
     #[test]
-    fn suppressions_silence_cross_file_rules_too() {
+    fn suppressions_silence_call_sites_too() {
         let src = "fn force(x: Option<u32>) -> u32 {\n\
-                       // tc-lint: allow(panic-hygiene)\n\
-                       x.unwrap()\n\
+                       x.unwrap() // tc-lint: allow(panic-hygiene)\n\
                    }\n\
+                   fn must(x: Option<u32>) -> u32 { x.expect(\"set\") }\n\
                    pub fn outer(x: Option<u32>) -> u32 {\n\
-                       // tc-lint: allow(transitive-panic)\n\
-                       force(x)\n\
+                       // tc-lint: allow(panic-hygiene)\n\
+                       force(x) + must(x)\n\
                    }\n";
         let findings = lint_source("crates/x/src/lib.rs", src);
-        assert!(findings.is_empty(), "both layers suppressed: {findings:#?}");
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            vec![4],
+            "only must's own site remains: {findings:#?}"
+        );
     }
 
     #[test]
@@ -415,18 +314,19 @@ mod tests {
                 "pub fn consume(x: Option<u32>) -> u32 { must(x) }\n".to_string(),
             ),
         ];
-        let findings = lint_files(&files, &RULE_NAMES);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "panic-hygiene" && f.path == "crates/a/src/lib.rs"),
-            "{findings:#?}"
+        let findings = lint_files(&files);
+        let got: Vec<(&str, Option<&str>)> = findings
+            .iter()
+            .map(|f| (f.path.as_str(), f.call_path.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("crates/a/src/lib.rs", None),
+                ("crates/b/src/lib.rs", Some("must")),
+            ],
+            "the direct site, then the cross-file call: {findings:#?}"
         );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "transitive-panic" && f.path == "crates/b/src/lib.rs"),
-            "cross-file propagation: {findings:#?}"
-        );
+        assert!(findings.iter().all(|f| f.rule == "panic-hygiene"));
     }
 }

@@ -457,15 +457,15 @@ mod tests {
 
     #[test]
     fn suppression_comments_are_collected() {
-        let src = "let x = 1; // tc-lint: allow(determinism, float-ordering)\nlet y = 2;\n";
+        let src = "let x = 1; // tc-lint: allow(locality, csr-boundary)\nlet y = 2;\n";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 1);
         let s = &lexed.suppressions[0];
         assert_eq!(s.line, 1);
-        assert!(s.covers("determinism", 1));
-        assert!(s.covers("determinism", 2), "covers the following line too");
-        assert!(!s.covers("determinism", 3));
-        assert!(s.covers("float-ordering", 1));
+        assert!(s.covers("locality", 1));
+        assert!(s.covers("locality", 2), "covers the following line too");
+        assert!(!s.covers("locality", 3));
+        assert!(s.covers("csr-boundary", 1));
         assert!(!s.covers("panic-hygiene", 1));
     }
 

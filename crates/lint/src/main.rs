@@ -1,126 +1,42 @@
 //! The `tc-lint` command-line interface.
 //!
 //! ```text
-//! cargo run -p tc-lint -- --check          # CI gate: exit 1 on new findings
-//! cargo run -p tc-lint -- --json           # machine-readable output
-//! cargo run -p tc-lint -- --update-baseline
-//! cargo run -p tc-lint -- --rules determinism,panic-hygiene
+//! cargo run -p tc-lint    # exit 0 when clean, 1 on any finding
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::env;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tc_lint::{baseline::Baseline, findings_to_json, lint_workspace, rules, walk, RULE_NAMES};
+use tc_lint::{lint_workspace, rules, walk, RULE_NAMES};
 
 const USAGE: &str = "\
 tc-lint: repo-invariant static analysis (see docs/LINTS.md)
 
 USAGE:
-    cargo run -p tc-lint -- [OPTIONS]
+    cargo run -p tc-lint
 
-OPTIONS:
-    --check              Lint and exit 1 on unsuppressed findings (default)
-    --json               Emit findings as a JSON array instead of text
-    --update-baseline    Rewrite lint-baseline.txt from current findings
-    --no-baseline        Ignore lint-baseline.txt (report everything)
-    --baseline <path>    Use an alternative baseline file
-    --root <path>        Workspace root (default: ascend from cwd)
-    --rules <a,b,..>     Only run the named rules
-    --list-rules         Print the rule catalogue and exit
-    --help               Show this help
-";
+Lints the workspace that contains the current directory and takes no
+arguments. Exits 0 when clean, 1 on any finding and 2 on any argument.
+Silence a vetted site with `// tc-lint: allow(<rule>)` and a justification.
 
-struct Options {
-    json: bool,
-    update_baseline: bool,
-    no_baseline: bool,
-    baseline_path: Option<PathBuf>,
-    root: Option<PathBuf>,
-    rules: Option<Vec<String>>,
-}
+RULES:";
 
 fn main() -> ExitCode {
-    let mut opts = Options {
-        json: false,
-        update_baseline: false,
-        no_baseline: false,
-        baseline_path: None,
-        root: None,
-        rules: None,
-    };
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // --check is the default mode; accepted for explicitness in CI.
-            "--check" => {}
-            "--json" => opts.json = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
-            "--baseline" => match args.next() {
-                Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
-                None => return usage_error("--baseline needs a path"),
-            },
-            "--root" => match args.next() {
-                Some(p) => opts.root = Some(PathBuf::from(p)),
-                None => return usage_error("--root needs a path"),
-            },
-            "--rules" => match args.next() {
-                Some(list) => {
-                    opts.rules = Some(
-                        list.split(',')
-                            .map(|r| r.trim().to_ascii_lowercase())
-                            .filter(|r| !r.is_empty())
-                            .collect(),
-                    )
-                }
-                None => return usage_error("--rules needs a comma-separated list"),
-            },
-            "--list-rules" => {
-                for rule in RULE_NAMES {
-                    println!("{rule}\n    {}", rules::describe(rule));
-                }
-                return ExitCode::SUCCESS;
-            }
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => return usage_error(&format!("unknown argument `{other}`")),
+    if let Some(arg) = env::args().nth(1) {
+        eprintln!("tc-lint: unexpected argument `{arg}`\n\n{USAGE}");
+        for rule in RULE_NAMES {
+            eprintln!("    {rule}\n        {}", rules::describe(rule));
         }
+        return ExitCode::from(2);
     }
-
-    let root = match &opts.root {
-        Some(r) => r.clone(),
-        None => {
-            let cwd = env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            walk::find_workspace_root(&cwd)
-        }
-    };
-
-    // Validate --rules against the catalogue before doing any work.
-    let enabled: Vec<&str> = match &opts.rules {
-        None => RULE_NAMES.to_vec(),
-        Some(named) => {
-            let mut enabled = Vec::new();
-            for name in named {
-                match RULE_NAMES.iter().find(|r| **r == name.as_str()) {
-                    Some(rule) => enabled.push(*rule),
-                    None => {
-                        return usage_error(&format!("unknown rule `{name}` (try --list-rules)"))
-                    }
-                }
-            }
-            enabled
-        }
-    };
-
-    let findings = match lint_workspace(&root, &enabled) {
-        Ok(f) => f,
+    let cwd = env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let root = walk::find_workspace_root(&cwd);
+    let findings = match lint_workspace(&root) {
+        Ok(findings) => findings,
         Err(err) => {
             eprintln!(
                 "tc-lint: failed to read workspace at {}: {err}",
@@ -129,80 +45,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| root.join("lint-baseline.txt"));
-
-    if opts.update_baseline {
-        // Preserve the existing file's comment header so regeneration is
-        // byte-stable and never drops local policy notes.
-        let header = fs::read_to_string(&baseline_path)
-            .ok()
-            .and_then(|existing| Baseline::extract_header(&existing))
-            .unwrap_or_else(|| tc_lint::baseline::DEFAULT_HEADER.to_string());
-        let content = Baseline::render_with_header(&header, &findings);
-        if let Err(err) = fs::write(&baseline_path, content) {
-            eprintln!("tc-lint: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "tc-lint: wrote {} entries to {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("{}", f.render());
     }
-
-    let (baseline, parse_errors) = if opts.no_baseline {
-        (Baseline::default(), Vec::new())
-    } else {
-        match fs::read_to_string(&baseline_path) {
-            Ok(content) => Baseline::parse(&content),
-            // A missing baseline just means nothing is grandfathered.
-            Err(_) => (Baseline::default(), Vec::new()),
-        }
-    };
-    for err in &parse_errors {
-        eprintln!("tc-lint: {err}");
-    }
-    let applied = baseline.apply(findings);
-
-    if opts.json {
-        print!("{}", findings_to_json(&applied.new));
-    } else {
-        for f in &applied.new {
-            println!("{}", f.render());
-        }
-        for stale in &applied.stale {
-            eprintln!("tc-lint: note: stale baseline entry: {stale}");
-        }
-        if applied.new.is_empty() {
-            eprintln!(
-                "tc-lint: clean ({} grandfathered, {} stale baseline entries)",
-                applied.grandfathered.len(),
-                applied.stale.len()
-            );
-        } else {
-            eprintln!(
-                "tc-lint: {} new finding(s) ({} grandfathered); fix them, add \
-                 `// tc-lint: allow(rule)` with a justification, or regenerate \
-                 the baseline",
-                applied.new.len(),
-                applied.grandfathered.len()
-            );
-        }
-    }
-
-    if applied.new.is_empty() && parse_errors.is_empty() {
+    if findings.is_empty() {
+        eprintln!("tc-lint: clean");
         ExitCode::SUCCESS
     } else {
+        eprintln!(
+            "tc-lint: {} finding(s); fix them, or add `// tc-lint: allow(rule)` \
+             with a justification",
+            findings.len()
+        );
         ExitCode::from(1)
     }
-}
-
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("tc-lint: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
 }

@@ -1,63 +1,35 @@
 //! The repo-invariant rules.
 //!
-//! The five local rules are token-stream pattern matchers over [`FileCtx`].
-//! The three cross-file rules (`locality`, `scheduler-discipline`,
-//! `transitive-panic`) run over a [`WorkspaceCtx`] — the symbol table and
-//! call graph built from every file — so they can follow a property through
-//! function calls. All are deliberately heuristic: the goal is to catch the
-//! bug classes that have actually occurred in this repo (see docs/LINTS.md
-//! for the incident list and the known imprecision of name-based call
-//! resolution), with inline `// tc-lint: allow(rule)` comments and the
-//! checked-in baseline covering the rare deliberate exceptions.
+//! Every rule runs over a [`WorkspaceCtx`] — the token streams plus the
+//! symbol table and call graph built from every file. `csr-boundary` is a
+//! per-file pattern match; `locality`, `scheduler-discipline` and
+//! `panic-hygiene` follow a property through function calls. All are
+//! deliberately heuristic: the goal is to catch the bug classes that have
+//! actually occurred in this repo (see docs/LINTS.md for the incident list
+//! and the known imprecision of name-based call resolution), with inline
+//! `// tc-lint: allow(rule)` comments covering the rare deliberate
+//! exceptions.
 
-use crate::engine::{FileCtx, Finding, WorkspaceCtx};
+use crate::engine::{FileData, Finding, WorkspaceCtx};
 use crate::lexer::{TokKind, Token};
 use std::collections::BTreeSet;
 
-/// Rule name: nondeterministic hash-container iteration.
-pub const DETERMINISM: &str = "determinism";
-/// Rule name: NaN-unsafe float comparators.
-pub const FLOAT_ORDERING: &str = "float-ordering";
 /// Rule name: read-only measurement on the mutable graph representation.
 pub const CSR_BOUNDARY: &str = "csr-boundary";
-/// Rule name: panicking calls in library code.
-pub const PANIC_HYGIENE: &str = "panic-hygiene";
-/// Rule name: constructs that block `Send`/`Sync` in core data structures.
-pub const PARALLEL_READY: &str = "parallel-ready";
 /// Rule name: distributed/relaxed phases reaching global graph APIs.
 pub const LOCALITY: &str = "locality";
 /// Rule name: scheduler closures capturing state, doing I/O, or folding in
 /// visit order.
 pub const SCHEDULER_DISCIPLINE: &str = "scheduler-discipline";
-/// Rule name: library calls into functions that (transitively) panic.
-pub const TRANSITIVE_PANIC: &str = "transitive-panic";
+/// Rule name: library code that panics, directly or through its calls.
+pub const PANIC_HYGIENE: &str = "panic-hygiene";
 
-/// The rules that need the workspace call graph (run via
-/// [`run_workspace_rules`], not [`run_rule`]).
-pub const CROSS_FILE_RULES: [&str; 3] = [LOCALITY, SCHEDULER_DISCIPLINE, TRANSITIVE_PANIC];
-
-/// One-line description per rule, for `--list-rules`.
+/// One-line description per rule, for the usage text.
 pub fn describe(rule: &str) -> &'static str {
     match rule {
-        DETERMINISM => {
-            "flags iteration over HashMap/HashSet whose order can reach serialized output; \
-             use BTreeMap/BTreeSet or sort explicitly"
-        }
-        FLOAT_ORDERING => {
-            "flags partial_cmp(..).unwrap() comparators; use tc_graph::cmp_f64 / OrdF64 \
-             (IEEE-754 totalOrder, NaN-safe)"
-        }
         CSR_BOUNDARY => {
             "flags read-only measurements running on &WeightedGraph outside construction \
              crates; mutate on WeightedGraph, measure on CsrGraph"
-        }
-        PANIC_HYGIENE => {
-            "denies unwrap/expect/panic! in tc-* library code (tests, benches and examples \
-             are exempt)"
-        }
-        PARALLEL_READY => {
-            "flags static mut, Rc, RefCell and other !Sync constructs in graph/geometry \
-             crates slated for parallel sweeps"
         }
         LOCALITY => {
             "flags call paths from distributed.rs/relaxed/ to global graph APIs \
@@ -69,38 +41,22 @@ pub fn describe(rule: &str) -> &'static str {
              write captured bindings, take locks, or (transitively) perform I/O; \
              accumulate via returned values, merge in input order"
         }
-        TRANSITIVE_PANIC => {
-            "flags library calls whose every resolution can panic (unwrap/expect/panic! \
-             reachable through the call graph); suppressed panic sites do not propagate"
+        PANIC_HYGIENE => {
+            "flags unwrap/expect/panic! in tc-* library code, and library calls whose \
+             every resolution reaches one; suppressed panic sites do not propagate"
         }
         _ => "unknown rule",
     }
 }
 
-/// Dispatches one local rule by name over a file context. Cross-file rule
-/// names are ignored here — they dispatch through [`run_workspace_rules`].
-pub fn run_rule(rule: &str, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    match rule {
-        DETERMINISM => determinism(ctx, out),
-        FLOAT_ORDERING => float_ordering(ctx, out),
-        CSR_BOUNDARY => csr_boundary(ctx, out),
-        PANIC_HYGIENE => panic_hygiene(ctx, out),
-        PARALLEL_READY => parallel_ready(ctx, out),
-        _ => {}
+/// Runs every rule over the workspace context.
+pub fn run_all(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
+    for file in 0..ws.files.len() {
+        csr_boundary(ws, file, out);
     }
-}
-
-/// Runs every enabled cross-file rule over the workspace context.
-pub fn run_workspace_rules(ws: &WorkspaceCtx<'_>, enabled: &[&str], out: &mut Vec<Finding>) {
-    if enabled.contains(&LOCALITY) {
-        locality(ws, out);
-    }
-    if enabled.contains(&SCHEDULER_DISCIPLINE) {
-        scheduler_discipline(ws, out);
-    }
-    if enabled.contains(&TRANSITIVE_PANIC) {
-        transitive_panic(ws, out);
-    }
+    locality(ws, out);
+    scheduler_discipline(ws, out);
+    panic_hygiene(ws, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -124,33 +80,31 @@ pub(crate) fn is_library_src(path: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Tracked-identifier inference (shared by determinism and csr-boundary)
+// Tracked-identifier inference (for csr-boundary)
 // ---------------------------------------------------------------------------
 
-/// Infers the set of identifiers bound to one of `type_names`, from:
+/// Infers the set of identifiers bound to a `WeightedGraph`, from:
 ///
-/// * type ascriptions — `name: HashMap<..>` in lets, fields and parameters
-///   (with any `path::` prefix and `&`/`mut` qualifiers);
-/// * constructor assignments — `name = HashMap::new()` (also
+/// * type ascriptions — `name: WeightedGraph` in lets, fields and
+///   parameters (with any `path::` prefix and `&`/`mut` qualifiers);
+/// * constructor assignments — `name = WeightedGraph::new(..)` (also
 ///   `with_capacity`, `default`, `from`);
-/// * producer-method assignments — `name = expr.method(..)` for each
-///   `method` in `producers` (e.g. `weighted_graph` yields a
-///   `WeightedGraph`).
-fn tracked_idents(ctx: &FileCtx<'_>, type_names: &[&str], producers: &[&str]) -> BTreeSet<String> {
+/// * producer-method assignments — `name = expr.weighted_graph(..)`.
+fn weighted_graph_idents(fd: &FileData) -> BTreeSet<String> {
     const CTORS: [&str; 4] = ["new", "with_capacity", "default", "from"];
     let mut tracked = BTreeSet::new();
-    let toks = ctx.tokens;
+    let toks = &fd.tokens;
     for i in 0..toks.len() {
-        let Some(name) = ctx.ident(i) else { continue };
+        let Some(name) = fd.ident(i) else { continue };
 
-        if type_names.contains(&name) {
+        if name == "WeightedGraph" {
             // Walk back over `segment::` path prefixes to the head of the
             // type path.
             let mut cur = i;
             while cur >= 3
-                && ctx.punct(cur - 1, ':')
-                && ctx.punct(cur - 2, ':')
-                && ctx.ident(cur - 3).is_some()
+                && fd.punct(cur - 1, ':')
+                && fd.punct(cur - 2, ':')
+                && fd.ident(cur - 3).is_some()
             {
                 cur -= 3;
             }
@@ -168,26 +122,26 @@ fn tracked_idents(ctx: &FileCtx<'_>, type_names: &[&str], producers: &[&str]) ->
                 }
             }
             // Type ascription: `binder : [&] [path::]Type`.
-            if j >= 1 && ctx.punct(j as usize, ':') && !ctx.punct(j as usize - 1, ':') {
-                if let Some(binder) = ctx.ident(j as usize - 1) {
+            if j >= 1 && fd.punct(j as usize, ':') && !fd.punct(j as usize - 1, ':') {
+                if let Some(binder) = fd.ident(j as usize - 1) {
                     tracked.insert(binder.to_string());
                 }
             }
             // Constructor: `binder = [path::]Type::ctor(..)`.
-            if ctx.punct(i + 1, ':')
-                && ctx.punct(i + 2, ':')
-                && ctx.ident(i + 3).is_some_and(|m| CTORS.contains(&m))
+            if fd.punct(i + 1, ':')
+                && fd.punct(i + 2, ':')
+                && fd.ident(i + 3).is_some_and(|m| CTORS.contains(&m))
                 && j >= 1
-                && ctx.punct(j as usize, '=')
+                && fd.punct(j as usize, '=')
             {
-                if let Some(binder) = ctx.ident(j as usize - 1) {
+                if let Some(binder) = fd.ident(j as usize - 1) {
                     tracked.insert(binder.to_string());
                 }
             }
         }
 
-        // Producer method: `binder = <expr>.producer(..);`
-        if producers.contains(&name) && i >= 1 && ctx.punct(i - 1, '.') && ctx.punct(i + 1, '(') {
+        // Producer method: `binder = <expr>.weighted_graph(..);`
+        if name == "weighted_graph" && i >= 1 && fd.punct(i - 1, '.') && fd.punct(i + 1, '(') {
             // Scan left for the `=` of the enclosing `let`/assignment,
             // stopping at statement boundaries.
             let mut k = i as i64 - 2;
@@ -198,7 +152,7 @@ fn tracked_idents(ctx: &FileCtx<'_>, type_names: &[&str], producers: &[&str]) ->
                     break;
                 }
                 if t.is_punct('=') {
-                    if let Some(binder) = ctx.ident(k as usize - 1) {
+                    if let Some(binder) = fd.ident(k as usize - 1) {
                         tracked.insert(binder.to_string());
                     }
                     break;
@@ -209,138 +163,6 @@ fn tracked_idents(ctx: &FileCtx<'_>, type_names: &[&str], producers: &[&str]) ->
         }
     }
     tracked
-}
-
-// ---------------------------------------------------------------------------
-// Rule: determinism
-// ---------------------------------------------------------------------------
-
-const ITER_METHODS: [&str; 9] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-/// Adapters whose result does not depend on iteration order; a hash-map
-/// iteration immediately consumed by one of these is sound.
-const ORDER_INDEPENDENT: [&str; 3] = ["any", "all", "count"];
-
-fn determinism(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if is_test_path(ctx.path) {
-        return;
-    }
-    let tracked = tracked_idents(ctx, &["HashMap", "HashSet"], &[]);
-    if tracked.is_empty() {
-        return;
-    }
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if ctx.in_test_mod(toks[i].line) {
-            continue;
-        }
-        // `map.iter()`, `map.keys()`, … on a tracked hash container.
-        if toks[i].is_punct('.')
-            && ctx.ident(i + 1).is_some_and(|m| ITER_METHODS.contains(&m))
-            && ctx.punct(i + 2, '(')
-            && i >= 1
-            && ctx.ident(i - 1).is_some_and(|r| tracked.contains(r))
-        {
-            // `map.iter().any(..)` and friends are order-independent.
-            let after = ctx.after_matching_paren(i + 2);
-            if toks.get(after).is_some_and(|t| t.is_punct('.'))
-                && ctx
-                    .ident(after + 1)
-                    .is_some_and(|m| ORDER_INDEPENDENT.contains(&m))
-            {
-                continue;
-            }
-            let recv = ctx.ident(i - 1).unwrap_or_default().to_string();
-            let method = ctx.ident(i + 1).unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i + 1,
-                DETERMINISM,
-                format!(
-                    "`{recv}.{method}()` iterates a hash-based container in \
-                     nondeterministic order; switch `{recv}` to a \
-                     BTreeMap/BTreeSet or sort the results before they can \
-                     reach serialized output"
-                ),
-            ));
-        }
-        // `for x in [&[mut]] map { … }` — iteration without a method call.
-        if ctx.ident(i) == Some("for") {
-            let mut j = i + 1;
-            let mut guard = 0;
-            while j < toks.len() && ctx.ident(j) != Some("in") {
-                if toks[j].is_punct('{') || guard > 40 {
-                    j = toks.len();
-                    break;
-                }
-                j += 1;
-                guard += 1;
-            }
-            if j >= toks.len() {
-                continue;
-            }
-            let mut k = j + 1;
-            while ctx.punct(k, '&') || ctx.ident(k) == Some("mut") {
-                k += 1;
-            }
-            if let Some(name) = ctx.ident(k) {
-                if tracked.contains(name) && ctx.punct(k + 1, '{') {
-                    out.push(ctx.finding(
-                        k,
-                        DETERMINISM,
-                        format!(
-                            "`for … in {name}` iterates a hash-based container \
-                             in nondeterministic order; switch `{name}` to a \
-                             BTreeMap/BTreeSet or sort the results before they \
-                             can reach serialized output"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: float-ordering
-// ---------------------------------------------------------------------------
-
-const UNWRAP_LIKE: [&str; 4] = ["unwrap", "expect", "unwrap_or", "unwrap_or_else"];
-
-fn float_ordering(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    let toks = ctx.tokens;
-    for i in 0..toks.len() {
-        if ctx.ident(i) != Some("partial_cmp") || !ctx.punct(i + 1, '(') {
-            continue;
-        }
-        let after = ctx.after_matching_paren(i + 1);
-        if toks.get(after).is_some_and(|t| t.is_punct('.'))
-            && ctx
-                .ident(after + 1)
-                .is_some_and(|m| UNWRAP_LIKE.contains(&m))
-        {
-            out.push(
-                ctx.finding(
-                    i,
-                    FLOAT_ORDERING,
-                    "`partial_cmp(..)` resolved with an unwrap-style fallback is \
-                 not a total order and panics (or lies) on NaN; use \
-                 `tc_graph::cmp_f64` or the `tc_graph::OrdF64` wrapper \
-                 (IEEE-754 totalOrder)"
-                        .to_string(),
-                ),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -377,34 +199,35 @@ const MEASURE_FNS: [&str; 22] = [
     "k_hop_subgraph",
 ];
 
-fn csr_boundary(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
+fn csr_boundary(ws: &WorkspaceCtx<'_>, file: usize, out: &mut Vec<Finding>) {
+    let fd = &ws.files[file];
     // The construction crates legitimately traverse the mutable graph while
     // building it; the boundary rule is for everyone downstream.
-    if ctx.path.starts_with("crates/core/")
-        || ctx.path.starts_with("crates/graph/")
-        || is_test_path(ctx.path)
+    if fd.path.starts_with("crates/core/")
+        || fd.path.starts_with("crates/graph/")
+        || is_test_path(&fd.path)
     {
         return;
     }
-    let tracked = tracked_idents(ctx, &["WeightedGraph"], &["weighted_graph"]);
-    let toks = ctx.tokens;
+    let tracked = weighted_graph_idents(fd);
+    let toks = &fd.tokens;
     for i in 0..toks.len() {
-        if ctx.in_test_mod(toks[i].line) {
+        if fd.in_test_mod(toks[i].line) {
             continue;
         }
-        let Some(name) = ctx.ident(i) else { continue };
-        if !MEASURE_FNS.contains(&name) || !ctx.punct(i + 1, '(') {
+        let Some(name) = fd.ident(i) else { continue };
+        if !MEASURE_FNS.contains(&name) || !fd.punct(i + 1, '(') {
             continue;
         }
         // A definition (`fn spanner_report(..)`) is not a call.
-        if i >= 1 && ctx.ident(i - 1) == Some("fn") {
+        if i >= 1 && fd.ident(i - 1) == Some("fn") {
             continue;
         }
         // Inspect the first argument: flag `[&] ident` for a tracked
         // WeightedGraph binding, and `[&] expr.graph()` — the accessor that
         // hands out the mutable representation.
         let open = i + 1;
-        let close = ctx.after_matching_paren(open).saturating_sub(1);
+        let close = match_forward(toks, open, '(', ')');
         let mut end = open + 1;
         let mut depth = 0i64;
         while end < close {
@@ -418,18 +241,20 @@ fn csr_boundary(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             end += 1;
         }
         let mut a = open + 1;
-        while ctx.punct(a, '&') {
+        while fd.punct(a, '&') {
             a += 1;
         }
-        let bare_tracked = end == a + 1 && ctx.ident(a).is_some_and(|id| tracked.contains(id));
+        let bare_tracked = end == a + 1 && fd.ident(a).is_some_and(|id| tracked.contains(id));
         let graph_accessor = end >= open + 4
             && toks.get(end - 1).is_some_and(|t| t.is_punct(')'))
             && toks.get(end - 2).is_some_and(|t| t.is_punct('('))
-            && ctx.ident(end - 3) == Some("graph")
+            && fd.ident(end - 3) == Some("graph")
             && toks.get(end - 4).is_some_and(|t| t.is_punct('.'));
         if bare_tracked || graph_accessor {
-            out.push(ctx.finding(
-                i,
+            out.push(ws.finding(
+                file,
+                toks[i].line,
+                toks[i].col,
                 CSR_BOUNDARY,
                 format!(
                     "read-only measurement `{name}` runs on a mutable \
@@ -438,101 +263,7 @@ fn csr_boundary(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
                      (`CsrGraph::from(&g)` / `ubg.to_csr()`, see \
                      docs/PERFORMANCE.md)"
                 ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: panic-hygiene
-// ---------------------------------------------------------------------------
-
-const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-fn panic_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !is_library_src(ctx.path) {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if ctx.in_test_mod(tok.line) {
-            continue;
-        }
-        if tok.is_punct('.')
-            && ctx.ident(i + 1).is_some_and(|m| PANIC_METHODS.contains(&m))
-            && ctx.punct(i + 2, '(')
-        {
-            let method = ctx.ident(i + 1).unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i + 1,
-                PANIC_HYGIENE,
-                format!(
-                    "`.{method}()` in library code aborts the caller's \
-                     process on failure; return Result/Option, or document \
-                     the invariant and add `// tc-lint: allow(panic-hygiene)`"
-                ),
-            ));
-        }
-        if ctx.ident(i).is_some_and(|m| PANIC_MACROS.contains(&m)) && ctx.punct(i + 1, '!') {
-            let mac = ctx.ident(i).unwrap_or_default().to_string();
-            out.push(ctx.finding(
-                i,
-                PANIC_HYGIENE,
-                format!(
-                    "`{mac}!` in library code aborts the caller's process; \
-                     return an error, or document the invariant and add \
-                     `// tc-lint: allow(panic-hygiene)`"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: parallel-ready
-// ---------------------------------------------------------------------------
-
-/// Crates whose data structures must stay `Send + Sync` so the planned
-/// parallel experiment sweeps can share them across threads.
-const PARALLEL_CRATES: [&str; 4] = [
-    "crates/graph/",
-    "crates/geometry/",
-    "crates/ubg/",
-    "crates/core/",
-];
-
-fn parallel_ready(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
-    if !PARALLEL_CRATES.iter().any(|c| ctx.path.starts_with(c)) {
-        return;
-    }
-    let toks = ctx.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if ctx.in_test_mod(tok.line) {
-            continue;
-        }
-        let Some(name) = ctx.ident(i) else { continue };
-        let hit = match name {
-            "static" => ctx.ident(i + 1) == Some("mut"),
-            // `Rc`, `RefCell`, `UnsafeCell` anywhere (type position, path or
-            // import); bare `Cell` only with type arguments to avoid false
-            // positives on unrelated identifiers.
-            "Rc" | "RefCell" | "UnsafeCell" => true,
-            "Cell" => ctx.punct(i + 1, '<'),
-            "thread_local" => ctx.punct(i + 1, '!'),
-            _ => false,
-        };
-        if hit {
-            let what = if name == "static" { "static mut" } else { name };
-            out.push(ctx.finding(
-                i,
-                PARALLEL_READY,
-                format!(
-                    "`{what}` makes this type unusable across threads; the \
-                     graph/geometry crates feed parallel sweeps — use plain \
-                     ownership, atomics, or move the state out of the shared \
-                     structure"
-                ),
+                None,
             ));
         }
     }
@@ -622,11 +353,7 @@ fn locality(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
     let mut seeds: Vec<(usize, Option<usize>)> = Vec::new();
     for (site_idx, site) in ws.calls.sites().iter().enumerate() {
         let fd = &ws.files[site.file];
-        if fd
-            .suppressions
-            .iter()
-            .any(|s| s.covers(LOCALITY, site.line))
-        {
+        if fd.suppressed(LOCALITY, site.line) {
             blocked.insert(site_idx);
             continue;
         }
@@ -1324,44 +1051,65 @@ fn check_scheduler_closure(
 }
 
 // ---------------------------------------------------------------------------
-// Rule: transitive-panic
+// Rule: panic-hygiene
 // ---------------------------------------------------------------------------
 
-fn transitive_panic(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
-    // Direct panickers: unsuppressed unwrap/expect/panic-macro in the body.
-    // A site excused by `allow(panic-hygiene)` documents an invariant — it
-    // does not propagate to callers.
+const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
+/// The panic token at `toks[i]`, if any: `.unwrap(` / `.expect(` or a
+/// panicking macro invocation.
+fn panic_site(toks: &[Token], i: usize) -> Option<&str> {
+    let name = toks[i].ident()?;
+    let next = toks.get(i + 1)?;
+    let method =
+        i > 0 && toks[i - 1].is_punct('.') && PANIC_METHODS.contains(&name) && next.is_punct('(');
+    let mac = PANIC_MACROS.contains(&name) && next.is_punct('!');
+    (method || mac).then_some(name)
+}
+
+fn panic_hygiene(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
+    // Direct sites: unwrap/expect/panic-macro outside test code. They are
+    // reported in library code, and make their enclosing definition a
+    // panicker wherever it lives. A site excused by `allow(panic-hygiene)`
+    // documents an invariant: it is neither reported nor propagated.
     let mut direct = vec![false; ws.symbols.fns().len()];
-    for (id, def) in ws.symbols.fns().iter().enumerate() {
-        if def.in_test {
-            continue;
-        }
-        let Some((b0, b1)) = def.body else { continue };
-        let fd = &ws.files[def.file];
-        let toks = &fd.tokens;
-        for i in b0..=b1.min(toks.len().saturating_sub(1)) {
-            let line = toks[i].line;
-            let method_panic = i > 0
-                && toks[i - 1].is_punct('.')
-                && toks[i].ident().is_some_and(|m| PANIC_METHODS.contains(&m))
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('('));
-            let macro_panic = toks[i].ident().is_some_and(|m| PANIC_MACROS.contains(&m))
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('!'));
-            if !(method_panic || macro_panic) || fd.in_test_mod(line) {
+    for (file, fd) in ws.files.iter().enumerate() {
+        let library = is_library_src(&fd.path);
+        for (i, tok) in fd.tokens.iter().enumerate() {
+            let Some(name) = panic_site(&fd.tokens, i) else {
+                continue;
+            };
+            if fd.in_test_mod(tok.line) || fd.suppressed(PANIC_HYGIENE, tok.line) {
                 continue;
             }
-            let suppressed = fd
-                .suppressions
-                .iter()
-                .any(|s| s.covers(PANIC_HYGIENE, line) || s.covers(TRANSITIVE_PANIC, line));
-            if !suppressed {
+            if let Some(id) = ws.symbols.enclosing_fn(file, i) {
                 direct[id] = true;
-                break;
+            }
+            if library {
+                let what = if PANIC_MACROS.contains(&name) {
+                    format!("`{name}!`")
+                } else {
+                    format!("`.{name}()`")
+                };
+                out.push(ws.finding(
+                    file,
+                    tok.line,
+                    tok.col,
+                    PANIC_HYGIENE,
+                    format!(
+                        "{what} in library code aborts the caller's process; \
+                         return Result/Option, or document the invariant and \
+                         add `// tc-lint: allow(panic-hygiene)`"
+                    ),
+                    None,
+                ));
             }
         }
     }
-    let reach = ws.calls.panic_closure(ws.symbols, &direct);
 
+    // Call sites whose every candidate reaches a direct site.
+    let reach = ws.calls.panic_closure(ws.symbols, &direct);
     for site in ws.calls.sites() {
         let fd = &ws.files[site.file];
         if !is_library_src(&fd.path) || site.in_test {
@@ -1376,7 +1124,7 @@ fn transitive_panic(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
             site.file,
             site.line,
             site.col,
-            TRANSITIVE_PANIC,
+            PANIC_HYGIENE,
             format!(
                 "`{}` can panic (every resolution reaches an unsuppressed \
                  unwrap/expect/panic!); propagate a Result/Option instead, or \
@@ -1392,66 +1140,6 @@ fn transitive_panic(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use crate::engine::lint_source;
-
-    #[test]
-    fn determinism_catches_tracked_iteration() {
-        let src = "use std::collections::HashMap;\n\
-                   fn f() {\n\
-                       let mut counts = HashMap::new();\n\
-                       counts.insert(1u32, 2u32);\n\
-                       for (k, v) in &counts {\n\
-                           println!(\"{k} {v}\");\n\
-                       }\n\
-                       let _sum: u32 = counts.values().sum();\n\
-                   }\n";
-        let findings = lint_source("crates/x/src/lib.rs", src);
-        let det: Vec<_> = findings
-            .iter()
-            .filter(|f| f.rule == "determinism")
-            .collect();
-        assert_eq!(det.len(), 2, "{findings:#?}");
-        assert_eq!(det[0].line, 5);
-        assert_eq!(det[1].line, 8);
-    }
-
-    #[test]
-    fn determinism_ignores_lookups_and_btreemaps() {
-        let src = "use std::collections::{BTreeMap, HashMap};\n\
-                   fn f(m: &HashMap<u32, u32>, b: &BTreeMap<u32, u32>) -> Option<u32> {\n\
-                       for (k, v) in b {\n\
-                           let _ = (k, v);\n\
-                       }\n\
-                       m.get(&1).copied()\n\
-                   }\n";
-        let findings = lint_source("crates/x/src/lib.rs", src);
-        assert!(
-            findings.iter().all(|f| f.rule != "determinism"),
-            "{findings:#?}"
-        );
-    }
-
-    #[test]
-    fn float_ordering_catches_partial_cmp_unwrap() {
-        let src = "fn f(v: &mut Vec<f64>) {\n\
-                   v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n\
-                   }\n";
-        let findings = lint_source("crates/x/src/lib.rs", src);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == "float-ordering" && f.line == 2),
-            "{findings:#?}"
-        );
-    }
-
-    #[test]
-    fn float_ordering_accepts_total_cmp() {
-        let src = "fn f(v: &mut Vec<f64>) {\n\
-                   v.sort_by(|a, b| a.total_cmp(b));\n\
-                   }\n";
-        let findings = lint_source("crates/x/src/lib.rs", src);
-        assert!(findings.iter().all(|f| f.rule != "float-ordering"));
-    }
 
     #[test]
     fn csr_boundary_flags_weighted_graph_measurement() {
@@ -1508,28 +1196,6 @@ mod tests {
         assert!(example.iter().all(|f| f.rule != "panic-hygiene"));
     }
 
-    #[test]
-    fn parallel_ready_flags_interior_mutability() {
-        let src = "use std::rc::Rc;\n\
-                   use std::cell::RefCell;\n\
-                   pub struct Bad {\n\
-                       nodes: Rc<RefCell<Vec<u32>>>,\n\
-                   }\n";
-        let findings = lint_source("crates/graph/src/bad.rs", src);
-        assert!(
-            findings
-                .iter()
-                .filter(|f| f.rule == "parallel-ready")
-                .count()
-                >= 3,
-            "{findings:#?}"
-        );
-        // Outside the parallel-critical crates the rule stays quiet.
-        assert!(lint_source("crates/bench/src/bad.rs", src)
-            .iter()
-            .all(|f| f.rule != "parallel-ready"));
-    }
-
     /// Every name the csr-boundary, locality and scheduler-discipline rules
     /// watch must be a function the workspace ships (defined outside test
     /// code): an entry whose function was deleted, renamed or moved into
@@ -1538,7 +1204,7 @@ mod tests {
     fn api_name_lists_name_shipped_functions() {
         use super::{is_test_path, GLOBAL_REACH_FNS, MEASURE_FNS, SCHEDULER_FNS};
         use crate::engine::FileData;
-        use crate::symbols::{FileInput, SymbolTable};
+        use crate::symbols::SymbolTable;
         use crate::walk::{find_workspace_root, source_files};
         use std::path::Path;
 
@@ -1552,15 +1218,7 @@ mod tests {
                 FileData::parse(&path, &source)
             })
             .collect();
-        let inputs: Vec<FileInput<'_>> = files
-            .iter()
-            .map(|fd| FileInput {
-                path: &fd.path,
-                tokens: &fd.tokens,
-                test_ranges: &fd.test_ranges,
-            })
-            .collect();
-        let symbols = SymbolTable::build(&inputs);
+        let symbols = SymbolTable::build(&files);
         let unresolved: Vec<&str> = MEASURE_FNS
             .iter()
             .chain(&GLOBAL_REACH_FNS)

@@ -9,27 +9,9 @@
 //! matching conservatism per rule — see [`crate::callgraph`] and
 //! docs/LINTS.md ("known imprecision").
 
+use crate::engine::FileData;
 use crate::lexer::{TokKind, Token};
 use std::collections::BTreeMap;
-
-/// One file's lexed content, as the symbol and call-graph passes see it.
-pub struct FileInput<'a> {
-    /// Repo-relative path with unix separators.
-    pub path: &'a str,
-    /// The file's token stream.
-    pub tokens: &'a [Token],
-    /// Line ranges (inclusive) covered by `#[cfg(test)]` modules.
-    pub test_ranges: &'a [(u32, u32)],
-}
-
-impl FileInput<'_> {
-    /// True if `line` falls inside a `#[cfg(test)]` module of this file.
-    pub fn in_test_mod(&self, line: u32) -> bool {
-        self.test_ranges
-            .iter()
-            .any(|&(start, end)| (start..=end).contains(&line))
-    }
-}
 
 /// One function or method definition.
 #[derive(Debug, Clone)]
@@ -83,7 +65,7 @@ pub struct SymbolTable {
 impl SymbolTable {
     /// Scans every file for `fn` definitions (free and inside `impl`
     /// blocks).
-    pub fn build(files: &[FileInput<'_>]) -> SymbolTable {
+    pub fn build(files: &[FileData]) -> SymbolTable {
         let mut table = SymbolTable::default();
         for (file_idx, file) in files.iter().enumerate() {
             scan_file(file_idx, file, &mut table);
@@ -125,10 +107,10 @@ impl SymbolTable {
     }
 }
 
-fn scan_file(file_idx: usize, file: &FileInput<'_>, table: &mut SymbolTable) {
-    let module = module_of(file.path);
-    let impls = impl_ranges(file.tokens);
-    let toks = file.tokens;
+fn scan_file(file_idx: usize, file: &FileData, table: &mut SymbolTable) {
+    let module = module_of(&file.path);
+    let impls = impl_ranges(&file.tokens);
+    let toks = &file.tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].ident() != Some("fn") {
@@ -173,7 +155,7 @@ fn scan_file(file_idx: usize, file: &FileInput<'_>, table: &mut SymbolTable) {
         table.fns.push(FnDef {
             name: name.to_string(),
             module: module.clone(),
-            path: file.path.to_string(),
+            path: file.path.clone(),
             file: file_idx,
             line: toks[i].line,
             col: toks[i].col,
@@ -387,16 +369,9 @@ pub fn module_of(path: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
 
     fn table_of(path: &str, src: &str) -> SymbolTable {
-        let lexed = lexer::lex(src);
-        let input = FileInput {
-            path,
-            tokens: &lexed.tokens,
-            test_ranges: &[],
-        };
-        SymbolTable::build(std::slice::from_ref(&input))
+        SymbolTable::build(&[FileData::parse(path, src)])
     }
 
     #[test]
@@ -470,15 +445,10 @@ mod tests {
                        fn inner() { helper(); }\n\
                        inner();\n\
                    }\n";
-        let lexed = lexer::lex(src);
-        let input = FileInput {
-            path: "crates/x/src/lib.rs",
-            tokens: &lexed.tokens,
-            test_ranges: &[],
-        };
-        let table = SymbolTable::build(std::slice::from_ref(&input));
+        let file = FileData::parse("crates/x/src/lib.rs", src);
+        let table = SymbolTable::build(std::slice::from_ref(&file));
         // Locate the `helper` token and the second `inner` (the call).
-        let helper = lexed
+        let helper = file
             .tokens
             .iter()
             .position(|t| t.ident() == Some("helper"))
@@ -524,13 +494,9 @@ mod tests {
                    mod tests {\n\
                        fn helper() {}\n\
                    }\n";
-        let lexed = lexer::lex(src);
-        let input = FileInput {
-            path: "crates/x/src/lib.rs",
-            tokens: &lexed.tokens,
-            test_ranges: &[(2, 5)],
-        };
-        let table = SymbolTable::build(std::slice::from_ref(&input));
+        let file = FileData::parse("crates/x/src/lib.rs", src);
+        assert_eq!(file.test_ranges, vec![(2, 5)]);
+        let table = SymbolTable::build(&[file]);
         let by_name: BTreeMap<&str, bool> = table
             .fns()
             .iter()

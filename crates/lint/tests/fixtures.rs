@@ -73,7 +73,7 @@ fn run_ws_fixture(name: &str) {
     let expected_raw = fs::read_to_string(dir.join("expected"))
         .unwrap_or_else(|e| panic!("ws fixture {name}/expected: {e}"));
 
-    let findings = tc_lint::lint_files(&files, &tc_lint::RULE_NAMES);
+    let findings = tc_lint::lint_files(&files);
     let got: Vec<String> = findings
         .iter()
         .map(|f| format!("{} {} {}", f.path, f.line, f.rule))
@@ -91,16 +91,6 @@ fn run_ws_fixture(name: &str) {
 }
 
 #[test]
-fn bad_determinism() {
-    run_fixture("bad_determinism");
-}
-
-#[test]
-fn bad_float() {
-    run_fixture("bad_float");
-}
-
-#[test]
 fn bad_csr() {
     run_fixture("bad_csr");
 }
@@ -108,11 +98,6 @@ fn bad_csr() {
 #[test]
 fn bad_panic() {
     run_fixture("bad_panic");
-}
-
-#[test]
-fn bad_parallel() {
-    run_fixture("bad_parallel");
 }
 
 #[test]

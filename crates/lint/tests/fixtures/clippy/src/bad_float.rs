@@ -1,4 +1,4 @@
-//@path: crates/fake/benches/float.rs
+// NaN-unsafe comparators: the `partial_cmp` entry.
 
 pub fn sort_desc(xs: &mut [f64]) {
     xs.sort_by(|a, b| b.partial_cmp(a).unwrap());

@@ -1,14 +1,5 @@
 //@path: crates/fake/src/lib.rs
-use std::collections::BTreeMap;
-use tc_graph::{cmp_f64, properties, CsrGraph, WeightedGraph};
-
-pub fn summarize(counts: &BTreeMap<String, u64>) -> Vec<String> {
-    counts.iter().map(|(k, v)| format!("{k}={v}")).collect()
-}
-
-pub fn sort_asc(xs: &mut [f64]) {
-    xs.sort_by(cmp_f64);
-}
+use tc_graph::{properties, CsrGraph, WeightedGraph};
 
 pub fn measured_stretch(base: &WeightedGraph, spanner: &WeightedGraph) -> f64 {
     properties::stretch_factor(&CsrGraph::from(base), &CsrGraph::from(spanner))

@@ -3,9 +3,8 @@
 use std::fs;
 use std::path::Path;
 
-/// tc-lint's own source must be finding-free without any suppressions or
-/// baseline help — the linter leads by example (BTreeMap everywhere, no
-/// unwrap in library paths, total-order comparisons only).
+/// tc-lint's own source must be finding-free without any suppressions —
+/// the linter leads by example (no unwrap in library paths).
 #[test]
 fn linter_own_source_is_clean() {
     let src_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -37,25 +36,20 @@ fn linter_own_source_is_clean() {
     );
 }
 
-/// The workspace must have zero findings beyond the checked-in baseline.
-/// This is the same invariant CI enforces via `cargo run -p tc-lint -- --check`,
-/// kept here so plain `cargo test` catches regressions too.
+/// The workspace must have zero findings. This is the same invariant CI
+/// enforces via `cargo run -p tc-lint`, kept here so plain `cargo test`
+/// catches regressions too.
 #[test]
-fn workspace_is_clean_modulo_baseline() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root exists");
-    let findings =
-        tc_lint::lint_workspace(&root, &tc_lint::RULE_NAMES).expect("workspace is readable");
-    let content = fs::read_to_string(root.join("lint-baseline.txt")).unwrap_or_default();
-    let (baseline, errors) = tc_lint::Baseline::parse(&content);
-    assert!(errors.is_empty(), "baseline must parse: {errors:?}");
-    let applied = baseline.apply(findings);
-    let rendered: Vec<String> = applied.new.iter().map(|f| f.render()).collect();
+    let findings = tc_lint::lint_workspace(&root).expect("workspace is readable");
+    let rendered: Vec<String> = findings.iter().map(|f| f.render()).collect();
     assert!(
         rendered.is_empty(),
-        "new lint findings (fix, suppress with a justification, or baseline):\n{}",
+        "lint findings (fix, or suppress with a justification):\n{}",
         rendered.join("\n")
     );
 }

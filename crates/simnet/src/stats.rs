@@ -1,10 +1,10 @@
 //! Round and message accounting.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Communication statistics of a protocol execution (or of a composite
 /// algorithm that charges its primitives through a [`RoundLedger`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct CommStats {
     /// Number of synchronous rounds used.
     pub rounds: usize,
@@ -42,7 +42,7 @@ impl CommStats {
 ///
 /// The ledger records each charge with a label so experiments can report
 /// per-phase and per-step breakdowns.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct RoundLedger {
     total: CommStats,
     entries: Vec<(String, CommStats)>,

@@ -6,10 +6,10 @@
 //! insensitive to the choice (they only depend on the two hard constraints
 //! of the model).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How pairs of nodes in the grey zone `(α, 1]` are connected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub enum GreyZonePolicy {
     /// Every grey-zone pair becomes an edge. With this policy the α-UBG is
     /// exactly the unit ball graph of radius 1 (and a UDG when `d = 2`).
