@@ -1,6 +1,6 @@
 //! # tc-bench
 //!
-//! The experiment and benchmark harness of the reproduction.
+//! The experiment harness of the reproduction.
 //!
 //! The paper is a theory paper: it has no measured tables, and its figures
 //! are proof illustrations. The "evaluation" is therefore the set of
@@ -23,8 +23,9 @@
 //! | F2 | rounds vs. n curve (figure-style series) | [`experiments::f2_rounds_series`] |
 //!
 //! `cargo run -p tc-bench --release --bin experiments` regenerates every
-//! table; `cargo bench -p tc-bench` times the constructions behind them
-//! with Criterion.
+//! table, and `cargo run -p tc-bench --release --bin scale` builds and
+//! verifies spanners at 10^5–10^6 nodes. Speed is measured by the
+//! repository benchmark in `perfbench/`.
 //!
 //! The experiment cells fan out over the shared scheduler in
 //! [`tc_graph::par`] (which started life in this crate); the `TC_THREADS`

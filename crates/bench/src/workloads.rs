@@ -1,5 +1,6 @@
-//! Workload definitions shared by the experiment tables and the Criterion
-//! benchmarks.
+//! The reproducible workloads the experiment tables build: uniform points
+//! in a cube sized for a target mean degree, realised as a UDG or an α-UBG.
+//! Non-uniform deployments are built directly from [`generators`].
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -7,18 +8,8 @@ use serde::Serialize;
 use tc_geometry::PointStore;
 use tc_ubg::{generators, GreyZonePolicy, UbgBuilder, UnitBallGraph};
 
-/// The spatial distribution of the deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Deployment {
-    /// Uniform in a cube sized for the configured target mean degree.
-    Uniform,
-    /// Gaussian clusters inside the same cube.
-    Clustered,
-    /// A long thin corridor (high hop diameter).
-    Corridor,
-}
-
-/// A reproducible network workload.
+/// A reproducible network workload: `n` points uniform in a cube sized for
+/// the target mean degree.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Workload {
     /// Seed for the point generator (and the grey-zone policy, if random).
@@ -31,8 +22,6 @@ pub struct Workload {
     pub target_degree: f64,
     /// The α of the α-UBG model.
     pub alpha: f64,
-    /// Spatial distribution.
-    pub deployment: Deployment,
     /// Grey-zone policy (ignored when `alpha == 1`).
     pub grey_zone: GreyZonePolicy,
 }
@@ -46,7 +35,6 @@ impl Workload {
             dim: 2,
             target_degree: 12.0,
             alpha: 1.0,
-            deployment: Deployment::Uniform,
             grey_zone: GreyZonePolicy::Always,
         }
     }
@@ -59,7 +47,6 @@ impl Workload {
             dim: 2,
             target_degree: 12.0,
             alpha,
-            deployment: Deployment::Uniform,
             grey_zone: GreyZonePolicy::Probabilistic {
                 probability: 0.5,
                 seed,
@@ -67,30 +54,11 @@ impl Workload {
         }
     }
 
-    /// Overrides the dimension.
-    pub fn with_dim(mut self, dim: usize) -> Self {
-        self.dim = dim;
-        self
-    }
-
     /// Realises the workload as an α-UBG.
     pub fn build(&self) -> UnitBallGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let side = generators::side_for_target_degree(self.n, self.dim, self.target_degree);
-        let points = match self.deployment {
-            Deployment::Uniform => generators::uniform_points(&mut rng, self.n, self.dim, side),
-            Deployment::Clustered => generators::clustered_points(
-                &mut rng,
-                self.n,
-                self.dim,
-                side,
-                (self.n / 25).max(2),
-                0.5,
-            ),
-            Deployment::Corridor => {
-                generators::corridor_points(&mut rng, self.n, self.dim, side * side / 2.0, 1.5)
-            }
-        };
+        let points = generators::uniform_points(&mut rng, self.n, self.dim, side);
         // The generators emit uniform-dimension points, so the store path
         // (whose `push` asserts the dimension) cannot fail here.
         let mut store = PointStore::with_capacity(self.dim, points.len());
@@ -123,21 +91,15 @@ mod tests {
     }
 
     #[test]
-    fn deployments_and_dimensions_build() {
-        for deployment in [
-            Deployment::Uniform,
-            Deployment::Clustered,
-            Deployment::Corridor,
-        ] {
-            let ubg = Workload {
-                deployment,
-                ..Workload::udg(3, 80)
-            }
-            .build();
-            assert_eq!(ubg.len(), 80);
+    fn two_and_three_dimensional_workloads_build() {
+        let ubg = Workload::udg(3, 80).build();
+        assert_eq!((ubg.len(), ubg.dim()), (80, 2));
+        let ubg3d = Workload {
+            dim: 3,
+            ..Workload::udg(4, 80)
         }
-        let ubg3d = Workload::udg(4, 80).with_dim(3).build();
-        assert_eq!(ubg3d.dim(), 3);
+        .build();
+        assert_eq!((ubg3d.len(), ubg3d.dim()), (80, 3));
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! stretch sweep: each chunk of edge sources keeps only its worst stretch,
 //! its disconnection count and its violations. This file checks them
 //! field by field against the per-edge reduction they replace — a fold of
-//! the sequential heap oracle `edge_stretches_seq` — on UBG instances with
-//! violations, disconnected pairs, zero-weight edges between duplicate
-//! points, an edgeless spanner, and node counts that are not a multiple of
-//! the sweep's chunk size, at `TC_THREADS` 1 and 2. This file is its own
-//! test process and serialises its environment changes.
+//! the sequential heap oracle `edge_stretches_seq` below, one full Dijkstra
+//! per edge source — on UBG instances with violations, disconnected pairs,
+//! zero-weight edges between duplicate points, an edgeless spanner, and
+//! node counts that are not a multiple of the sweep's chunk size, at
+//! `TC_THREADS` 1 and 2. This file is its own test process and serialises
+//! its environment changes.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
 use tc_geometry::Point;
 use tc_graph::par::THREADS_ENV;
-use tc_graph::properties::{self, SpannerReport};
-use tc_graph::{CsrGraph, GraphView, WeightedGraph};
+use tc_graph::properties::{self, EdgeStretch, SpannerReport};
+use tc_graph::{dijkstra, CsrGraph, Edge, GraphView, WeightedGraph};
 use tc_spanner::verify::{verify_spanner, VerificationReport};
 use tc_spanner::{RelaxedGreedy, SpannerParams};
 use tc_ubg::{generators, UbgBuilder, UnitBallGraph};
@@ -60,6 +61,32 @@ fn bits(report: &VerificationReport) -> ReportBits {
     }
 }
 
+/// The sequential heap oracle: one full binary-heap Dijkstra per distinct
+/// edge source, the stretches in `for_each_edge` order — the order the
+/// sweep reports violations in. A zero-weight edge has stretch 1 when its
+/// endpoints coincide in the subgraph too, and is infinite otherwise.
+fn edge_stretches_seq<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> Vec<EdgeStretch> {
+    let mut by_source: Vec<Vec<Edge>> = vec![Vec::new(); base.node_count()];
+    base.for_each_edge(|e| by_source[e.u].push(e));
+    let mut out = Vec::with_capacity(base.edge_count());
+    for (source, edges) in by_source.iter().enumerate() {
+        if edges.is_empty() {
+            continue;
+        }
+        let dist = dijkstra::shortest_path_distances(subgraph, source);
+        for &edge in edges {
+            let sp = dist[edge.v].unwrap_or(f64::INFINITY);
+            let stretch = match (edge.weight == 0.0, sp == 0.0) {
+                (true, true) => 1.0,
+                (true, false) => f64::INFINITY,
+                (false, _) => sp / edge.weight,
+            };
+            out.push(EdgeStretch { edge, stretch });
+        }
+    }
+    out
+}
+
 /// `verify_spanner` as a fold over every per-edge stretch of the
 /// sequential oracle.
 fn oracle_report(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> ReportBits {
@@ -67,7 +94,7 @@ fn oracle_report(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> Repor
     let mut worst = 1.0_f64;
     let mut disconnected_pairs = 0;
     let mut violations = Vec::new();
-    for es in properties::edge_stretches_seq(&base_csr, &spanner_csr) {
+    for es in edge_stretches_seq(&base_csr, &spanner_csr) {
         if !es.stretch.is_finite() {
             disconnected_pairs += 1;
             continue;
@@ -93,7 +120,7 @@ fn oracle_report(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> Repor
 fn oracle_spanner_report(base: &CsrGraph, spanner: &CsrGraph) -> SpannerReport {
     let mut max_stretch = 1.0_f64;
     let mut disconnected_pairs = 0;
-    for es in properties::edge_stretches_seq(base, spanner) {
+    for es in edge_stretches_seq(base, spanner) {
         if es.stretch.is_finite() {
             max_stretch = max_stretch.max(es.stretch);
         } else {

@@ -301,8 +301,9 @@ impl GraphView for CsrGraph {
     }
 
     // Same row-skip logic as `edges()`, kept as an explicit loop: the
-    // `flat_map` iterator chain measures ~35% slower on the 20k-node
-    // connected-components bench (`cargo bench -p tc-bench --bench csr`).
+    // `flat_map` iterator chain measured ~35% slower on the 20k-node
+    // connected-components comparison (docs/PERFORMANCE.md, "The
+    // representation comparison (history)").
     fn for_each_edge<F: FnMut(Edge)>(&self, mut visit: F) {
         for u in 0..self.node_count() {
             let (lo, hi) = self.row(u);

@@ -9,7 +9,7 @@
 //! * **Weight** (Theorem 13): `w(G') / w(MST(G))`.
 
 use crate::bucket::{BucketConfig, BucketScratch};
-use crate::{dijkstra, mst, par, Edge, GraphView};
+use crate::{mst, par, Edge, GraphView};
 use serde::Serialize;
 
 /// Degree statistics of a graph.
@@ -137,26 +137,15 @@ where
 /// [`CsrGraph`](crate::CsrGraph) views (the `subgraph` especially — that is
 /// what the searches traverse) when measuring anything beyond toy sizes.
 ///
-/// The output is byte-identical to [`edge_stretches_seq`] — same order,
-/// bitwise-equal stretch values — whatever the thread count; property tests
-/// below enforce this.
+/// The output does not depend on the thread count, and it equals one
+/// sequential binary-heap Dijkstra per source — same order, bitwise-equal
+/// stretch values; property tests below enforce both.
 pub fn edge_stretches<B, S>(base: &B, subgraph: &S) -> Vec<EdgeStretch>
 where
     B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    edge_stretches_with_threads(base, subgraph, 0)
-}
-
-/// [`edge_stretches`] with an explicit worker-thread request (`0` defers to
-/// `TC_THREADS` / the detected parallelism; see
-/// [`par::thread_count`]).
-pub fn edge_stretches_with_threads<B, S>(base: &B, subgraph: &S, threads: usize) -> Vec<EdgeStretch>
-where
-    B: GraphView + Sync,
-    S: GraphView + Sync,
-{
-    collect_stretches(base, subgraph, threads, SWEEP_CHUNK)
+    collect_stretches(base, subgraph, 0, SWEEP_CHUNK)
 }
 
 fn collect_stretches<B, S>(base: &B, subgraph: &S, threads: usize, chunk: usize) -> Vec<EdgeStretch>
@@ -168,35 +157,6 @@ where
     let mut out = Vec::with_capacity(base.edge_count());
     for part in chunks {
         out.extend(part);
-    }
-    out
-}
-
-/// Sequential reference implementation of [`edge_stretches`]: one full
-/// binary-heap Dijkstra ([`crate::dijkstra`]) per distinct edge source,
-/// `O(n · m log n)` worst case. Kept as the oracle the fast path is tested
-/// against; prefer [`edge_stretches`] everywhere else.
-pub fn edge_stretches_seq<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> Vec<EdgeStretch> {
-    assert_eq!(
-        base.node_count(),
-        subgraph.node_count(),
-        "base and subgraph must share a vertex set"
-    );
-    let mut by_source: Vec<Vec<Edge>> = vec![Vec::new(); base.node_count()];
-    base.for_each_edge(|e| by_source[e.u].push(e));
-    let mut out = Vec::with_capacity(base.edge_count());
-    for (source, edges) in by_source.iter().enumerate() {
-        if edges.is_empty() {
-            continue;
-        }
-        let dist = dijkstra::shortest_path_distances(subgraph, source);
-        for &e in edges {
-            let sp = dist[e.v].unwrap_or(f64::INFINITY);
-            out.push(EdgeStretch {
-                edge: e,
-                stretch: stretch_of(e.weight, sp),
-            });
-        }
     }
     out
 }
@@ -406,7 +366,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrGraph, WeightedGraph};
+    use crate::{dijkstra, CsrGraph, WeightedGraph};
 
     fn square_with_diagonals() -> WeightedGraph {
         let mut g = WeightedGraph::new(4);
@@ -573,6 +533,30 @@ mod tests {
         g
     }
 
+    /// The reference the sweep is tested against: one full binary-heap
+    /// Dijkstra ([`crate::dijkstra`]) per distinct edge source, the edges
+    /// in [`GraphView::for_each_edge`] order.
+    fn edge_stretches_seq<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> Vec<EdgeStretch> {
+        assert_eq!(base.node_count(), subgraph.node_count());
+        let mut by_source: Vec<Vec<Edge>> = vec![Vec::new(); base.node_count()];
+        base.for_each_edge(|e| by_source[e.u].push(e));
+        let mut out = Vec::with_capacity(base.edge_count());
+        for (source, edges) in by_source.iter().enumerate() {
+            if edges.is_empty() {
+                continue;
+            }
+            let dist = dijkstra::shortest_path_distances(subgraph, source);
+            for &e in edges {
+                let sp = dist[e.v].unwrap_or(f64::INFINITY);
+                out.push(EdgeStretch {
+                    edge: e,
+                    stretch: stretch_of(e.weight, sp),
+                });
+            }
+        }
+        out
+    }
+
     /// The per-edge reduction the streaming check replaces: one fold over
     /// the sequential oracle's stretches.
     fn folded_oracle<B: GraphView, S: GraphView>(
@@ -727,7 +711,7 @@ mod tests {
             let (gc, subc) = (CsrGraph::from(&g), CsrGraph::from(&sub));
             let oracle = edge_stretches_seq(&gc, &subc);
             for threads in [1, 2, 4] {
-                let fast = edge_stretches_with_threads(&gc, &subc, threads);
+                let fast = collect_stretches(&gc, &subc, threads, SWEEP_CHUNK);
                 assert_stretches_bitwise_equal(&fast, &oracle);
             }
             let (max_bits, disconnected, _) = folded_oracle(&gc, &subc, f64::INFINITY);

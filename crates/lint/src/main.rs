@@ -8,7 +8,6 @@
 #![deny(missing_docs)]
 
 use std::env;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tc_lint::{lint_workspace, rules, walk, RULE_NAMES};
@@ -19,8 +18,8 @@ tc-lint: repo-invariant static analysis (see docs/LINTS.md)
 USAGE:
     cargo run -p tc-lint
 
-Lints the workspace that contains the current directory and takes no
-arguments. Exits 0 when clean, 1 on any finding and 2 on any argument.
+Lints the repository it was built from, whatever the current directory,
+and takes no arguments. Exits 0 when clean, 1 on any finding and 2 on any argument.
 Silence a vetted site with `// tc-lint: allow(<rule>)` and a justification.
 
 RULES:";
@@ -33,8 +32,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::from(2);
     }
-    let cwd = env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = walk::find_workspace_root(&cwd);
+    let root = walk::workspace_root();
     let findings = match lint_workspace(&root) {
         Ok(findings) => findings,
         Err(err) => {

@@ -322,12 +322,10 @@ fn in_locality_scope(path: &str) -> bool {
 /// Graph APIs whose cost is inherently global (full Dijkstra sweeps,
 /// whole-graph statistics, component labelling). A call *path* from scoped
 /// code to any of these breaks the locality guarantee.
-const GLOBAL_REACH_FNS: [&str; 17] = [
+const GLOBAL_REACH_FNS: [&str; 15] = [
     "shortest_path_distances",
     "shortest_path_tree",
     "edge_stretches",
-    "edge_stretches_seq",
-    "edge_stretches_with_threads",
     "stretch_check",
     "stretch_factor",
     "stretch_summary",
@@ -1205,10 +1203,9 @@ mod tests {
         use super::{is_test_path, GLOBAL_REACH_FNS, MEASURE_FNS, SCHEDULER_FNS};
         use crate::engine::FileData;
         use crate::symbols::SymbolTable;
-        use crate::walk::{find_workspace_root, source_files};
-        use std::path::Path;
+        use crate::walk::{source_files, workspace_root};
 
-        let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
+        let root = workspace_root();
         let files: Vec<FileData> = source_files(&root)
             .expect("workspace is readable")
             .into_iter()

@@ -54,20 +54,10 @@ fn visit(dir: &Path, root: &Path, files: &mut Vec<String>) -> io::Result<()> {
     Ok(())
 }
 
-/// Ascends from `start` to the first directory whose `Cargo.toml` declares
-/// a `[workspace]`, i.e. the repo root. Falls back to `start` itself.
-pub fn find_workspace_root(start: &Path) -> PathBuf {
-    let mut cur = start.to_path_buf();
-    loop {
-        let manifest = cur.join("Cargo.toml");
-        if let Ok(content) = fs::read_to_string(&manifest) {
-            if content.contains("[workspace]") {
-                return cur;
-            }
-        }
-        match cur.parent() {
-            Some(parent) => cur = parent.to_path_buf(),
-            None => return start.to_path_buf(),
-        }
-    }
+/// The repository root: two levels above this crate's manifest, fixed when
+/// the crate is built. The linted tree therefore never depends on the
+/// directory the binary starts in; a nested workspace such as `perfbench/`
+/// is not a root of its own.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
