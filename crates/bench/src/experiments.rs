@@ -12,12 +12,12 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use tc_baselines::Baseline;
 use tc_graph::par::run_jobs;
-use tc_graph::properties::{spanner_report, stretch_factor, SpannerReport};
 use tc_graph::{mst, CsrGraph, WeightedGraph};
-use tc_spanner::extensions::energy::{energy_spanner, power_cost_comparison, PowerCostComparison};
+use tc_spanner::extensions::energy::{energy_spanner, power_cost_comparison};
 use tc_spanner::extensions::fault_tolerant::{
     fault_tolerance_report, fault_tolerant_greedy, FaultKind,
 };
+use tc_spanner::verify::{verify_spanner, VerificationReport};
 use tc_spanner::{
     seq_greedy, DistributedRelaxedGreedy, EdgeWeighting, ParamError, RelaxedGreedy, SpannerParams,
 };
@@ -95,7 +95,7 @@ fn run_sequential(
 
 /// Formats a report's stretch cell, surfacing disconnected pairs (which
 /// the finite `stretch` field deliberately excludes) next to the value.
-fn fmt_stretch(report: &SpannerReport) -> String {
+fn fmt_stretch(report: &VerificationReport) -> String {
     if report.disconnected_pairs > 0 {
         format!(
             "{} (+{} disconnected)",
@@ -105,12 +105,6 @@ fn fmt_stretch(report: &SpannerReport) -> String {
     } else {
         fmt_f(report.stretch)
     }
-}
-
-/// Whether a report meets the stretch target `t`: no disconnected pair and
-/// a finite stretch within tolerance.
-fn within_target(report: &SpannerReport, t: f64) -> bool {
-    report.disconnected_pairs == 0 && report.stretch <= t + 1e-9
 }
 
 /// E1 — Theorem 10: the measured stretch never exceeds `t = 1 + ε`.
@@ -127,16 +121,14 @@ pub fn e1_stretch(scale: Scale) -> Result<Table, ParamError> {
                 jobs.push(Box::new(move || {
                     let ubg = Workload::alpha_ubg(1000 + n as u64, n, alpha).build();
                     let (params, spanner) = run_sequential(&ubg, eps)?;
-                    // Measurement boundary: snapshot both graphs to CSR so
-                    // the per-edge sweep runs on the flat layout.
-                    let stretch = stretch_factor(&ubg.to_csr(), &CsrGraph::from(&spanner));
+                    let report = verify_spanner(ubg.graph(), &spanner, params.t);
                     Ok(vec![
                         n.to_string(),
                         fmt_f(alpha),
                         fmt_f(eps),
                         fmt_f(params.t),
-                        fmt_f(stretch),
-                        (stretch <= params.t + 1e-9).to_string(),
+                        fmt_stretch(&report),
+                        report.stretch_ok.to_string(),
                     ])
                 }));
             }
@@ -169,13 +161,13 @@ pub fn e2_degree(scale: Scale) -> Result<Table, ParamError> {
         .map(|n| {
             Box::new(move || {
                 let ubg = Workload::udg(2000 + n as u64, n).build();
-                let (_, spanner) = run_sequential(&ubg, eps)?;
-                let report = spanner_report(&ubg.to_csr(), &CsrGraph::from(&spanner));
+                let (params, spanner) = run_sequential(&ubg, eps)?;
+                let report = verify_spanner(ubg.graph(), &spanner, params.t);
                 Ok(vec![
                     n.to_string(),
                     ubg.graph().max_degree().to_string(),
                     report.max_degree.to_string(),
-                    fmt_f(report.mean_degree),
+                    fmt_f(spanner.mean_degree()),
                     fmt_f(report.spanner_edges as f64 / n as f64),
                 ])
             }) as Box<dyn FnOnce() -> RowResult + Send>
@@ -288,31 +280,17 @@ pub fn e5_baselines(scale: Scale) -> Result<Table, ParamError> {
     let ubg = Workload::udg(555, n).build();
     let eps = 0.5;
 
+    let (params, relaxed) = run_sequential(&ubg, eps)?;
     let mut entries: Vec<(String, WeightedGraph)> = Vec::new();
-    let (_, relaxed) = run_sequential(&ubg, eps)?;
     entries.push(("relaxed-greedy (this paper)".to_string(), relaxed));
-    entries.push(("seq-greedy".to_string(), seq_greedy(ubg.graph(), 1.0 + eps)));
+    entries.push(("seq-greedy".to_string(), seq_greedy(ubg.graph(), params.t)));
     for baseline in Baseline::all() {
         entries.push((baseline.name(), baseline.build(&ubg)));
     }
-    // Measurement boundary: every per-entry report runs its Dijkstra sweep
-    // and MST on CSR snapshots taken once per constructed topology; the
-    // "input UDG" row reuses the base snapshot outright.
-    let base_csr = ubg.to_csr();
-    let mut rows: Vec<(String, SpannerReport, PowerCostComparison)> = Vec::new();
+    entries.push(("input UDG".to_string(), ubg.graph().clone()));
     for (name, graph) in entries {
-        rows.push((
-            name,
-            spanner_report(&base_csr, &CsrGraph::from(&graph)),
-            power_cost_comparison(&ubg, &graph, 1.0, 2.0),
-        ));
-    }
-    rows.push((
-        "input UDG".to_string(),
-        spanner_report(&base_csr, &base_csr),
-        power_cost_comparison(&ubg, ubg.graph(), 1.0, 2.0),
-    ));
-    for (name, report, power) in rows {
+        let report = verify_spanner(ubg.graph(), &graph, params.t);
+        let power = power_cost_comparison(&ubg, &graph, 1.0, 2.0);
         table.push_row(vec![
             name,
             report.spanner_edges.to_string(),
@@ -351,8 +329,7 @@ pub fn e6_alpha(scale: Scale) -> Result<Table, ParamError> {
             Box::new(move || {
                 let ubg = Workload::alpha_ubg(6000 + (alpha * 100.0) as u64, n, alpha).build();
                 let (params, spanner) = run_sequential(&ubg, eps)?;
-                let report = spanner_report(&ubg.to_csr(), &CsrGraph::from(&spanner));
-                let ok = within_target(&report, params.t);
+                let report = verify_spanner(ubg.graph(), &spanner, params.t);
                 Ok(vec![
                     fmt_f(alpha),
                     report.base_edges.to_string(),
@@ -360,7 +337,7 @@ pub fn e6_alpha(scale: Scale) -> Result<Table, ParamError> {
                     format!(
                         "{} ({})",
                         fmt_stretch(&report),
-                        if ok { "ok" } else { "VIOLATION" }
+                        if report.stretch_ok { "ok" } else { "VIOLATION" }
                     ),
                     report.max_degree.to_string(),
                     fmt_f(report.weight_ratio),
@@ -402,14 +379,11 @@ pub fn e7_energy(scale: Scale) -> Result<Table, ParamError> {
                 let ubg = Workload::udg(7000 + gamma as u64, n).build();
                 let result = energy_spanner(&ubg, eps, 1.0, gamma)?;
                 let energy_base = EdgeWeighting::Power { c: 1.0, gamma }.weighted_graph(&ubg);
-                let stretch = stretch_factor(
-                    &CsrGraph::from(&*energy_base),
-                    &CsrGraph::from(&result.spanner),
-                );
+                let report = verify_spanner(&energy_base, &result.spanner, result.params.t);
                 let power = power_cost_comparison(&ubg, &result.spanner, 1.0, gamma);
                 Ok(vec![
                     fmt_f(gamma),
-                    fmt_f(stretch),
+                    fmt_stretch(&report),
                     fmt_f(result.params.t),
                     fmt_f(power.spanner),
                     fmt_f(power.full_topology),
@@ -504,14 +478,14 @@ pub fn e9_ablation(scale: Scale) -> Result<Table, ParamError> {
                 let ubg = ubg.clone();
                 Box::new(move || {
                     let result = tc_spanner::run_ablation(&ubg, params, config);
-                    let report = spanner_report(&ubg.to_csr(), &CsrGraph::from(&result.spanner));
+                    let report = verify_spanner(ubg.graph(), &result.spanner, params.t);
                     Ok(vec![
                         name.to_string(),
                         report.spanner_edges.to_string(),
                         report.max_degree.to_string(),
                         fmt_stretch(&report),
                         fmt_f(report.weight_ratio),
-                        within_target(&report, params.t).to_string(),
+                        report.stretch_ok.to_string(),
                     ])
                 }) as Box<dyn FnOnce() -> RowResult + Send>
             })

@@ -4,13 +4,16 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 use tc_geometry::PointStore;
 use tc_ubg::{generators, GreyZonePolicy, UbgBuilder, UnitBallGraph};
 
+/// Target mean degree of the unit-radius graph every workload is sized
+/// for (controls density).
+const TARGET_DEGREE: f64 = 12.0;
+
 /// A reproducible network workload: `n` points uniform in a cube sized for
-/// the target mean degree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// a mean unit-radius degree of 12.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Seed for the point generator (and the grey-zone policy, if random).
     pub seed: u64,
@@ -18,8 +21,6 @@ pub struct Workload {
     pub n: usize,
     /// Dimension `d ≥ 2`.
     pub dim: usize,
-    /// Target mean degree of the unit-radius graph (controls density).
-    pub target_degree: f64,
     /// The α of the α-UBG model.
     pub alpha: f64,
     /// Grey-zone policy (ignored when `alpha == 1`).
@@ -33,7 +34,6 @@ impl Workload {
             seed,
             n,
             dim: 2,
-            target_degree: 12.0,
             alpha: 1.0,
             grey_zone: GreyZonePolicy::Always,
         }
@@ -45,7 +45,6 @@ impl Workload {
             seed,
             n,
             dim: 2,
-            target_degree: 12.0,
             alpha,
             grey_zone: GreyZonePolicy::Probabilistic {
                 probability: 0.5,
@@ -57,7 +56,7 @@ impl Workload {
     /// Realises the workload as an α-UBG.
     pub fn build(&self) -> UnitBallGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
-        let side = generators::side_for_target_degree(self.n, self.dim, self.target_degree);
+        let side = generators::side_for_target_degree(self.n, self.dim, TARGET_DEGREE);
         let points = generators::uniform_points(&mut rng, self.n, self.dim, side);
         // The generators emit uniform-dimension points, so the store path
         // (whose `push` asserts the dimension) cannot fail here.

@@ -68,7 +68,11 @@ pub fn power_cost_comparison(
     // weights may be Euclidean).
     let mut spanner_energy = tc_graph::WeightedGraph::new(spanner.node_count());
     for e in spanner.edges() {
-        spanner_energy.add_edge(e.u, e.v, weighting.weight(&ubg.point(e.u), &ubg.point(e.v)));
+        spanner_energy.add_edge(
+            e.u,
+            e.v,
+            weighting.weight_of_distance(ubg.distance(e.u, e.v)),
+        );
     }
     let sp = spanner_energy.power_cost();
     let ratio = if full == 0.0 {

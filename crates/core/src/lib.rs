@@ -62,7 +62,7 @@ pub use ablation::{run_ablation, AblationConfig};
 pub use distributed::{DistributedRelaxedGreedy, DistributedSpannerResult, MisProtocol};
 pub use params::{ParamError, SpannerParams};
 pub use relaxed::{PhaseStats, PointCountMismatch, RelaxedGreedy, SpannerResult};
-pub use seq_greedy::{seq_greedy, seq_greedy_on_subset};
+pub use seq_greedy::seq_greedy;
 pub use weighting::EdgeWeighting;
 
 use tc_ubg::UnitBallGraph;

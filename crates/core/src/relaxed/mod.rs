@@ -63,7 +63,7 @@ pub use redundant::{
 
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
-use crate::seq_greedy::seq_greedy_on_subset;
+use crate::seq_greedy::seq_greedy;
 use crate::weighting::EdgeWeighting;
 use hierarchy::{PhaseEngine, PhaseInput};
 use serde::Serialize;
@@ -413,8 +413,8 @@ impl RelaxedGreedy {
         let per_component: Vec<Vec<Edge>> = par::par_map_with(
             &work,
             0,
-            || (),
-            |_scratch, _idx, component| seq_greedy_on_subset(&g0, component, t).edges().collect(),
+            || vec![0; n],
+            |local, _idx, component| seq_greedy_on_component(&g0, component, t, local),
         );
         let mut added = 0;
         for component_edges in per_component {
@@ -521,14 +521,50 @@ impl RelaxedGreedy {
     }
 }
 
+/// `SEQ-GREEDY` on one component of `G_0`, in the component's own size:
+/// its members (ascending, as [`components::connected_components`] lists
+/// them) are relabelled `0..k` through `local`, a node-indexed scratch
+/// whose entries for `component` this call overwrites. The relabelling is
+/// monotone, so the (weight, endpoints) processing order, every path
+/// length and the order of the kept edges are those of `SEQ-GREEDY` run
+/// on the component inside the whole vertex set. The kept edges come back
+/// in global IDs.
+fn seq_greedy_on_component(
+    g0: &WeightedGraph,
+    component: &[NodeId],
+    t: f64,
+    local: &mut [usize],
+) -> Vec<Edge> {
+    for (i, &u) in component.iter().enumerate() {
+        local[u] = i;
+    }
+    let mut sub = WeightedGraph::new(component.len());
+    for (i, &u) in component.iter().enumerate() {
+        for &(v, w) in g0.neighbors(u) {
+            if u < v {
+                sub.add_edge(i, local[v], w);
+            }
+        }
+    }
+    seq_greedy(&sub, t)
+        .edges()
+        .map(|e| Edge {
+            u: component[e.u],
+            v: component[e.v],
+            weight: e.weight,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::verify_spanner;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use tc_geometry::Point;
-    use tc_graph::properties::{spanner_report, stretch_factor};
+    use tc_graph::properties::stretch_factor;
     use tc_ubg::{generators, GreyZonePolicy, UbgBuilder};
 
     fn uniform_ubg(seed: u64, n: usize, dim: usize, side: f64, alpha: f64) -> UnitBallGraph {
@@ -583,13 +619,13 @@ mod tests {
         let ubg = uniform_ubg(2, 150, 2, 2.5, 1.0);
         let params = SpannerParams::for_epsilon(0.5, 1.0).unwrap();
         let result = RelaxedGreedy::new(params).run(&ubg);
-        let report = spanner_report(ubg.graph(), &result.spanner);
+        let report = verify_spanner(ubg.graph(), &result.spanner, params.t);
         // Linear size: a small constant times n edges.
         assert!(
-            report.spanner_edges <= 12 * report.nodes,
+            report.spanner_edges <= 12 * ubg.len(),
             "spanner has {} edges on {} nodes",
             report.spanner_edges,
-            report.nodes
+            ubg.len()
         );
         // Lightweight relative to the MST (the theorem's constant is much
         // larger; this is a sanity threshold for the dense-UDG workload).
@@ -668,6 +704,83 @@ mod tests {
         let energy_base = weighting.weighted_graph(&ubg);
         let stretch = stretch_factor(&*energy_base, &result.spanner);
         assert!(stretch <= params.t + 1e-9, "energy stretch {stretch}");
+    }
+
+    /// Phase 0 as a masked run per component: `SEQ-GREEDY` over all of
+    /// `G_0`'s sorted edges restricted to one component, on the whole
+    /// vertex set, the kept edges unioned in component order.
+    fn masked_phase0(g0: &WeightedGraph, t: f64) -> WeightedGraph {
+        let n = g0.node_count();
+        let mut spanner = WeightedGraph::new(n);
+        for component in components::connected_components(g0) {
+            let mut member = vec![false; n];
+            for &v in &component {
+                member[v] = true;
+            }
+            let mut part = WeightedGraph::new(n);
+            for edge in g0.sorted_edges() {
+                if member[edge.u]
+                    && member[edge.v]
+                    && tc_graph::dijkstra::shortest_path_within(
+                        &part,
+                        edge.u,
+                        edge.v,
+                        t * edge.weight,
+                    )
+                    .is_none()
+                {
+                    part.add(edge);
+                }
+            }
+            for e in part.edges() {
+                spanner.add(e);
+            }
+        }
+        spanner
+    }
+
+    #[test]
+    fn phase0_equals_the_masked_per_component_run_on_duplicate_heavy_input() {
+        // Every point is duplicated and every third one gets a third copy
+        // jittered well inside w_0, so G_0 has hundreds of components with
+        // zero and near-zero weights, and SEQ-GREEDY drops edges in them.
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let base = generators::uniform_points(&mut rng, 400, 2, 8.0);
+        let mut points = base.clone();
+        for (i, p) in base.iter().enumerate() {
+            points.push(p.clone());
+            if i % 3 == 0 {
+                points.push(p.translated(&[1e-5 * (i % 7) as f64, 1e-5]));
+            }
+        }
+        let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+        let params = SpannerParams::for_epsilon(0.5, 1.0).unwrap();
+        let n = ubg.len();
+        let bins = BinPartition::new(ubg.graph(), params.alpha / n as f64, params.r);
+        let g0 = WeightedGraph::from_edges(n, bins.bin(0).iter().copied());
+        let mut spanner = WeightedGraph::new(n);
+        RelaxedGreedy::new(params).process_short_edges(&mut spanner, bins.bin(0), &bins);
+        let expected = masked_phase0(&g0, params.t);
+        let rows = |g: &WeightedGraph| -> Vec<Vec<(NodeId, u64)>> {
+            (0..n)
+                .map(|u| {
+                    g.neighbors(u)
+                        .iter()
+                        .map(|&(v, w)| (v, w.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(rows(&spanner), rows(&expected));
+        let clusters = components::connected_components(&g0)
+            .into_iter()
+            .filter(|c| c.len() >= 2)
+            .count();
+        assert_eq!(clusters, 400);
+        assert!(
+            spanner.edge_count() < g0.edge_count(),
+            "SEQ-GREEDY must drop edges"
+        );
     }
 
     #[test]

@@ -32,30 +32,6 @@ pub fn seq_greedy(graph: &WeightedGraph, t: f64) -> WeightedGraph {
     spanner
 }
 
-/// Runs `SEQ-GREEDY` restricted to a subset of vertices: only edges of
-/// `graph` with both endpoints in `members` are considered, and the output
-/// graph lives on the full vertex set (so it can be unioned with other
-/// partial spanners). Used by phase 0 of the relaxed greedy algorithm,
-/// which processes each connected component of `G_0` independently.
-pub fn seq_greedy_on_subset(graph: &WeightedGraph, members: &[usize], t: f64) -> WeightedGraph {
-    assert!(t >= 1.0, "the stretch target must be at least 1");
-    let mut in_subset = vec![false; graph.node_count()];
-    for &v in members {
-        in_subset[v] = true;
-    }
-    let mut spanner = WeightedGraph::new(graph.node_count());
-    for edge in graph.sorted_edges() {
-        if !in_subset[edge.u] || !in_subset[edge.v] {
-            continue;
-        }
-        let budget = t * edge.weight;
-        if dijkstra::shortest_path_within(&spanner, edge.u, edge.v, budget).is_none() {
-            spanner.add(edge);
-        }
-    }
-    spanner
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,19 +117,6 @@ mod tests {
         assert_eq!(seq_greedy(&empty, 1.5).node_count(), 0);
         let single = WeightedGraph::new(1);
         assert_eq!(seq_greedy(&single, 1.5).edge_count(), 0);
-    }
-
-    #[test]
-    fn subset_variant_ignores_outside_edges() {
-        let mut g = WeightedGraph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 1.0);
-        let spanner = seq_greedy_on_subset(&g, &[0, 1, 2], 2.0);
-        assert!(spanner.has_edge(0, 1));
-        assert!(spanner.has_edge(1, 2));
-        assert!(!spanner.has_edge(2, 3));
-        assert_eq!(spanner.node_count(), 4);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn verify_spanner(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> 
     let spanner_csr = CsrGraph::from(spanner);
     let tolerance = 1e-9;
     let check = properties::stretch_check(&base_csr, &spanner_csr, t + tolerance);
-    let disconnected_pairs = check.summary.disconnected_pairs;
+    let disconnected_pairs = check.disconnected_pairs;
     let violations: Vec<(usize, usize, f64)> = check
         .violations
         .iter()
@@ -73,7 +73,7 @@ pub fn verify_spanner(base: &WeightedGraph, spanner: &WeightedGraph, t: f64) -> 
         .collect();
     VerificationReport {
         t,
-        stretch: check.summary.max_stretch,
+        stretch: check.max_stretch,
         disconnected_pairs,
         stretch_ok: violations.is_empty() && disconnected_pairs == 0,
         violations,

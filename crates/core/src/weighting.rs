@@ -10,7 +10,6 @@
 
 use serde::Serialize;
 use std::borrow::Cow;
-use tc_geometry::{Euclidean, Metric, Point, PowerMetric};
 use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
@@ -30,16 +29,7 @@ pub enum EdgeWeighting {
 }
 
 impl EdgeWeighting {
-    /// Weight of the segment `uv` under this weighting.
-    pub fn weight(&self, u: &Point, v: &Point) -> f64 {
-        match *self {
-            EdgeWeighting::Euclidean => Euclidean.distance(u, v),
-            EdgeWeighting::Power { c, gamma } => PowerMetric::new(c, gamma).distance(u, v),
-        }
-    }
-
-    /// Weight corresponding to a Euclidean distance `d` (usable when the
-    /// points themselves are not at hand).
+    /// Weight of a segment of Euclidean length `d`.
     pub fn weight_of_distance(&self, d: f64) -> f64 {
         match *self {
             EdgeWeighting::Euclidean => d,
@@ -54,8 +44,8 @@ impl EdgeWeighting {
     pub fn weighted_graph<'a>(&self, ubg: &'a UnitBallGraph) -> Cow<'a, WeightedGraph> {
         match *self {
             EdgeWeighting::Euclidean => Cow::Borrowed(ubg.graph()),
-            EdgeWeighting::Power { c, gamma } => {
-                Cow::Owned(ubg.reweighted(&PowerMetric::new(c, gamma)))
+            EdgeWeighting::Power { .. } => {
+                Cow::Owned(ubg.reweighted(|d| self.weight_of_distance(d)))
             }
         }
     }
@@ -72,14 +62,12 @@ impl EdgeWeighting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_geometry::Point;
     use tc_ubg::UbgBuilder;
 
     #[test]
     fn euclidean_weighting_matches_distance() {
         let w = EdgeWeighting::Euclidean;
-        let u = Point::new2(0.0, 0.0);
-        let v = Point::new2(0.6, 0.8);
-        assert!((w.weight(&u, &v) - 1.0).abs() < 1e-12);
         assert_eq!(w.weight_of_distance(0.4), 0.4);
         assert_eq!(w.name(), "euclidean");
     }
@@ -87,9 +75,6 @@ mod tests {
     #[test]
     fn power_weighting_raises_to_gamma() {
         let w = EdgeWeighting::Power { c: 2.0, gamma: 2.0 };
-        let u = Point::new2(0.0, 0.0);
-        let v = Point::new2(0.5, 0.0);
-        assert!((w.weight(&u, &v) - 0.5).abs() < 1e-12);
         assert!((w.weight_of_distance(0.5) - 0.5).abs() < 1e-12);
         assert_eq!(w.name(), "power");
     }

@@ -13,8 +13,6 @@
 //! * [`Point`] — a point in `R^d` for arbitrary `d ≥ 1`, with distances
 //!   and the angle computation used by the Czumaj–Zhao covered-edge test
 //!   (Lemma 3 in the paper),
-//! * [`Metric`] — edge-weight metrics: the Euclidean metric and the
-//!   *energy* metric `c·|uv|^γ` from the paper's Section 1.6 extension,
 //! * [`ConePartition2d`] — Yao-style cone partitions (used by the degree
 //!   argument of Theorem 11 and by the Yao/Θ baselines),
 //! * [`GridIndex`] — a cell-sorted axis-parallel grid over points (the
@@ -26,11 +24,11 @@
 //! # Example
 //!
 //! ```
-//! use tc_geometry::{Point, Metric, Euclidean};
+//! use tc_geometry::Point;
 //!
 //! let u = Point::new(vec![0.0, 0.0]);
 //! let v = Point::new(vec![3.0, 4.0]);
-//! assert!((Euclidean.distance(&u, &v) - 5.0).abs() < 1e-12);
+//! assert!((u.distance(&v) - 5.0).abs() < 1e-12);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,13 +37,11 @@
 mod angle;
 mod cone;
 mod grid;
-mod metric;
 mod point;
 mod store;
 
 pub use angle::{angle_at, angle_at_indices, angle_between};
 pub use cone::ConePartition2d;
 pub use grid::{GridIndex, GridScratch};
-pub use metric::{Euclidean, Metric, PowerMetric};
 pub use point::{DimensionMismatch, Point};
 pub use store::{PointAccess, PointSetError, PointStore};

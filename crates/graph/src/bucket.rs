@@ -385,39 +385,6 @@ impl BucketScratch {
     }
 }
 
-/// One-shot convenience wrapper: full single-source distances with a fresh
-/// scratch and a per-call [`BucketConfig`]. Bitwise identical to
-/// [`crate::dijkstra::shortest_path_distances`]. For sweeps over many
-/// sources, build the scratch and config once instead.
-pub fn shortest_path_distances<G: GraphView>(graph: &G, source: NodeId) -> Vec<Option<f64>> {
-    shortest_path_distances_bounded(graph, source, f64::INFINITY)
-}
-
-/// One-shot convenience wrapper around
-/// [`BucketScratch::distances_bounded`]; bitwise identical to
-/// [`crate::dijkstra::shortest_path_distances_bounded`].
-pub fn shortest_path_distances_bounded<G: GraphView>(
-    graph: &G,
-    source: NodeId,
-    radius: f64,
-) -> Vec<Option<f64>> {
-    let config = BucketConfig::for_graph(graph);
-    BucketScratch::new().distances_bounded(graph, source, radius, &config)
-}
-
-/// One-shot convenience wrapper around
-/// [`BucketScratch::shortest_path_within`]; bitwise identical to
-/// [`crate::dijkstra::shortest_path_within`].
-pub fn shortest_path_within<G: GraphView>(
-    graph: &G,
-    source: NodeId,
-    target: NodeId,
-    budget: f64,
-) -> Option<f64> {
-    let config = BucketConfig::for_graph(graph);
-    BucketScratch::new().shortest_path_within(graph, source, target, budget, &config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,8 +416,9 @@ mod tests {
     #[test]
     fn distances_on_a_path_match_the_oracle() {
         let g = path_graph(6);
+        let cfg = BucketConfig::for_graph(&g);
         assert_bitwise_equal(
-            &shortest_path_distances(&g, 0),
+            &BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg),
             &dijkstra::shortest_path_distances(&g, 0),
         );
     }
@@ -458,7 +426,8 @@ mod tests {
     #[test]
     fn bounded_search_cuts_off_at_radius() {
         let g = path_graph(6);
-        let d = shortest_path_distances_bounded(&g, 0, 2.5);
+        let cfg = BucketConfig::for_graph(&g);
+        let d = BucketScratch::new().distances_bounded(&g, 0, 2.5, &cfg);
         assert_eq!(d[2], Some(2.0));
         assert_eq!(d[3], None);
     }
@@ -466,9 +435,20 @@ mod tests {
     #[test]
     fn budgeted_query_matches_the_oracle() {
         let g = path_graph(6);
-        assert_eq!(shortest_path_within(&g, 0, 2, 2.0), Some(2.0));
-        assert_eq!(shortest_path_within(&g, 0, 3, 2.0), None);
-        assert_eq!(shortest_path_within(&g, 4, 4, 0.0), Some(0.0));
+        let cfg = BucketConfig::for_graph(&g);
+        let mut scratch = BucketScratch::new();
+        for (source, target, budget, expected) in [
+            (0, 2, 2.0, Some(2.0)),
+            (0, 3, 2.0, None),
+            (4, 4, 0.0, Some(0.0)),
+        ] {
+            let fast = scratch.shortest_path_within(&g, source, target, budget, &cfg);
+            assert_eq!(fast, expected);
+            assert_eq!(
+                fast,
+                dijkstra::shortest_path_within(&g, source, target, budget)
+            );
+        }
     }
 
     #[test]
@@ -566,8 +546,9 @@ mod tests {
         g.add_edge(1, 2, 0.0);
         g.add_edge(2, 3, 1.0);
         g.add_edge(3, 4, 0.0);
+        let cfg = BucketConfig::for_graph(&g);
         assert_bitwise_equal(
-            &shortest_path_distances(&g, 0),
+            &BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg),
             &dijkstra::shortest_path_distances(&g, 0),
         );
     }
@@ -578,7 +559,8 @@ mod tests {
         g.add_edge(0, 1, 0.0);
         g.add_edge(1, 2, 0.0);
         g.add_edge(2, 0, 0.0);
-        let d = shortest_path_distances(&g, 0);
+        let cfg = BucketConfig::for_graph(&g);
+        let d = BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg);
         assert_eq!(d, vec![Some(0.0), Some(0.0), Some(0.0), None]);
     }
 
@@ -600,7 +582,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn source_out_of_range_panics() {
         let g = path_graph(2);
-        let _ = shortest_path_distances(&g, 5);
+        let cfg = BucketConfig::for_graph(&g);
+        let _ = BucketScratch::new().distances_bounded(&g, 5, f64::INFINITY, &cfg);
     }
 
     fn random_graph(seed: u64, n: usize, p: f64, zero_weight_p: f64) -> WeightedGraph {

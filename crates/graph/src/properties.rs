@@ -10,24 +10,6 @@
 
 use crate::bucket::{BucketConfig, BucketScratch};
 use crate::{mst, par, Edge, GraphView};
-use serde::Serialize;
-
-/// Degree statistics of a graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
-pub struct DegreeStats {
-    /// Maximum degree Δ.
-    pub max: usize,
-    /// Mean degree.
-    pub mean: f64,
-}
-
-/// Computes degree statistics.
-pub fn degree_stats<G: GraphView>(graph: &G) -> DegreeStats {
-    DegreeStats {
-        max: graph.max_degree(),
-        mean: graph.mean_degree(),
-    }
-}
 
 /// The stretch of a single edge of the base graph with respect to the
 /// subgraph, together with the edge itself. Infinite when the endpoints are
@@ -163,21 +145,27 @@ where
 
 /// The maximum stretch of `subgraph` over all edges of `base`
 /// (1.0 for an edgeless base graph; `f64::INFINITY` when the subgraph
-/// disconnects any base edge's endpoints — use [`stretch_summary`] when the
+/// disconnects any base edge's endpoints — use [`stretch_check`] when the
 /// value must stay finite, e.g. for serialization).
 pub fn stretch_factor<B, S>(base: &B, subgraph: &S) -> f64
 where
     B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    stretch_summary(base, subgraph).stretch_factor()
+    let check = stretch_check(base, subgraph, f64::INFINITY);
+    if check.disconnected_pairs == 0 {
+        check.max_stretch
+    } else {
+        f64::INFINITY
+    }
 }
 
-/// Stretch measurement split into a finite maximum and an explicit
-/// disconnection count, so reports stay representable in JSON (the vendored
-/// `serde_json` writes non-finite floats as `null`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
-pub struct StretchSummary {
+/// The streamed reduction of the stretch sweep: a finite maximum, an
+/// explicit disconnection count (so reports stay representable in JSON —
+/// the vendored `serde_json` writes non-finite floats as `null`), and the
+/// base edges whose finite stretch exceeds a limit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StretchCheck {
     /// Maximum stretch over the base edges whose endpoints the subgraph
     /// connects (1.0 when there are none). Always finite.
     pub max_stretch: f64,
@@ -185,61 +173,29 @@ pub struct StretchSummary {
     /// disconnects the endpoints (or stretches a zero-weight edge by a
     /// positive amount).
     pub disconnected_pairs: usize,
-}
-
-impl StretchSummary {
-    /// The classical stretch factor: [`Self::max_stretch`] when every pair
-    /// is connected, `f64::INFINITY` otherwise.
-    pub fn stretch_factor(&self) -> f64 {
-        if self.disconnected_pairs == 0 {
-            self.max_stretch
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Measures the stretch of `subgraph` relative to `base` as a
-/// [`StretchSummary`] (finite maximum plus disconnection count).
-pub fn stretch_summary<B, S>(base: &B, subgraph: &S) -> StretchSummary
-where
-    B: GraphView + Sync,
-    S: GraphView + Sync,
-{
-    stretch_check(base, subgraph, f64::INFINITY).summary
-}
-
-/// The streamed reduction of the stretch sweep: the [`StretchSummary`]
-/// plus the base edges whose finite stretch exceeds a limit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StretchCheck {
-    /// Maximum finite stretch and disconnection count over every base edge.
-    pub summary: StretchSummary,
     /// The base edges with a finite stretch above the limit, in the order
     /// of [`edge_stretches`]. Disconnected pairs are only counted, in
-    /// [`StretchSummary::disconnected_pairs`].
+    /// [`Self::disconnected_pairs`].
     pub violations: Vec<EdgeStretch>,
 }
 
 impl StretchCheck {
     fn empty() -> Self {
         StretchCheck {
-            summary: StretchSummary {
-                max_stretch: 1.0,
-                disconnected_pairs: 0,
-            },
+            max_stretch: 1.0,
+            disconnected_pairs: 0,
             violations: Vec::new(),
         }
     }
 
     fn add(&mut self, s: EdgeStretch, limit: f64) {
         if s.stretch.is_finite() {
-            self.summary.max_stretch = self.summary.max_stretch.max(s.stretch);
+            self.max_stretch = self.max_stretch.max(s.stretch);
             if s.stretch > limit {
                 self.violations.push(s);
             }
         } else {
-            self.summary.disconnected_pairs += 1;
+            self.disconnected_pairs += 1;
         }
     }
 
@@ -247,9 +203,8 @@ impl StretchCheck {
     /// depend on the grouping, and violations keep chunk order, so merging
     /// in chunk order equals one fold over the whole edge sequence.
     fn merge(&mut self, later: StretchCheck) {
-        let summary = &mut self.summary;
-        summary.max_stretch = summary.max_stretch.max(later.summary.max_stretch);
-        summary.disconnected_pairs += later.summary.disconnected_pairs;
+        self.max_stretch = self.max_stretch.max(later.max_stretch);
+        self.disconnected_pairs += later.disconnected_pairs;
         self.violations.extend(later.violations);
     }
 }
@@ -261,7 +216,7 @@ impl StretchCheck {
 /// sweep itself). Memory stays bounded by the violations, not the edge
 /// count, and the result equals folding [`edge_stretches`] — bit for bit,
 /// for any thread count. Pass `f64::INFINITY` as `limit` when only the
-/// summary matters.
+/// maximum and the disconnection count matter.
 pub fn stretch_check<B, S>(base: &B, subgraph: &S, limit: f64) -> StretchCheck
 where
     B: GraphView + Sync,
@@ -309,57 +264,6 @@ pub fn weight_ratio<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> f64 {
         }
     } else {
         sub_w / mst_w
-    }
-}
-
-/// A compact summary of all the measured spanner properties, as reported by
-/// the experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct SpannerReport {
-    /// Number of nodes of the base graph.
-    pub nodes: usize,
-    /// Number of edges of the base graph.
-    pub base_edges: usize,
-    /// Number of edges kept by the subgraph.
-    pub spanner_edges: usize,
-    /// Measured stretch factor over the *connected* base edges — always
-    /// finite so the report serializes faithfully; check
-    /// [`Self::disconnected_pairs`] for coverage.
-    pub stretch: f64,
-    /// Number of base edges whose endpoints the subgraph disconnects
-    /// (0 for any valid spanner).
-    pub disconnected_pairs: usize,
-    /// Maximum degree of the subgraph.
-    pub max_degree: usize,
-    /// Mean degree of the subgraph.
-    pub mean_degree: f64,
-    /// `w(G')` (total weight of the subgraph).
-    pub weight: f64,
-    /// `w(G') / w(MST(G))`.
-    pub weight_ratio: f64,
-    /// Power cost of the subgraph (Section 1.6 extension 3).
-    pub power_cost: f64,
-}
-
-/// Measures every property of `subgraph` relative to `base` in one pass.
-pub fn spanner_report<B, S>(base: &B, subgraph: &S) -> SpannerReport
-where
-    B: GraphView + Sync,
-    S: GraphView + Sync,
-{
-    let deg = degree_stats(subgraph);
-    let stretch = stretch_summary(base, subgraph);
-    SpannerReport {
-        nodes: base.node_count(),
-        base_edges: base.edge_count(),
-        spanner_edges: subgraph.edge_count(),
-        stretch: stretch.max_stretch,
-        disconnected_pairs: stretch.disconnected_pairs,
-        max_degree: deg.max,
-        mean_degree: deg.mean,
-        weight: subgraph.total_weight(),
-        weight_ratio: weight_ratio(base, subgraph),
-        power_cost: subgraph.power_cost(),
     }
 }
 
@@ -419,31 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_stats_of_star() {
-        let mut g = WeightedGraph::new(5);
-        for v in 1..5 {
-            g.add_edge(0, v, 1.0);
-        }
-        let stats = degree_stats(&g);
-        assert_eq!(stats.max, 4);
-        assert!((stats.mean - 1.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_collects_all_fields() {
-        let g = square_with_diagonals();
-        let sub = mst::kruskal(&g).to_graph(4);
-        let report = spanner_report(&g, &sub);
-        assert_eq!(report.nodes, 4);
-        assert_eq!(report.base_edges, 6);
-        assert_eq!(report.spanner_edges, 3);
-        assert!(report.stretch >= 1.0);
-        assert!(report.weight_ratio >= 1.0 - 1e-12);
-        assert!(report.power_cost > 0.0);
-        assert_eq!(report.max_degree, sub.max_degree());
-    }
-
-    #[test]
     fn edge_stretches_cover_every_base_edge() {
         let g = square_with_diagonals();
         let stretches = edge_stretches(&g, &g);
@@ -461,7 +340,7 @@ mod tests {
             stretch_factor(&gc, &subc).to_bits()
         );
         assert_eq!(weight_ratio(&g, &sub), weight_ratio(&gc, &subc));
-        assert_eq!(spanner_report(&g, &sub), spanner_report(&gc, &subc));
+        assert_eq!(stretch_check(&g, &sub, 1.2), stretch_check(&gc, &subc, 1.2));
         // Mixed representations are allowed too.
         assert_eq!(stretch_factor(&g, &subc), stretch_factor(&gc, &sub));
     }
@@ -475,28 +354,19 @@ mod tests {
     }
 
     #[test]
-    fn summary_splits_finite_and_disconnected() {
+    fn check_splits_finite_and_disconnected() {
         let g = square_with_diagonals();
         let sub = g.filter_edges(|e| !e.touches(3));
-        let summary = stretch_summary(&g, &sub);
-        assert!(summary.max_stretch.is_finite());
-        assert_eq!(summary.disconnected_pairs, 3);
-        assert!(summary.stretch_factor().is_infinite());
-        let whole = stretch_summary(&g, &g);
+        let check = stretch_check(&g, &sub, f64::INFINITY);
+        assert!(check.max_stretch.is_finite());
+        assert_eq!(check.disconnected_pairs, 3);
+        assert!(stretch_factor(&g, &sub).is_infinite());
+        let whole = stretch_check(&g, &g, f64::INFINITY);
         assert_eq!(whole.disconnected_pairs, 0);
         assert_eq!(
-            whole.stretch_factor().to_bits(),
+            stretch_factor(&g, &g).to_bits(),
             whole.max_stretch.to_bits()
         );
-    }
-
-    #[test]
-    fn report_stretch_stays_finite_under_disconnection() {
-        let g = square_with_diagonals();
-        let sub = g.filter_edges(|e| !e.touches(3));
-        let report = spanner_report(&g, &sub);
-        assert!(report.stretch.is_finite());
-        assert_eq!(report.disconnected_pairs, 3);
     }
 
     fn assert_stretches_bitwise_equal(a: &[EdgeStretch], b: &[EdgeStretch]) {
@@ -582,8 +452,8 @@ mod tests {
 
     fn check_bits(check: &StretchCheck) -> (u64, usize, Vec<(Edge, u64)>) {
         (
-            check.summary.max_stretch.to_bits(),
-            check.summary.disconnected_pairs,
+            check.max_stretch.to_bits(),
+            check.disconnected_pairs,
             check
                 .violations
                 .iter()
@@ -611,13 +481,6 @@ mod tests {
                 assert_stretches_bitwise_equal(&collected, &oracle);
             }
         }
-        let summary = stretch_summary(&gc, &subc);
-        assert_eq!(summary.max_stretch.to_bits(), expected.0);
-        assert_eq!(summary.disconnected_pairs, expected.1);
-        let report = spanner_report(&gc, &subc);
-        assert_eq!(report.stretch.to_bits(), expected.0);
-        assert_eq!(report.disconnected_pairs, expected.1);
-        assert_eq!(report.base_edges, oracle.len());
         let factor = stretch_factor(&gc, &subc);
         if expected.1 == 0 {
             assert_eq!(factor.to_bits(), expected.0);
@@ -642,7 +505,10 @@ mod tests {
         // An edgeless subgraph: every base edge is disconnected.
         let edgeless = WeightedGraph::new(4);
         assert_streaming_matches_oracle(&g, &edgeless, 1.2);
-        assert_eq!(stretch_summary(&g, &edgeless).disconnected_pairs, 6);
+        assert_eq!(
+            stretch_check(&g, &edgeless, f64::INFINITY).disconnected_pairs,
+            6
+        );
         // An edgeless base graph.
         assert_streaming_matches_oracle(&edgeless, &edgeless, 1.2);
         assert_eq!(stretch_check(&edgeless, &g, 1.0), StretchCheck::empty());
@@ -662,8 +528,7 @@ mod tests {
         let sub = g.filter_edges(|e| !matches!(e.endpoints(), (0, 2) | (3, 4)));
         assert_streaming_matches_oracle(&g, &sub, 1.5);
         assert_streaming_matches_oracle(&g, &g, 1.0);
-        let summary = stretch_summary(&g, &sub);
-        assert_eq!(summary.disconnected_pairs, 1);
+        assert_eq!(stretch_check(&g, &sub, 1.5).disconnected_pairs, 1);
     }
 
     proptest::proptest! {

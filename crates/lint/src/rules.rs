@@ -174,7 +174,7 @@ fn weighted_graph_idents(fd: &FileData) -> BTreeSet<String> {
 /// crates repeatedly pays the pointer-chasing cost the CSR snapshot exists
 /// to avoid — and the conversion is one `ubg.to_csr()` / `CsrGraph::from`
 /// away.
-const MEASURE_FNS: [&str; 22] = [
+const MEASURE_FNS: [&str; 19] = [
     "kruskal",
     "mst_weight",
     "component_labels",
@@ -182,13 +182,10 @@ const MEASURE_FNS: [&str; 22] = [
     "component_count",
     "is_connected",
     "components_are_cliques",
-    "degree_stats",
     "edge_stretches",
     "stretch_check",
     "stretch_factor",
-    "stretch_summary",
     "weight_ratio",
-    "spanner_report",
     "shortest_path_distances",
     "shortest_path_distances_bounded",
     "shortest_path_to",
@@ -219,7 +216,7 @@ fn csr_boundary(ws: &WorkspaceCtx<'_>, file: usize, out: &mut Vec<Finding>) {
         if !MEASURE_FNS.contains(&name) || !fd.punct(i + 1, '(') {
             continue;
         }
-        // A definition (`fn spanner_report(..)`) is not a call.
+        // A definition (`fn stretch_check(..)`) is not a call.
         if i >= 1 && fd.ident(i - 1) == Some("fn") {
             continue;
         }
@@ -322,14 +319,12 @@ fn in_locality_scope(path: &str) -> bool {
 /// Graph APIs whose cost is inherently global (full Dijkstra sweeps,
 /// whole-graph statistics, component labelling). A call *path* from scoped
 /// code to any of these breaks the locality guarantee.
-const GLOBAL_REACH_FNS: [&str; 15] = [
+const GLOBAL_REACH_FNS: [&str; 13] = [
     "shortest_path_distances",
     "shortest_path_tree",
     "edge_stretches",
     "stretch_check",
     "stretch_factor",
-    "stretch_summary",
-    "spanner_report",
     "verify_spanner",
     "weight_ratio",
     "mst_weight",
@@ -1142,7 +1137,7 @@ mod tests {
     #[test]
     fn csr_boundary_flags_weighted_graph_measurement() {
         let src = "fn report(g: &WeightedGraph) {\n\
-                       let r = spanner_report(g, g);\n\
+                       let r = stretch_check(g, g, 1.5);\n\
                        let s = stretch_factor(net.graph(), &spanner);\n\
                        let _ = (r, s);\n\
                    }\n";
@@ -1157,7 +1152,7 @@ mod tests {
     #[test]
     fn csr_boundary_accepts_csr_conversions_and_core() {
         let good = "fn report(ubg: &UnitBallGraph, spanner: &WeightedGraph) {\n\
-                        let r = spanner_report(&ubg.to_csr(), &CsrGraph::from(spanner));\n\
+                        let r = stretch_check(&ubg.to_csr(), &CsrGraph::from(spanner), 1.5);\n\
                         let _ = r;\n\
                     }\n";
         assert!(lint_source("crates/bench/src/experiments.rs", good)

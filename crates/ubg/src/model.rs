@@ -1,7 +1,7 @@
 //! The realised α-quasi unit ball graph: node positions plus the graph.
 
 use serde::Serialize;
-use tc_geometry::{Metric, Point, PointAccess, PointStore};
+use tc_geometry::{Point, PointAccess, PointStore};
 use tc_graph::{CsrGraph, WeightedGraph};
 
 /// A realised d-dimensional α-quasi unit ball graph.
@@ -9,7 +9,7 @@ use tc_graph::{CsrGraph, WeightedGraph};
 /// Holds the node positions, the parameter `α`, and the realised graph with
 /// Euclidean edge weights. Constructed by [`crate::UbgBuilder`]; the struct
 /// itself only exposes read access and derived views (such as re-weighting
-/// under a different [`Metric`] for the energy-spanner extension).
+/// by a function of distance for the energy-spanner extension).
 ///
 /// Positions are stored as a structure-of-arrays [`PointStore`] — one flat
 /// coordinate array per axis — so million-node instances stay cache-friendly
@@ -115,17 +115,14 @@ impl UnitBallGraph {
         CsrGraph::from(&self.graph)
     }
 
-    /// A copy of the realised graph re-weighted under a different metric
-    /// (e.g. the power metric `c·|uv|^γ` for energy spanners). The edge
-    /// *set* is unchanged — only weights are recomputed from positions.
-    pub fn reweighted<M: Metric>(&self, metric: &M) -> WeightedGraph {
+    /// A copy of the realised graph with each edge `uv` weighted
+    /// `weight_of_distance(|uv|)` (e.g. the power weighting `c·|uv|^γ` for
+    /// energy spanners). The edge *set* is unchanged — only weights are
+    /// recomputed from positions.
+    pub fn reweighted(&self, weight_of_distance: impl Fn(f64) -> f64) -> WeightedGraph {
         let mut g = WeightedGraph::new(self.len());
         for e in self.graph.edges() {
-            g.add_edge(
-                e.u,
-                e.v,
-                metric.distance(&self.points.point(e.u), &self.points.point(e.v)),
-            );
+            g.add_edge(e.u, e.v, weight_of_distance(self.distance(e.u, e.v)));
         }
         g
     }
@@ -157,7 +154,6 @@ impl UnitBallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_geometry::PowerMetric;
 
     fn tiny() -> UnitBallGraph {
         let points = vec![
@@ -246,7 +242,7 @@ mod tests {
     #[test]
     fn reweighting_preserves_edges_and_squares_weights() {
         let ubg = tiny();
-        let energy = ubg.reweighted(&PowerMetric::new(1.0, 2.0));
+        let energy = ubg.reweighted(|d| d.powf(2.0));
         assert_eq!(energy.edge_count(), 2);
         assert!((energy.edge_weight(0, 1).unwrap() - 0.16).abs() < 1e-12);
         assert!((energy.edge_weight(1, 2).unwrap() - 0.25).abs() < 1e-12);

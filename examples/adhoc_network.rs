@@ -14,9 +14,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tc_graph::properties::spanner_report;
-use tc_graph::CsrGraph;
-use tc_spanner::{build_spanner, build_spanner_distributed};
+use tc_spanner::{build_spanner, build_spanner_distributed, verify::verify_spanner};
 use tc_ubg::{generators, GreyZonePolicy, UbgBuilder};
 
 fn main() {
@@ -40,16 +38,14 @@ fn main() {
     // Sequential construction.
     let epsilon = 1.0;
     let result = build_spanner(&network, epsilon).expect("valid parameters");
-    // Measure on the flat CSR snapshots (docs/PERFORMANCE.md: mutate on
-    // WeightedGraph, measure on CsrGraph).
-    let report = spanner_report(&network.to_csr(), &CsrGraph::from(&result.spanner));
+    let report = verify_spanner(network.graph(), &result.spanner, result.params.t);
     println!("-- sequential relaxed greedy --");
     println!(
         "kept {} of {} links, stretch {:.3} (target {:.1}), max degree {}, weight {:.2} x MST",
         report.spanner_edges,
         report.base_edges,
         report.stretch,
-        1.0 + epsilon,
+        report.t,
         report.max_degree,
         report.weight_ratio
     );

@@ -12,9 +12,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tc_baselines::Baseline;
-use tc_graph::properties::spanner_report;
-use tc_graph::CsrGraph;
-use tc_spanner::{build_spanner, seq_greedy};
+use tc_spanner::{build_spanner, seq_greedy, verify::verify_spanner};
 use tc_ubg::{generators, UbgBuilder};
 
 fn main() {
@@ -40,9 +38,8 @@ fn main() {
         "{:<28} {:>7} {:>8} {:>9} {:>10}",
         "algorithm", "edges", "max deg", "stretch", "w/w(MST)"
     );
-    let base_csr = network.to_csr();
     for (name, graph) in rows {
-        let r = spanner_report(&base_csr, &CsrGraph::from(&graph));
+        let r = verify_spanner(network.graph(), &graph, 1.5);
         println!(
             "{:<28} {:>7} {:>8} {:>9.3} {:>10.3}",
             name, r.spanner_edges, r.max_degree, r.stretch, r.weight_ratio

@@ -40,7 +40,6 @@ pub use tc_ubg as ubg;
 pub mod prelude {
     pub use tc_baselines::Baseline;
     pub use tc_geometry::Point;
-    pub use tc_graph::properties::spanner_report;
     pub use tc_graph::{CsrGraph, GraphView, WeightedGraph};
     pub use tc_spanner::{
         build_spanner, build_spanner_distributed, verify::verify_spanner, DistributedRelaxedGreedy,
