@@ -57,7 +57,7 @@ use crate::weighting::EdgeWeighting;
 use serde::Serialize;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, NodeId, WeightedGraph};
+use tc_graph::{par, NodeId, NodeOrder, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
 
@@ -81,10 +81,12 @@ pub enum MisProtocol {
 }
 
 impl MisProtocol {
-    fn run(self, graph: &WeightedGraph) -> mis::MisResult {
+    /// Runs the protocol on `graph`, whose node identifiers (the ranks,
+    /// Luby's seeds and tie-breaks) are `ids`, or the node indices.
+    fn run(self, graph: &WeightedGraph, ids: Option<&[u64]>) -> mis::MisResult {
         match self {
-            MisProtocol::Rank => mis::rank_mis(graph, None),
-            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed),
+            MisProtocol::Rank => mis::rank_mis(graph, ids),
+            MisProtocol::Luby { seed } => mis::luby_mis(graph, seed, ids),
         }
     }
 }
@@ -201,6 +203,24 @@ impl DistributedRelaxedGreedy {
         Ok(rules.finish(result))
     }
 
+    /// [`Self::run`] with the phase loop on the nodes renumbered by
+    /// `order` (see `RelaxedGreedy::run_in_order`).
+    #[cfg(test)]
+    pub(crate) fn run_in_order(
+        &self,
+        ubg: &UnitBallGraph,
+        order: &NodeOrder,
+    ) -> DistributedSpannerResult {
+        let graph = self.weighting.weighted_graph(ubg);
+        let mut rules = self.rules();
+        let result = self
+            .sequential()
+            .run_in_order(ubg.points(), &graph, &mut rules, None, order)
+            // Test seam. tc-lint: allow(panic-hygiene)
+            .expect("the UBG's own points match its graph by construction");
+        rules.finish(result)
+    }
+
     /// The sequential construction whose phase loop this one runs on.
     fn sequential(&self) -> RelaxedGreedy {
         RelaxedGreedy::new(self.params).with_weighting(self.weighting)
@@ -225,11 +245,14 @@ impl DistributedRelaxedGreedy {
 /// nodes within spanner distance `radius` of each other, a
 /// message-passing MIS of `J` as the centres, and every other node
 /// attached to a reachable centre. Returns the cover and the MIS protocol's
-/// measured communication.
+/// measured communication. `spanner` is numbered by the positions of
+/// `order`; the nodes' identifiers in the protocol and the cover are
+/// their original IDs.
 fn mis_cover(
     spanner: &WeightedGraph,
     radius: f64,
     protocol: MisProtocol,
+    order: &NodeOrder,
 ) -> (ClusterCover, CommStats) {
     let n = spanner.node_count();
     let config = BucketConfig::for_graph(spanner);
@@ -263,9 +286,10 @@ fn mis_cover(
     for (u, v) in per_chunk.into_iter().flatten() {
         j_graph.add_edge(u, v, 1.0);
     }
-    let centers = protocol.run(&j_graph);
+    let ids: Vec<u64> = (0..n).map(|p| order.node_at(p) as u64).collect();
+    let centers = protocol.run(&j_graph, Some(&ids));
     (
-        ClusterCover::from_centers(spanner, &centers.mis, radius),
+        ClusterCover::from_centers(spanner, &centers.mis, radius, order),
         centers.stats,
     )
 }
@@ -307,15 +331,16 @@ impl PhaseRules for DistributedRules {
         &mut self,
         spanner: &WeightedGraph,
         radius: f64,
-        _previous: &[NodeId],
+        _previous: &[bool],
+        order: &NodeOrder,
     ) -> ClusterCover {
-        let (cover, stats) = mis_cover(spanner, radius, self.protocol);
+        let (cover, stats) = mis_cover(spanner, radius, self.protocol, order);
         self.cover_mis = Some(stats);
         cover
     }
 
     fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
-        let result = self.protocol.run(conflict_graph);
+        let result = self.protocol.run(conflict_graph, None);
         self.conflict_mis = Some(result.stats);
         result.mis
     }
@@ -440,9 +465,10 @@ mod tests {
             &mut self,
             spanner: &WeightedGraph,
             radius: f64,
-            previous: &[NodeId],
+            previous: &[bool],
+            order: &NodeOrder,
         ) -> ClusterCover {
-            let cover = self.inner.level_cover(spanner, radius, previous);
+            let cover = self.inner.level_cover(spanner, radius, previous, order);
             assert!(
                 cover.is_valid_cover(spanner),
                 "the MIS cover at radius {radius} is not a valid cover"

@@ -133,3 +133,216 @@ mod tests {
         assert_eq!(result.spanner.node_count(), 0);
     }
 }
+
+/// The node order is a pure layout choice: the phase loop and the
+/// verifier give the same output, bit for bit, whatever permutation of the
+/// nodes they run on — the identity, the breadth-first order production
+/// uses, or a random one — on deployments full of identifier ties, for
+/// both constructions and both MIS protocols, at one and two workers.
+#[cfg(test)]
+mod relabel_invariance {
+    use crate::relaxed::{RelaxedGreedy, SequentialRules};
+    use crate::verify::{verify_in_order, verify_spanner, VerificationReport};
+    use crate::{DistributedRelaxedGreedy, MisProtocol, SpannerParams};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::sync::Mutex;
+    use tc_geometry::Point;
+    use tc_graph::par::THREADS_ENV;
+    use tc_graph::{NodeOrder, WeightedGraph};
+    use tc_ubg::{generators, GreyZonePolicy, UbgBuilder, UnitBallGraph};
+
+    /// Serialises the tests that set `TC_THREADS`, a process-wide variable.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` at one and at two workers, restoring `TC_THREADS` afterwards.
+    fn at_one_and_two_workers(mut f: impl FnMut()) {
+        let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let saved = std::env::var(THREADS_ENV).ok();
+        for threads in ["1", "2"] {
+            std::env::set_var(THREADS_ENV, threads);
+            f();
+        }
+        match saved {
+            Some(v) => std::env::set_var(THREADS_ENV, v),
+            None => std::env::remove_var(THREADS_ENV),
+        }
+    }
+
+    /// The deployments, each with its parameters: ties in every weight
+    /// (lattice), zero-weight edges in phase 0 (duplicated points), dense
+    /// blobs, a long thin corridor and a 3D grey zone.
+    fn deployments() -> Vec<(&'static str, UnitBallGraph, SpannerParams)> {
+        let mut rng = ChaCha8Rng::seed_from_u64(25);
+        let udg = |points: Vec<Point>| UbgBuilder::unit_disk().build(points).unwrap();
+        let udg_params = SpannerParams::for_epsilon(1.0, 1.0).unwrap();
+        let lattice: Vec<Point> = (0..40)
+            .flat_map(|i| (0..40).map(move |j| Point::new2(0.625 * i as f64, 0.625 * j as f64)))
+            .collect();
+        let base = generators::uniform_points(&mut rng, 400, 2, 7.0);
+        let mut duplicated = base.clone();
+        for (i, p) in base.iter().enumerate() {
+            duplicated.push(p.clone());
+            if i % 3 == 0 {
+                duplicated.push(p.translated(&[1e-5 * (i % 7) as f64, 1e-5]));
+            }
+        }
+        let clustered = generators::clustered_points(&mut rng, 900, 2, 8.0, 6, 0.6);
+        let corridor = generators::corridor_points(&mut rng, 700, 2, 60.0, 1.5);
+        let grey_points = generators::uniform_points(&mut rng, 900, 3, 4.0);
+        let grey = UbgBuilder::new(0.6)
+            .grey_zone(GreyZonePolicy::Probabilistic {
+                probability: 0.5,
+                seed: 9,
+            })
+            .build(grey_points)
+            .unwrap();
+        vec![
+            ("lattice", udg(lattice), udg_params),
+            ("duplicated", udg(duplicated), udg_params),
+            ("clustered", udg(clustered), udg_params),
+            ("corridor", udg(corridor), udg_params),
+            (
+                "grey3d",
+                grey,
+                SpannerParams::for_epsilon(1.0, 0.6).unwrap(),
+            ),
+        ]
+    }
+
+    /// The identity, the breadth-first order and a seeded random
+    /// permutation of the nodes of `ubg`.
+    fn orders(ubg: &UnitBallGraph) -> Vec<NodeOrder> {
+        let n = ubg.len();
+        let mut nodes: Vec<u32> = (0..n as u32).collect();
+        let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+        for i in (1..n).rev() {
+            nodes.swap(i, rng.gen_range(0..=i));
+        }
+        vec![
+            NodeOrder::identity(n),
+            NodeOrder::breadth_first(ubg.graph()),
+            NodeOrder::from_nodes(nodes),
+        ]
+    }
+
+    /// Every row of `g` in order, weights as bits.
+    fn rows(g: &WeightedGraph) -> Vec<Vec<(usize, u64)>> {
+        (0..g.node_count())
+            .map(|u| {
+                g.neighbors(u)
+                    .iter()
+                    .map(|&(v, w)| (v, w.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn constructions_do_not_depend_on_the_node_order() {
+        at_one_and_two_workers(|| {
+            for (name, ubg, params) in deployments() {
+                let graph = ubg.graph();
+                let sequential = RelaxedGreedy::new(params);
+                let rank = DistributedRelaxedGreedy::new(params);
+                let luby = DistributedRelaxedGreedy::new(params)
+                    .with_mis_protocol(MisProtocol::Luby { seed: 5 });
+                let mut outputs = Vec::new();
+                for order in orders(&ubg) {
+                    let seq = sequential
+                        .run_in_order(ubg.points(), graph, &mut SequentialRules, None, &order)
+                        .unwrap();
+                    let mut runs = vec![(rows(&seq.spanner), format!("{:?}", seq.phases), 0, 0)];
+                    for construction in [&rank, &luby] {
+                        let out = construction.run_in_order(&ubg, &order);
+                        runs.push((
+                            rows(&out.result.spanner),
+                            format!("{:?}", out.result.phases),
+                            out.rounds,
+                            out.messages,
+                        ));
+                    }
+                    outputs.push(runs);
+                }
+                assert!(
+                    outputs.windows(2).all(|w| w[0] == w[1]),
+                    "{name}: the output depends on the node order"
+                );
+                if name == "duplicated" {
+                    assert!(
+                        seq_has_phase0(&sequential, &ubg),
+                        "{name}: phase 0 is empty"
+                    );
+                }
+            }
+        });
+    }
+
+    fn seq_has_phase0(construction: &RelaxedGreedy, ubg: &UnitBallGraph) -> bool {
+        let result = construction.run(ubg);
+        result
+            .phases
+            .first()
+            .is_some_and(|p| p.bin == 0 && p.added_edges > 0)
+    }
+
+    /// Every field of a report, floats as bits.
+    fn fields(r: &VerificationReport) -> String {
+        let violations: Vec<(usize, usize, u64)> = r
+            .violations
+            .iter()
+            .map(|&(u, v, s)| (u, v, s.to_bits()))
+            .collect();
+        format!(
+            "{} {} {} {} {:?} {} {} {} {}",
+            r.t.to_bits(),
+            r.stretch.to_bits(),
+            r.disconnected_pairs,
+            r.stretch_ok,
+            violations,
+            r.max_degree,
+            r.weight_ratio.to_bits(),
+            r.spanner_edges,
+            r.base_edges
+        )
+    }
+
+    #[test]
+    fn verification_does_not_depend_on_the_node_order() {
+        at_one_and_two_workers(|| {
+            for (name, ubg, params) in deployments() {
+                let spanner = RelaxedGreedy::new(params).run(&ubg).spanner;
+                // Drop every third edge (finite violations) and cut the
+                // busiest node off (disconnected pairs).
+                let mut count = 0;
+                let busiest = (0..ubg.len())
+                    .max_by_key(|&v| ubg.graph().degree(v))
+                    .unwrap();
+                let broken = spanner.filter_edges(|e| {
+                    count += 1;
+                    count % 3 != 0 && !e.touches(busiest)
+                });
+                let reports: Vec<String> = orders(&ubg)
+                    .iter()
+                    .map(|order| {
+                        let report = verify_in_order(ubg.graph(), &broken, params.t, order);
+                        assert!(
+                            !report.violations.is_empty() && report.disconnected_pairs > 0,
+                            "{name}: the broken spanner must fail both ways"
+                        );
+                        fields(&report)
+                    })
+                    .collect();
+                assert!(
+                    reports.windows(2).all(|w| w[0] == w[1]),
+                    "{name}: the report depends on the node order"
+                );
+                assert_eq!(
+                    fields(&verify_spanner(ubg.graph(), &broken, params.t)),
+                    reports[0],
+                    "{name}: verify_spanner differs from the identity order"
+                );
+            }
+        });
+    }
+}

@@ -7,7 +7,7 @@
 //! per phase, in increasing order, and never needs an edge ordering inside
 //! a bin — that relaxation is what makes the distributed version possible.
 
-use tc_graph::{Edge, WeightedGraph};
+use tc_graph::{Edge, NodeOrder, WeightedGraph};
 
 /// The partition of a graph's edges into weight bins.
 ///
@@ -34,6 +34,19 @@ impl BinPartition {
     ///
     /// Panics if `w0 <= 0` or `r <= 1`.
     pub fn new(graph: &WeightedGraph, w0: f64, r: f64) -> Self {
+        Self::build(graph, w0, r, |edge| edge)
+    }
+
+    /// [`BinPartition::new`] for a phase loop that runs on the positions
+    /// of `order`: the bins hold the same edges in the same order, each
+    /// renumbered to positions after its bin is sorted, so the edges keep
+    /// the order of `Edge`'s `Ord` on the original IDs and their original
+    /// orientation (the endpoint with the lower original ID first).
+    pub(crate) fn in_order(graph: &WeightedGraph, w0: f64, r: f64, order: &NodeOrder) -> Self {
+        Self::build(graph, w0, r, |edge| order.edge_to_positions(edge))
+    }
+
+    fn build(graph: &WeightedGraph, w0: f64, r: f64, relabel: impl Fn(Edge) -> Edge) -> Self {
         assert!(w0 > 0.0, "the bin-0 threshold must be positive");
         assert!(r > 1.0, "the bin growth factor must exceed 1");
         let mut partition = Self {
@@ -83,7 +96,11 @@ impl BinPartition {
         // variants) expects the canonical by-weight sequence; sorting here
         // also keeps bin contents independent of construction history.
         for bin in offsets.windows(2) {
-            edges[bin[0]..bin[1]].sort();
+            let bin = &mut edges[bin[0]..bin[1]];
+            bin.sort();
+            for edge in bin {
+                *edge = relabel(*edge);
+            }
         }
         partition.edges = edges;
         partition.offsets = offsets;

@@ -9,7 +9,7 @@
 //! `G'_{i-1}` with radius `δ·W_{i-1}`.
 
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{Contraction, NodeId, WeightedGraph};
+use tc_graph::{Contraction, NodeId, NodeOrder, WeightedGraph};
 
 /// A cluster cover with a unique cluster assignment per node.
 ///
@@ -38,17 +38,20 @@ impl ClusterCover {
     /// Panics if `radius < 0`.
     #[cfg(test)]
     pub fn greedy(graph: &WeightedGraph, radius: f64) -> Self {
-        Self::greedy_with_candidates(graph, radius, &[])
+        let order = NodeOrder::identity(graph.node_count());
+        Self::greedy_with_candidates(graph, radius, &[], &order)
     }
 
     /// The paper's greedy cover construction — repeatedly pick an uncovered
     /// node, make it a centre, and claim every still-uncovered node within
     /// shortest-path distance `radius` in `graph` — with an explicit
-    /// candidate priority: the nodes of `priority` are offered centre-hood
-    /// first (in slice order), then every remaining uncovered node in
-    /// ascending id, so the result is always a complete greedy cover. With
+    /// candidate priority: the nodes marked in `priority` are offered
+    /// centre-hood first, then every remaining uncovered node, each group
+    /// in ascending original ID, so the result is always a complete greedy
+    /// cover. `graph` is numbered by the positions of `order`, and
+    /// `priority` is indexed by original ID (empty: no priority). With
     /// an empty priority this *is* the paper's construction; the
-    /// hierarchical phase engine passes the
+    /// hierarchical phase engine marks the
     /// previous level's centres, which makes each new cluster a coarsening
     /// of the contracted (previous-level) clusters wherever possible while
     /// the claiming sweeps still run on the real graph — coverage radii
@@ -56,86 +59,131 @@ impl ClusterCover {
     ///
     /// # Panics
     ///
-    /// Panics if `radius < 0` or a priority node is out of range.
-    pub fn greedy_with_candidates(graph: &WeightedGraph, radius: f64, priority: &[NodeId]) -> Self {
+    /// Panics if `radius < 0`, or if `priority` is neither empty nor one
+    /// entry per node.
+    pub fn greedy_with_candidates(
+        graph: &WeightedGraph,
+        radius: f64,
+        priority: &[bool],
+        order: &NodeOrder,
+    ) -> Self {
         assert!(radius >= 0.0, "the cluster radius must be non-negative");
         let n = graph.node_count();
-        let mut centers = Vec::new();
-        let mut cluster_of = vec![usize::MAX; n];
+        assert!(
+            priority.is_empty() || priority.len() == n,
+            "the priority marks every node or none"
+        );
+        let mut center_of = vec![usize::MAX; n];
         let mut dist_to_center = vec![f64::INFINITY; n];
+        // A node whose every edge is longer than `radius` is reached by no
+        // other sweep, and its own sweep reaches no other node: it is a
+        // singleton centre whatever the candidate order. Claiming those
+        // first, in position order, leaves the greedy outcome unchanged and
+        // keeps the ordered loop below to the nodes whose balls can meet.
+        let mut linked = vec![false; n];
+        for u in 0..n {
+            if graph.neighbors(u).iter().all(|&(_, w)| w > radius) {
+                center_of[u] = u;
+                dist_to_center[u] = 0.0;
+            } else {
+                linked[order.node_at(u)] = true;
+            }
+        }
+        let prioritised = |v: NodeId| priority.get(v).copied().unwrap_or(false);
+        let first = (0..n).filter(|&v| linked[v] && prioritised(v));
+        let then = (0..n).filter(|&v| linked[v] && !prioritised(v));
         // One bucket config and scratch for the whole construction: the
         // per-centre searches are radius-bounded visitor sweeps, so each
         // one costs O(nodes actually reached) — never O(n) — which is what
         // keeps the cover construction near-linear at 10^6 nodes.
         let config = BucketConfig::for_graph(graph);
         let mut scratch = BucketScratch::new();
-        for u in priority.iter().copied().chain(0..n) {
-            assert!(u < n, "priority node {u} is out of range");
-            if cluster_of[u] != usize::MAX {
+        for u in first.chain(then).map(|v| order.position(v)) {
+            if center_of[u] != usize::MAX {
                 continue;
             }
-            let cluster_index = centers.len();
-            centers.push(u);
             // A node is claimed at most once per sweep, so the (unspecified)
-            // visit order cannot change the resulting assignment.
+            // visit order cannot change the resulting assignment. The
+            // centre claims itself first, at distance 0.
             scratch.for_each_within(graph, u, radius, &config, |v, d| {
-                if cluster_of[v] == usize::MAX {
-                    cluster_of[v] = cluster_index;
+                if center_of[v] == usize::MAX {
+                    center_of[v] = u;
                     dist_to_center[v] = d;
                 }
             });
         }
-        Self {
-            radius,
-            centers,
-            cluster_of,
-            dist_to_center,
-        }
+        let centers = (0..n).filter(|&v| center_of[v] == v).collect();
+        Self::numbered(radius, centers, center_of, dist_to_center)
     }
 
-    /// Builds a cover from an externally supplied set of centres (the
-    /// distributed algorithm obtains them as an MIS of the "within radius"
-    /// graph). Every node attaches to the reachable centre with the
-    /// *highest identifier*, mirroring the paper's tie-breaking rule; nodes
-    /// no centre reaches become singleton clusters of their own (this can
-    /// only happen if `centers` was not maximal).
-    pub fn from_centers(graph: &WeightedGraph, centers: &[NodeId], radius: f64) -> Self {
+    /// Builds a cover from an externally supplied set of distinct centres
+    /// (the distributed algorithm obtains them as an MIS of the "within
+    /// radius" graph). Every node attaches to the reachable centre with
+    /// the *highest identifier*, mirroring the paper's tie-breaking rule;
+    /// nodes no centre reaches become singleton clusters of their own
+    /// (this can only happen if `centers` was not maximal). `graph` is
+    /// numbered by the positions of `order`, and identifiers are the
+    /// original nodes.
+    pub fn from_centers(
+        graph: &WeightedGraph,
+        centers: &[NodeId],
+        radius: f64,
+        order: &NodeOrder,
+    ) -> Self {
         assert!(radius >= 0.0, "the cluster radius must be non-negative");
         let n = graph.node_count();
-        let mut all_centers: Vec<NodeId> = centers.to_vec();
-        let mut cluster_of = vec![usize::MAX; n];
+        let mut center_of = vec![usize::MAX; n];
         let mut dist_to_center = vec![f64::INFINITY; n];
-        let mut best_center: Vec<Option<(NodeId, f64)>> = vec![None; n];
+        let mut is_center = vec![false; n];
         let config = BucketConfig::for_graph(graph);
         let mut scratch = BucketScratch::new();
-        for (idx, &c) in centers.iter().enumerate() {
+        for &c in centers {
             assert!(c < n, "cluster centre {c} is out of range");
+            is_center[c] = true;
             // Highest-identifier-wins is independent of the visit order
             // within a sweep, so the bounded visitor keeps the assignment
             // identical to the dense-vector formulation.
             scratch.for_each_within(graph, c, radius, &config, |v, d| {
-                let better = match best_center[v] {
-                    None => true,
-                    Some((current, _)) => c > current,
-                };
-                if better {
-                    best_center[v] = Some((c, d));
-                    cluster_of[v] = idx;
+                let current = center_of[v];
+                if current == usize::MAX || order.node_at(c) > order.node_at(current) {
+                    center_of[v] = c;
                     dist_to_center[v] = d;
                 }
             });
         }
         for v in 0..n {
-            if cluster_of[v] == usize::MAX {
-                cluster_of[v] = all_centers.len();
-                all_centers.push(v);
+            if center_of[v] == usize::MAX {
+                center_of[v] = v;
                 dist_to_center[v] = 0.0;
+                is_center[v] = true;
             }
+        }
+        let all_centers = (0..n).filter(|&v| is_center[v]).collect();
+        Self::numbered(radius, all_centers, center_of, dist_to_center)
+    }
+
+    /// The cover in which node `v` belongs to the cluster centred at
+    /// `center_of[v]`, the clusters numbered in ascending centre position
+    /// (`centers`, ascending), so the quotient over them is laid out like
+    /// the nodes. The numbering never decides anything: every consumer
+    /// reads a cluster's members, centre and distances, not its number.
+    fn numbered(
+        radius: f64,
+        centers: Vec<NodeId>,
+        mut center_of: Vec<usize>,
+        dist_to_center: Vec<f64>,
+    ) -> Self {
+        let mut index = vec![u32::MAX; center_of.len()];
+        for (i, &c) in centers.iter().enumerate() {
+            index[c] = i as u32;
+        }
+        for c in &mut center_of {
+            *c = index[*c] as usize;
         }
         Self {
             radius,
-            centers: all_centers,
-            cluster_of,
+            centers,
+            cluster_of: center_of,
             dist_to_center,
         }
     }
@@ -144,11 +192,19 @@ impl ClusterCover {
     /// cluster, each node at its distance to its centre, every edge of
     /// `graph` absorbed — and returns the centres beside it. The cover is
     /// consumed, so its per-node assignment lives on only in the
-    /// contraction's `supernode_of`/`offset`.
-    pub fn into_contraction(self, graph: &WeightedGraph) -> (Vec<NodeId>, Contraction) {
+    /// contraction's `supernode_of`/`offset`. `graph` is numbered by the
+    /// positions of `order`; each edge is absorbed from its endpoint with
+    /// the lower original ID, as the original graph lists it, so every
+    /// quotient weight `offset + w + offset` is the same sum bit for bit.
+    pub fn into_contraction(
+        self,
+        graph: &WeightedGraph,
+        order: &NodeOrder,
+    ) -> (Vec<NodeId>, Contraction) {
         let assignment: Vec<u32> = self.cluster_of.iter().map(|&c| c as u32).collect();
         let clusters = self.centers.len();
-        let contraction = Contraction::from_graph(graph, assignment, self.dist_to_center, clusters);
+        let edges = graph.edges().map(|e| order.orient(e));
+        let contraction = Contraction::from_edges(assignment, self.dist_to_center, clusters, edges);
         (self.centers, contraction)
     }
 
@@ -318,7 +374,7 @@ mod tests {
         let g = path_graph(5, 1.0);
         // Centres 0 and 4, radius 2: node 2 can reach both; it must attach
         // to centre 4 (the higher identifier).
-        let cover = ClusterCover::from_centers(&g, &[0, 4], 2.0);
+        let cover = ClusterCover::from_centers(&g, &[0, 4], 2.0, &NodeOrder::identity(5));
         assert_eq!(cover.center_of(2), 4);
         assert_eq!(cover.center_of(1), 0);
         assert_eq!(cover.cluster_count(), 2);
@@ -327,7 +383,7 @@ mod tests {
     #[test]
     fn from_centers_adds_singletons_for_unreached_nodes() {
         let g = path_graph(5, 1.0);
-        let cover = ClusterCover::from_centers(&g, &[0], 1.0);
+        let cover = ClusterCover::from_centers(&g, &[0], 1.0, &NodeOrder::identity(5));
         // Nodes 2, 3, 4 are unreachable within radius 1 from centre 0.
         assert!(cover.cluster_count() >= 4);
         assert_eq!(cover.center_of(3), 3);
@@ -342,6 +398,62 @@ mod tests {
     fn negative_radius_rejected() {
         let g = path_graph(3, 1.0);
         let _ = ClusterCover::greedy(&g, -1.0);
+    }
+
+    /// The quotient edges of a level as `(centre, centre, weight bits)`,
+    /// centres by original ID, sorted.
+    fn quotient_by_original_centres(
+        graph: &WeightedGraph,
+        radius: f64,
+        order: &NodeOrder,
+    ) -> Vec<(usize, usize, u64)> {
+        let cover = ClusterCover::greedy_with_candidates(graph, radius, &[], order);
+        let (centers, contraction) = cover.into_contraction(graph, order);
+        let mut edges: Vec<(usize, usize, u64)> = contraction
+            .quotient()
+            .edges()
+            .map(|e| {
+                let (a, b) = (order.node_at(centers[e.u]), order.node_at(centers[e.v]));
+                (a.min(b), a.max(b), e.weight.to_bits())
+            })
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// A level's cover and quotient do not depend on the node order:
+        /// the same centres, and every quotient weight `offset + w +
+        /// offset` the same bit for bit, because each edge is absorbed from
+        /// its endpoint with the lower original ID.
+        #[test]
+        fn levels_do_not_depend_on_the_node_order(
+            seed in 0u64..500,
+            n in 2usize..40,
+            p in 0.05f64..0.5,
+            radius in 0.0f64..1.5,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut g = WeightedGraph::new(n);
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if rng.gen_bool(p) {
+                        g.add_edge(u, v, rng.gen_range(0.05..1.0));
+                    }
+                }
+            }
+            let mut nodes: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                nodes.swap(i, rng.gen_range(0..=i));
+            }
+            let order = NodeOrder::from_nodes(nodes);
+            let relabelled = WeightedGraph::from_edges(n, g.edges().map(|e| order.edge_to_positions(e)));
+            prop_assert_eq!(
+                quotient_by_original_centres(&g, radius, &NodeOrder::identity(n)),
+                quotient_by_original_centres(&relabelled, radius, &order)
+            );
+        }
     }
 
     proptest! {

@@ -63,7 +63,7 @@ use std::time::Instant;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::par::{self, ClaimQueue, Worker};
-use tc_graph::{dijkstra, Contraction, Edge, GraphView, NodeId, WeightedGraph};
+use tc_graph::{dijkstra, Contraction, Edge, GraphView, NodeId, NodeOrder, WeightedGraph};
 
 /// Geometric growth factor `Λ` between cover levels: a level built at
 /// radius `ρ` serves every phase with radius in `[ρ, Λ·ρ]`. Larger values
@@ -90,8 +90,8 @@ struct Level {
 }
 
 impl Level {
-    fn new(cover: ClusterCover, spanner: &WeightedGraph) -> Self {
-        let (centers, contraction) = cover.into_contraction(spanner);
+    fn new(cover: ClusterCover, spanner: &WeightedGraph, order: &NodeOrder) -> Self {
+        let (centers, contraction) = cover.into_contraction(spanner, order);
         Self {
             centers,
             contraction,
@@ -139,27 +139,42 @@ struct PhaseSlots {
     redundancy: RedundancySlots,
 }
 
+/// One worker's scratch, kept from phase to phase: its bucket-search
+/// state and, on the caller, the endpoint index of step (v)'s analysis,
+/// which every phase hands back cleared (see `RedundancySlots::into_index`).
+#[derive(Debug, Default)]
+struct WorkerScratch {
+    search: BucketScratch,
+    endpoint_index: Vec<u32>,
+}
+
 /// Persistent state of the hierarchical phase engine across the phases of
-/// one relaxed-greedy run: the current cover level and one bucket scratch
-/// per worker, both kept from phase to phase.
+/// one relaxed-greedy run: the current cover level and one scratch per
+/// worker, both kept from phase to phase. The spanner it reads is
+/// numbered by the positions of `order`, whose original IDs break every
+/// identifier tie.
 #[derive(Debug)]
-pub(crate) struct PhaseEngine {
+pub(crate) struct PhaseEngine<'o> {
+    order: &'o NodeOrder,
     level_radius: f64,
     level: Option<Level>,
     rebuilds: usize,
-    /// Worker `k` of every phase's region searches with `scratch[k]`.
-    scratch: Vec<BucketScratch>,
+    /// Worker `k` of every phase's region works with `scratch[k]`.
+    scratch: Vec<WorkerScratch>,
 }
 
-impl PhaseEngine {
+impl<'o> PhaseEngine<'o> {
     /// A fresh engine with no cover level yet, whose phases run on up to
-    /// `threads` workers.
-    pub fn new(threads: usize) -> Self {
+    /// `threads` workers over a spanner numbered by `order`.
+    pub fn new(threads: usize, order: &'o NodeOrder) -> Self {
         Self {
+            order,
             level_radius: 0.0,
             level: None,
             rebuilds: 0,
-            scratch: (0..threads.max(1)).map(|_| BucketScratch::new()).collect(),
+            scratch: (0..threads.max(1))
+                .map(|_| WorkerScratch::default())
+                .collect(),
         }
     }
 
@@ -172,17 +187,20 @@ impl PhaseEngine {
         self.level.is_none() || radius > LEVEL_GROWTH * self.level_radius
     }
 
-    /// Frees the current level and returns its centres (ascending id),
-    /// which the next level's greedy cover offers centre-hood first. Only
-    /// the centres outlive the level: its quotient and node assignment are
-    /// freed before the next level is built, so two levels are never
-    /// alive at once.
-    fn retire_level(&mut self) -> Vec<NodeId> {
+    /// Frees the current level and marks its centres by original ID
+    /// (nothing marked, and the slice empty, before the first level): the
+    /// next level's greedy cover offers them centre-hood first. Only the
+    /// centres outlive the level: its quotient and node assignment are
+    /// freed before the next level is built, so two levels are never alive
+    /// at once.
+    fn retire_level(&mut self) -> Vec<bool> {
         match self.level.take() {
             Some(level) => {
-                let mut centers = level.centers;
-                centers.sort_unstable();
-                centers
+                let mut marked = vec![false; self.order.len()];
+                for &c in &level.centers {
+                    marked[self.order.node_at(c)] = true;
+                }
+                marked
             }
             None => Vec::new(),
         }
@@ -192,23 +210,24 @@ impl PhaseEngine {
     /// radius `radius` over the current `spanner`, rebuilding the level
     /// if the radius outgrew it. Returns whether a rebuild happened.
     ///
-    /// Only a rebuild calls `build_cover(spanner, radius, previous)`, with
-    /// `previous` the previous level's centres (ascending id); the previous
-    /// level is freed before the call. Any cover whose centres are more
+    /// Only a rebuild calls `build_cover(spanner, radius, previous, order)`,
+    /// with `previous` marking the previous level's centres by original ID
+    /// (empty before the first level) and `order` the engine's; the
+    /// previous level is freed before the call. Any cover whose centres are more
     /// than `radius` apart and which reaches every node within `radius`
     /// serves the level.
     pub fn prepare(
         &mut self,
         spanner: &WeightedGraph,
         radius: f64,
-        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> ClusterCover,
     ) -> bool {
         if !self.needs_rebuild(radius) {
             return false;
         }
         let previous = self.retire_level();
-        let cover = build_cover(spanner, radius, &previous);
-        self.level = Some(Level::new(cover, spanner));
+        let cover = build_cover(spanner, radius, &previous, self.order);
+        self.level = Some(Level::new(cover, spanner, self.order));
         self.level_radius = radius;
         self.rebuilds += 1;
         true
@@ -259,7 +278,7 @@ impl PhaseEngine {
     pub fn run_phase<P: PointAccess + Sync + ?Sized>(
         &mut self,
         input: &PhaseInput<'_, P>,
-        build_cover: impl FnOnce(&WeightedGraph, f64, &[NodeId]) -> ClusterCover,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> ClusterCover,
     ) -> PhaseWork {
         let start = Instant::now();
         self.prepare(input.spanner, input.radius, build_cover);
@@ -272,7 +291,7 @@ impl PhaseEngine {
         let slots = PhaseSlots::default();
         // prepare() always leaves a level. tc-lint: allow(panic-hygiene)
         let level = self.level.as_ref().expect("step (i) builds the level");
-        let program = |w: &Worker<'_>, scratch: &mut BucketScratch| {
+        let program = |w: &Worker<'_>, scratch: &mut WorkerScratch| {
             phase_program(w, scratch, input, level, &slots)
         };
         let caller = par::region(&mut self.scratch[..workers], program);
@@ -280,6 +299,9 @@ impl PhaseEngine {
         // taken.
         let (mut seconds, conflicts) = caller.unwrap_or_default();
         seconds[0] = cover_seconds;
+        if let Some(index) = slots.redundancy.into_index() {
+            self.scratch[0].endpoint_index = index;
+        }
         PhaseWork {
             clusters: level.contraction.supernode_count(),
             selection: slots.selection.into_inner().unwrap_or_default(),
@@ -317,7 +339,7 @@ type CallerOutcome = ([f64; 5], Option<RedundancyAnalysis>);
 /// `slots`, and alone returns `Some`.
 fn phase_program<P: PointAccess + Sync + ?Sized>(
     w: &Worker<'_>,
-    scratch: &mut BucketScratch,
+    scratch: &mut WorkerScratch,
     input: &PhaseInput<'_, P>,
     level: &Level,
     slots: &PhaseSlots,
@@ -364,7 +386,7 @@ fn phase_program<P: PointAccess + Sync + ?Sized>(
     let verdicts = w.map_claimed(&slots.verdicts, queries.len(), |k| {
         let edge = &queries[k];
         if input.mechanisms.cluster_graph_queries {
-            needs_edge(scratch, contraction, quotient, &config, edge, t)
+            needs_edge(&mut scratch.search, contraction, quotient, &config, edge, t)
         } else {
             dijkstra::shortest_path_within(input.spanner, edge.u, edge.v, t * edge.weight).is_none()
         }
@@ -386,7 +408,8 @@ fn phase_program<P: PointAccess + Sync + ?Sized>(
     let conflicts = if input.mechanisms.redundancy_removal {
         analyze_in(
             w,
-            scratch,
+            &mut scratch.search,
+            &mut scratch.endpoint_index,
             &slots.redundancy,
             added,
             contraction,
@@ -475,7 +498,8 @@ mod tests {
     fn first_prepare_matches_the_oracle_greedy_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
-        let mut engine = PhaseEngine::new(1);
+        let order = NodeOrder::identity(30);
+        let mut engine = PhaseEngine::new(1, &order);
         assert!(engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
         let oracle = ClusterCover::greedy(&g, 0.3);
         assert_eq!(engine.cover().centers(), oracle.centers());
@@ -489,7 +513,8 @@ mod tests {
     fn radii_within_the_level_growth_reuse_the_cover() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
-        let mut engine = PhaseEngine::new(1);
+        let order = NodeOrder::identity(40);
+        let mut engine = PhaseEngine::new(1, &order);
         assert!(engine.prepare(&g, 0.2, ClusterCover::greedy_with_candidates));
         assert!(!engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
         assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, ClusterCover::greedy_with_candidates));
@@ -509,7 +534,8 @@ mod tests {
         // final graph with the same cover.
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
-        let mut engine = PhaseEngine::new(1);
+        let order = NodeOrder::identity(25);
+        let mut engine = PhaseEngine::new(1, &order);
         engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
         let cover = engine.cover().clone();
         // Edges heavier than twice the radius keep the cover frozen-valid.
@@ -526,7 +552,7 @@ mod tests {
         let n = g.node_count();
         let assignment: Vec<u32> = (0..n).map(|v| cover.cluster_of(v) as u32).collect();
         let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
-        let bulk = Contraction::from_graph(&g, assignment, offsets, cover.cluster_count());
+        let bulk = Contraction::from_edges(assignment, offsets, cover.cluster_count(), g.edges());
         assert_eq!(
             engine.contraction().quotient().sorted_edges(),
             bulk.quotient().sorted_edges()
@@ -559,7 +585,8 @@ mod tests {
         ) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
-            let mut engine = PhaseEngine::new(1);
+            let order = NodeOrder::identity(n);
+            let mut engine = PhaseEngine::new(1, &order);
             engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
             let mut kept = Vec::new();
             for _ in 0..extra {
@@ -640,7 +667,8 @@ mod tests {
             }
             edges.sort();
             let mut spanner = WeightedGraph::new(n);
-            let mut engine = PhaseEngine::new(1);
+            let order = NodeOrder::identity(n);
+            let mut engine = PhaseEngine::new(1, &order);
             let delta = 0.45; // < 1/2, like every validated parameter set
             let chunk = 4.max(edges.len() / 6);
             let mut processed = 0;

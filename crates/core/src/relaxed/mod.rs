@@ -70,7 +70,7 @@ use serde::Serialize;
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, mis, par, Edge, NodeId, WeightedGraph};
+use tc_graph::{components, mis, par, Edge, NodeId, NodeOrder, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -202,10 +202,18 @@ pub(crate) trait PhaseRules {
     }
 
     /// Step (i) at a level rebuild (see `PhaseEngine::prepare`): greedy,
-    /// offering the previous level's centres `prev` centre-hood first, so
-    /// new clusters are unions of old ones wherever the radii allow.
-    fn level_cover(&mut self, graph: &WeightedGraph, radius: f64, prev: &[NodeId]) -> ClusterCover {
-        ClusterCover::greedy_with_candidates(graph, radius, prev)
+    /// offering the previous level's centres (`prev` marks them by
+    /// original ID) centre-hood first, so new clusters are unions of old
+    /// ones wherever the radii allow. `graph` is numbered by the positions
+    /// of `order`, and every identifier tie is broken by original ID.
+    fn level_cover(
+        &mut self,
+        graph: &WeightedGraph,
+        radius: f64,
+        prev: &[bool],
+        order: &NodeOrder,
+    ) -> ClusterCover {
+        ClusterCover::greedy_with_candidates(graph, radius, prev, order)
     }
 
     /// Step (v): a maximal independent set of a non-trivial conflict
@@ -219,7 +227,7 @@ pub(crate) trait PhaseRules {
 }
 
 /// The sequential construction's rules: the defaults.
-struct SequentialRules;
+pub(crate) struct SequentialRules;
 
 impl PhaseRules for SequentialRules {}
 
@@ -320,13 +328,36 @@ impl RelaxedGreedy {
 
     /// The phase loop both constructions run: phase 0, then steps
     /// (i)–(v) of every non-empty bin, with `rules` supplying the
-    /// construction's variant steps.
+    /// construction's variant steps. The loop runs on the nodes renumbered
+    /// in the breadth-first [`NodeOrder`] of `graph`, so each step's
+    /// neighbourhoods sit close together in memory (see
+    /// `docs/PERFORMANCE.md`, "Node order"); the result is in the caller's
+    /// IDs and does not depend on the order.
     pub(crate) fn run_with_rules<P: PointAccess + Sync + ?Sized, R: PhaseRules>(
         &self,
         points: &P,
         graph: &WeightedGraph,
         rules: &mut R,
+        timings: Option<&mut Vec<PhaseTiming>>,
+    ) -> Result<SpannerResult, PointCountMismatch> {
+        let order = NodeOrder::breadth_first(graph);
+        self.run_in_order(points, graph, rules, timings, &order)
+    }
+
+    /// [`Self::run_with_rules`] on the nodes renumbered by `order`, which
+    /// may be any permutation: the spanner, the phase statistics and
+    /// everything `rules` sees are the same for every order. Every step
+    /// runs on positions and breaks identifier ties by original ID — the
+    /// bins keep `Edge`'s order and orientation on the original IDs, the
+    /// covers take candidates in original-ID order — and the spanner is
+    /// mapped back at the end.
+    pub(crate) fn run_in_order<P: PointAccess + Sync + ?Sized, R: PhaseRules>(
+        &self,
+        points: &P,
+        graph: &WeightedGraph,
+        rules: &mut R,
         mut timings: Option<&mut Vec<PhaseTiming>>,
+        order: &NodeOrder,
     ) -> Result<SpannerResult, PointCountMismatch> {
         let n = graph.node_count();
         if points.len() != n {
@@ -346,9 +377,10 @@ impl RelaxedGreedy {
             });
         }
 
+        let points = OrderedPoints::gather(points, order);
         let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
-        let bins = BinPartition::new(graph, w0, self.params.r);
-        let mut engine = PhaseEngine::new(par::thread_count(0));
+        let bins = BinPartition::in_order(graph, w0, self.params.r, order);
+        let mut engine = PhaseEngine::new(par::thread_count(0), order);
         let mechanisms = rules.mechanisms();
 
         for bin_index in bins.non_empty_bins() {
@@ -356,10 +388,10 @@ impl RelaxedGreedy {
             let mut timing = PhaseTiming::for_bin(bin_index);
             let bin_edges = bins.bin(bin_index);
             let stats = if bin_index == 0 {
-                self.process_short_edges(&mut spanner, bin_edges, &bins)
+                self.process_short_edges(&mut spanner, bin_edges, &bins, order)
             } else {
                 self.process_long_edges(
-                    points,
+                    &points,
                     &mut spanner,
                     bin_edges,
                     &bins,
@@ -377,9 +409,11 @@ impl RelaxedGreedy {
                 timings.push(timing);
             }
         }
+        // The bins alone hold every edge: free them before the rows move.
+        drop((engine, bins, points));
 
         Ok(SpannerResult {
-            spanner,
+            spanner: in_original_ids(spanner, order),
             params: self.params,
             weighting: self.weighting,
             phases,
@@ -388,15 +422,18 @@ impl RelaxedGreedy {
 
     /// Phase 0 (Section 2.1): the graph `G_0` of short edges has clique
     /// components (Lemma 1); run `SEQ-GREEDY` on each component and keep
-    /// the union.
+    /// the union. `spanner` and `bin_edges` are numbered by the positions
+    /// of `order`; `G_0` is built in the original IDs, so its components
+    /// and every `SEQ-GREEDY` tie follow them.
     pub(crate) fn process_short_edges(
         &self,
         spanner: &mut WeightedGraph,
         bin_edges: &[Edge],
         bins: &BinPartition,
+        order: &NodeOrder,
     ) -> PhaseStats {
         let n = spanner.node_count();
-        let g0 = WeightedGraph::from_edges(n, bin_edges.iter().copied());
+        let g0 = WeightedGraph::from_edges(n, bin_edges.iter().map(|&e| order.edge_to_nodes(e)));
         // The sweep is over G_0 (short edges only), whose components are
         // cliques of 1-hop neighbourhoods (Lemma 1) — global on a graph
         // that is itself local, not on the input.
@@ -419,7 +456,7 @@ impl RelaxedGreedy {
         let mut added = 0;
         for component_edges in per_component {
             for e in component_edges {
-                spanner.add(e);
+                spanner.add(order.edge_to_positions(e));
                 added += 1;
             }
         }
@@ -469,7 +506,9 @@ impl RelaxedGreedy {
         };
         // Step (i): the engine's frozen level when the radius still fits,
         // otherwise a new level from the rules' cover.
-        let work = engine.run_phase(&input, |g, r, previous| rules.level_cover(g, r, previous));
+        let work = engine.run_phase(&input, |g, r, previous, order| {
+            rules.level_cover(g, r, previous, order)
+        });
         let [cover, selection, h_build, query, analysis] = work.seconds;
         timing.cover_seconds = cover;
         timing.selection_seconds = selection;
@@ -518,6 +557,63 @@ impl RelaxedGreedy {
             added_edges: added.len(),
             removed_redundant: removals.len(),
         }
+    }
+}
+
+/// `graph`, numbered by the positions of `order`, in the original IDs:
+/// row `v` is the row of position `order.position(v)` with every target
+/// mapped back, in the same order, so the rows are the ones the phase loop
+/// would have built on the original IDs. The rows move; none is copied.
+fn in_original_ids(graph: WeightedGraph, order: &NodeOrder) -> WeightedGraph {
+    let mut rows = graph.into_adjacency();
+    for row in &mut rows {
+        for entry in row.iter_mut() {
+            entry.0 = order.node_at(entry.0);
+        }
+    }
+    let by_node = (0..rows.len())
+        .map(|v| std::mem::take(&mut rows[order.position(v)]))
+        .collect();
+    WeightedGraph::from_adjacency(by_node)
+}
+
+/// The input points renumbered by a [`NodeOrder`], each point's
+/// coordinates stored together, so the covered-edge tests read a node's
+/// neighbours from nearby memory.
+struct OrderedPoints {
+    len: usize,
+    dim: usize,
+    coords: Vec<f64>,
+}
+
+impl OrderedPoints {
+    /// Point `p` is the point of original node `order.node_at(p)`.
+    fn gather<P: PointAccess + ?Sized>(points: &P, order: &NodeOrder) -> Self {
+        let dim = points.dim();
+        let mut coords = Vec::with_capacity(order.len() * dim);
+        for p in 0..order.len() {
+            let v = order.node_at(p);
+            coords.extend((0..dim).map(|axis| points.coord(v, axis)));
+        }
+        Self {
+            len: order.len(),
+            dim,
+            coords,
+        }
+    }
+}
+
+impl PointAccess for OrderedPoints {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn coord(&self, index: usize, axis: usize) -> f64 {
+        self.coords[index * self.dim + axis]
     }
 }
 
@@ -759,7 +855,8 @@ mod tests {
         let bins = BinPartition::new(ubg.graph(), params.alpha / n as f64, params.r);
         let g0 = WeightedGraph::from_edges(n, bins.bin(0).iter().copied());
         let mut spanner = WeightedGraph::new(n);
-        RelaxedGreedy::new(params).process_short_edges(&mut spanner, bins.bin(0), &bins);
+        let order = NodeOrder::identity(n);
+        RelaxedGreedy::new(params).process_short_edges(&mut spanner, bins.bin(0), &bins, &order);
         let expected = masked_phase0(&g0, params.t);
         let rows = |g: &WeightedGraph| -> Vec<Vec<(NodeId, u64)>> {
             (0..n)

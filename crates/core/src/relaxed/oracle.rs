@@ -16,7 +16,7 @@ use super::{select_query_edges, BinPartition, ClusterCover, RelaxedGreedy};
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::weighting::EdgeWeighting;
-use tc_graph::{dijkstra, Edge, WeightedGraph};
+use tc_graph::{dijkstra, Edge, NodeOrder, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The spanner the per-phase-rescan pipeline builds on `ubg` under the
@@ -31,15 +31,16 @@ pub(crate) fn per_phase_rescan(ubg: &UnitBallGraph, params: SpannerParams) -> We
     }
     let w0 = EdgeWeighting::Euclidean.weight_of_distance(params.alpha) / n as f64;
     let bins = BinPartition::new(&graph, w0, params.r);
+    let order = NodeOrder::identity(n);
     for bin_index in bins.non_empty_bins() {
         let bin_edges = bins.bin(bin_index);
         if bin_index == 0 {
-            RelaxedGreedy::new(params).process_short_edges(&mut spanner, bin_edges, &bins);
+            RelaxedGreedy::new(params).process_short_edges(&mut spanner, bin_edges, &bins, &order);
             continue;
         }
         let w_prev = bins.upper(bin_index - 1);
         let cover = ClusterCover::greedy(&spanner, params.delta * w_prev);
-        let (_, contraction) = cover.clone().into_contraction(&spanner);
+        let (_, contraction) = cover.clone().into_contraction(&spanner, &order);
         let selection = select_query_edges(
             points,
             &params,

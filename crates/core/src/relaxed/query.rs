@@ -132,13 +132,13 @@ fn part_of(pair: (u32, u32)) -> usize {
 }
 
 /// One chunk of classified bin edges: the class counts, and the
-/// candidates — as query edges when every candidate is one, as offers
-/// by cluster-pair partition otherwise.
+/// candidates — as the bin positions of query edges when every candidate
+/// is one, as offers by cluster-pair partition otherwise.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkSelection {
     same_cluster: usize,
     covered: usize,
-    candidates: Vec<Edge>,
+    candidates: Vec<u32>,
     offers: Vec<Vec<Offer>>,
 }
 
@@ -189,7 +189,7 @@ pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
                             objective,
                         });
                     } else {
-                        chunk.candidates.push(*edge);
+                        chunk.candidates.push(position as u32);
                     }
                 }
             }
@@ -226,21 +226,22 @@ pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
         return None;
     }
     let mut selection = QuerySelection::default();
+    let mut positions: Vec<u32> = winners.into_iter().flatten().collect();
     for chunk in chunks {
         selection.same_cluster += chunk.same_cluster;
         selection.covered += chunk.covered;
         selection.candidates += chunk.candidates.len();
         selection.candidates += chunk.offers.iter().map(Vec::len).sum::<usize>();
-        selection.query_edges.extend_from_slice(&chunk.candidates);
+        positions.extend_from_slice(&chunk.candidates);
     }
-    selection.query_edges.extend(
-        winners
-            .iter()
-            .flatten()
-            .map(|&position| bin_edges[position as usize]),
-    );
-    // Canonical processing order: by weight, then endpoints (`Edge`'s Ord).
-    selection.query_edges.sort();
+    // Bin order, which is the canonical processing order — by weight,
+    // then endpoints (`Edge`'s Ord) on the original IDs — because every
+    // bin is sorted before it is renumbered (`BinPartition::in_order`).
+    positions.sort_unstable();
+    selection.query_edges = positions
+        .iter()
+        .map(|&position| bin_edges[position as usize])
+        .collect();
     Some(selection)
 }
 
@@ -250,7 +251,8 @@ pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
 /// distance to its centre read from the level's `contraction`. Without
 /// [`AblationConfig::covered_filter`] no edge counts as covered; without
 /// [`AblationConfig::per_cluster_pair`] every candidate is a query edge.
-/// This is the one-worker form of the phase loop's step (ii).
+/// The query edges keep their order in `bin_edges`. This is the
+/// one-worker form of the phase loop's step (ii).
 pub fn select_query_edges<P: PointAccess + Sync + ?Sized>(
     points: &P,
     params: &SpannerParams,
@@ -280,11 +282,12 @@ mod tests {
     use super::super::cover::ClusterCover;
     use super::*;
     use tc_geometry::Point;
+    use tc_graph::NodeOrder;
 
     /// The contraction of the greedy cover of `spanner` at `radius`.
     fn greedy_level(spanner: &WeightedGraph, radius: f64) -> Contraction {
         ClusterCover::greedy(spanner, radius)
-            .into_contraction(spanner)
+            .into_contraction(spanner, &NodeOrder::identity(spanner.node_count()))
             .1
     }
 

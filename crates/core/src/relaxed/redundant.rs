@@ -107,7 +107,11 @@ fn leg_budget(added: &[Edge], t1: f64) -> f64 {
 const PAIR_CHUNK: usize = 64;
 
 /// The endpoint supernodes of a phase's added edges, ascending, with the
-/// inverse index and the leg budget.
+/// inverse index and the leg budget. The index is a supernode-indexed
+/// buffer kept across phases with every entry `u32::MAX`: a phase sets
+/// only its endpoints' entries and [`Endpoints::into_index`] clears them
+/// again, so the analysis costs O(endpoints) to set up, not
+/// O(supernodes).
 #[derive(Debug)]
 pub(crate) struct Endpoints {
     supers: Vec<usize>,
@@ -116,7 +120,9 @@ pub(crate) struct Endpoints {
 }
 
 impl Endpoints {
-    fn new(added: &[Edge], contraction: &Contraction, t1: f64) -> Self {
+    /// The endpoints of `added`, indexed in `super_index` (all `u32::MAX`,
+    /// grown to the supernode count if shorter).
+    fn new(added: &[Edge], contraction: &Contraction, t1: f64, mut super_index: Vec<u32>) -> Self {
         let mut supers: Vec<usize> = added
             .iter()
             .flat_map(|e| [e.u, e.v])
@@ -124,7 +130,9 @@ impl Endpoints {
             .collect();
         supers.sort_unstable();
         supers.dedup();
-        let mut super_index: Vec<u32> = vec![u32::MAX; contraction.supernode_count()];
+        if super_index.len() < contraction.supernode_count() {
+            super_index.resize(contraction.supernode_count(), u32::MAX);
+        }
         for (i, &s) in supers.iter().enumerate() {
             super_index[s] = i as u32;
         }
@@ -138,6 +146,15 @@ impl Endpoints {
     fn index_of(&self, contraction: &Contraction, x: NodeId) -> usize {
         self.super_index[contraction.supernode_of(x)] as usize
     }
+
+    /// The index buffer, every entry `u32::MAX` again.
+    fn into_index(self) -> Vec<u32> {
+        let mut index = self.super_index;
+        for &s in &self.supers {
+            index[s] = u32::MAX;
+        }
+        index
+    }
 }
 
 /// The values the steps of a parallel redundancy analysis hand each
@@ -149,6 +166,14 @@ pub(crate) struct RedundancySlots {
     edges_at: OnceLock<Vec<Vec<u32>>>,
     row_queue: ClaimQueue<Vec<(u32, f64)>>,
     pair_queue: ClaimQueue<Vec<(u32, u32)>>,
+}
+
+impl RedundancySlots {
+    /// The endpoint index the analysis took from the caller's scratch,
+    /// cleared for the next phase (`None` when no analysis took it).
+    pub(crate) fn into_index(self) -> Option<Vec<u32>> {
+        self.endpoints.into_inner().map(Endpoints::into_index)
+    }
 }
 
 /// Finds all mutually redundant pairs among `added` (the edges added in
@@ -185,9 +210,22 @@ pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
         conflict_graph: WeightedGraph::new(added.len()),
         involved: Vec::new(),
     };
-    par::region(&mut [BucketScratch::new()], |w, scratch| {
-        analyze_in(w, scratch, &slots, added, contraction, quotient, config, t1)
-    })
+    par::region(
+        &mut [(BucketScratch::new(), Vec::new())],
+        |w, (search, index)| {
+            analyze_in(
+                w,
+                search,
+                index,
+                &slots,
+                added,
+                contraction,
+                quotient,
+                config,
+                t1,
+            )
+        },
+    )
     .unwrap_or_else(trivial)
 }
 
@@ -196,7 +234,9 @@ pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
 /// the candidate pairs are derived and tested in fixed chunks of
 /// [`PAIR_CHUNK`] added edges, both merged in order, while the caller
 /// indexes the edges by endpoint and builds the conflict graph. Returns the analysis on the caller, `None` on the
-/// other workers; every worker must pass the same `added`.
+/// other workers; every worker must pass the same `added`. The caller's
+/// `endpoint_index` (every entry `u32::MAX`, any length) moves into
+/// `slots` for the analysis; [`RedundancySlots::into_index`] returns it.
 ///
 /// # Panics
 ///
@@ -205,6 +245,7 @@ pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
 pub(crate) fn analyze_in<G: GraphView + Sync>(
     w: &Worker<'_>,
     scratch: &mut BucketScratch,
+    endpoint_index: &mut Vec<u32>,
     slots: &RedundancySlots,
     added: &[Edge],
     contraction: &Contraction,
@@ -220,7 +261,12 @@ pub(crate) fn analyze_in<G: GraphView + Sync>(
             involved: Vec::new(),
         });
     }
-    w.serial(|| slots.endpoints.set(Endpoints::new(added, contraction, t1)));
+    w.serial(|| {
+        let index = std::mem::take(endpoint_index);
+        slots
+            .endpoints
+            .set(Endpoints::new(added, contraction, t1, index))
+    });
     let ends = slots.endpoints.get()?;
     let rows = w.map_claimed(&slots.row_queue, ends.supers.len(), |i| {
         ball_row(
@@ -546,7 +592,7 @@ mod tests {
     /// analysis must reproduce the oracle exactly.
     fn identity_contraction(h: &WeightedGraph) -> Contraction {
         let n = h.node_count();
-        Contraction::from_graph(h, (0..n as u32).collect(), vec![0.0; n], n)
+        Contraction::from_edges((0..n as u32).collect(), vec![0.0; n], n, h.edges())
     }
 
     fn assert_contracted_matches_oracle(added: &[Edge], h: &WeightedGraph, t1: f64) {
@@ -563,6 +609,17 @@ mod tests {
             sequential_redundant_removals(added, h, t1),
             redundant_removals(&contracted, mis::greedy_mis)
         );
+    }
+
+    #[test]
+    fn the_endpoint_index_comes_back_cleared() {
+        let (added, h) = parallel_setup();
+        let c = identity_contraction(&h);
+        let ends = Endpoints::new(&added, &c, 1.5, vec![u32::MAX; 2]);
+        assert_eq!(ends.index_of(&c, 3), 3);
+        let index = ends.into_index();
+        assert_eq!(index.len(), 4);
+        assert!(index.iter().all(|&i| i == u32::MAX));
     }
 
     #[test]

@@ -88,16 +88,16 @@ impl Contraction {
         }
     }
 
-    /// Creates a contraction and absorbs every edge of `graph` in its
-    /// deterministic `edges()` order (the bulk form of [`Self::absorb`]).
-    pub fn from_graph(
-        graph: &WeightedGraph,
+    /// Creates a contraction and absorbs `edges` in order (the bulk form
+    /// of [`Self::absorb`]).
+    pub fn from_edges(
         supernode_of: Vec<u32>,
         offset: Vec<f64>,
         supernodes: usize,
+        edges: impl IntoIterator<Item = Edge>,
     ) -> Self {
         let mut contraction = Self::new(supernode_of, offset, supernodes);
-        for e in graph.edges() {
+        for e in edges {
             contraction.absorb(e);
         }
         contraction
@@ -203,7 +203,7 @@ mod tests {
     }
 
     #[test]
-    fn from_graph_matches_edge_by_edge_absorption() {
+    fn from_edges_matches_edge_by_edge_absorption() {
         let mut g = WeightedGraph::new(4);
         g.add_edge(0, 1, 0.3);
         g.add_edge(1, 2, 0.7);
@@ -211,7 +211,7 @@ mod tests {
         g.add_edge(0, 3, 2.0);
         let assign = vec![0u32, 0, 1, 1];
         let offs = vec![0.0, 0.3, 0.0, 0.2];
-        let bulk = Contraction::from_graph(&g, assign.clone(), offs.clone(), 2);
+        let bulk = Contraction::from_edges(assign.clone(), offs.clone(), 2, g.edges());
         let mut incremental = Contraction::new(assign, offs, 2);
         for e in g.edges() {
             incremental.absorb(e);
@@ -332,7 +332,7 @@ mod tests {
                     }
                 }
             }
-            let c = Contraction::from_graph(&g, assignment, offset, reps.len());
+            let c = Contraction::from_edges(assignment, offset, reps.len(), g.edges());
             for a in 0..reps.len() {
                 for b in (a + 1)..reps.len() {
                     if let Some(w) = c.quotient().edge_weight(a, b) {

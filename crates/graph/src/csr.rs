@@ -15,7 +15,7 @@
 //! is immutability: build on `WeightedGraph`, convert once, measure on
 //! `CsrGraph` (see `docs/PERFORMANCE.md` for the measured gap).
 
-use crate::{Edge, GraphView, NodeId, WeightedGraph};
+use crate::{Edge, GraphView, NodeId, NodeOrder, WeightedGraph};
 use std::fmt;
 
 /// An immutable undirected graph with non-negative edge weights in
@@ -93,6 +93,45 @@ impl CsrGraph {
             directed.push((e.v as u32, e.u as u32, e.weight));
         }
         Self::from_directed(nodes, directed)
+    }
+
+    /// The CSR snapshot of `graph` with every node renumbered to its
+    /// position in `order`: row `p` is the row of `order.node_at(p)`, its
+    /// targets mapped to their positions and sorted. The rows are gathered
+    /// straight into place, so no intermediate edge list or original-order
+    /// snapshot is built.
+    ///
+    /// ```
+    /// use tc_graph::{CsrGraph, NodeOrder, WeightedGraph};
+    ///
+    /// let mut g = WeightedGraph::new(3);
+    /// g.add_edge(0, 2, 1.0);
+    /// let order = NodeOrder::from_nodes(vec![2, 1, 0]);
+    /// let csr = CsrGraph::relabelled(&g, &order);
+    /// assert_eq!(csr.neighbor_ids(0), &[2]);
+    /// assert_eq!(csr.edge_weight(2, 0), Some(1.0));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` does not have one position per node of `graph`,
+    /// or if the graph does not fit the `u32` indices.
+    pub fn relabelled<G: GraphView>(graph: &G, order: &NodeOrder) -> Self {
+        let nodes = graph.node_count();
+        assert_eq!(order.len(), nodes, "the order must cover every node");
+        assert_indexable(nodes, 2 * graph.edge_count());
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        let mut targets = Vec::with_capacity(2 * graph.edge_count());
+        let mut weights = Vec::with_capacity(2 * graph.edge_count());
+        offsets.push(0u32);
+        for p in 0..nodes {
+            graph.for_each_neighbor(order.node_at(p), |v, w| {
+                targets.push(order.position(v) as u32);
+                weights.push(w);
+            });
+            offsets.push(targets.len() as u32);
+        }
+        Self::from_rows(offsets, targets, weights)
     }
 
     /// Counting-sort construction from directed `(source, target, weight)`
@@ -495,6 +534,20 @@ mod tests {
                 prop_assert_eq!(a.key(), b.key());
                 // Bitwise, not approximate: conversion must not touch weights.
                 prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
+            }
+        }
+
+        /// A renumbered snapshot holds every edge of the graph between the
+        /// endpoints' positions, weights bitwise.
+        #[test]
+        fn renumbered_snapshots_hold_the_same_edges(seed in 0u64..1000, n in 0usize..40, p in 0.0f64..0.5) {
+            let g = random_graph(seed, n, p);
+            let order = NodeOrder::breadth_first(&g);
+            let relabelled = CsrGraph::relabelled(&g, &order);
+            prop_assert_eq!(relabelled.edge_count(), g.edge_count());
+            for e in g.edges() {
+                let w = relabelled.edge_weight(order.position(e.u), order.position(e.v));
+                prop_assert_eq!(w.map(f64::to_bits), Some(e.weight.to_bits()));
             }
         }
 

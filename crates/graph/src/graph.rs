@@ -137,6 +137,12 @@ impl WeightedGraph {
         }
     }
 
+    /// The adjacency rows, consuming the graph: the inverse of
+    /// [`Self::from_adjacency`].
+    pub fn into_adjacency(self) -> Vec<Vec<(NodeId, f64)>> {
+        self.adjacency
+    }
+
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
         self.adjacency.len()

@@ -30,6 +30,8 @@
 //!   the short-edge bin `E_0` works per component),
 //! * [`mst`] — Kruskal minimum spanning trees, the yardstick for the weight
 //!   guarantee `w(G') = O(w(MST(G)))` of Theorem 13,
+//! * [`NodeOrder`] — the breadth-first renumbering the construction and
+//!   the verifier run on, so neighbouring nodes sit close in memory,
 //! * [`mis`] — sequential maximal independent sets (the reference the
 //!   distributed MIS in `tc-simnet` is validated against),
 //! * [`properties`] — measurement of stretch factor, degree statistics and
@@ -61,6 +63,7 @@ mod edge;
 mod graph;
 pub mod mis;
 pub mod mst;
+mod order;
 mod ordered;
 pub mod par;
 pub mod properties;
@@ -71,6 +74,7 @@ pub use contraction::Contraction;
 pub use csr::CsrGraph;
 pub use edge::Edge;
 pub use graph::{GraphError, WeightedGraph};
+pub use order::NodeOrder;
 pub use ordered::{cmp_f64, OrdF64};
 pub use union_find::UnionFind;
 pub use view::GraphView;

@@ -9,7 +9,7 @@
 //! * **Weight** (Theorem 13): `w(G') / w(MST(G))`.
 
 use crate::bucket::{BucketConfig, BucketScratch};
-use crate::{mst, par, Edge, GraphView};
+use crate::{mst, par, Edge, GraphView, NodeId, NodeOrder};
 
 /// The stretch of a single edge of the base graph with respect to the
 /// subgraph, together with the edge itself. Infinite when the endpoints are
@@ -43,8 +43,9 @@ const SWEEP_CHUNK: usize = 1024;
 
 /// The stretch sweep every measurement here runs: one target-directed
 /// bucket search ([`crate::bucket`]) per source `u`, with targets the
-/// neighbours `v > u` of `u`'s base row in row order — the edges
-/// [`GraphView::for_each_edge`] reports for `u`, in its order.
+/// neighbours `v` of `u`'s base row with `above(u, v)`, in row order. With
+/// `above(u, v) = v > u` these are the edges [`GraphView::for_each_edge`]
+/// reports for `u`, in its order.
 ///
 /// The sources are cut into fixed chunks of `chunk` nodes that fan out
 /// across worker threads ([`crate::par`], honoring `TC_THREADS`). Each
@@ -52,17 +53,19 @@ const SWEEP_CHUNK: usize = 1024;
 /// and the accumulators come back in chunk order. Nothing per edge is
 /// stored unless `fold` stores it, so a reduction runs in memory bounded
 /// by the chunk count, not the edge count.
-fn sweep<B, S, A, I, F>(
+fn sweep<B, S, U, A, I, F>(
     base: &B,
     subgraph: &S,
     threads: usize,
     chunk: usize,
+    above: U,
     init: I,
     fold: F,
 ) -> Vec<A>
 where
     B: GraphView + Sync,
     S: GraphView + Sync,
+    U: Fn(NodeId, NodeId) -> bool + Sync,
     A: Send,
     I: Fn() -> A + Sync,
     F: Fn(&mut A, EdgeStretch) + Sync,
@@ -83,7 +86,7 @@ where
             for u in start..(start + chunk).min(base.node_count()) {
                 row.clear();
                 base.for_each_neighbor(u, |v, w| {
-                    if v > u {
+                    if above(u, v) {
                         row.push((v, w));
                     }
                 });
@@ -135,7 +138,15 @@ where
     B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    let chunks = sweep(base, subgraph, threads, chunk, Vec::new, Vec::push);
+    let chunks = sweep(
+        base,
+        subgraph,
+        threads,
+        chunk,
+        |u, v| v > u,
+        Vec::new,
+        Vec::push,
+    );
     let mut out = Vec::with_capacity(base.edge_count());
     for part in chunks {
         out.extend(part);
@@ -222,25 +233,62 @@ where
     B: GraphView + Sync,
     S: GraphView + Sync,
 {
-    check_chunked(base, subgraph, limit, 0, SWEEP_CHUNK)
+    check_chunked(base, subgraph, limit, 0, SWEEP_CHUNK, |u, v| v > u)
 }
 
-fn check_chunked<B, S>(
+/// [`stretch_check`] of two graphs, run on their snapshots relabelled by
+/// `order` (both numbered by position, as
+/// [`CsrGraph::relabelled`](crate::CsrGraph::relabelled) builds them). The
+/// result is `stretch_check` of the original graphs' [`CsrGraph`](crate::CsrGraph)
+/// snapshots bit for bit: every base edge is searched from its endpoint
+/// with the lower original ID (the two directions of a search may round
+/// differently), and the violations come back in original IDs, ascending
+/// by `(u, v)` as that sweep lists them.
+pub fn stretch_check_in_order<B, S>(
+    base: &B,
+    subgraph: &S,
+    limit: f64,
+    order: &NodeOrder,
+) -> StretchCheck
+where
+    B: GraphView + Sync,
+    S: GraphView + Sync,
+{
+    let mut check = check_chunked(base, subgraph, limit, 0, SWEEP_CHUNK, |u, v| {
+        order.node_at(v) > order.node_at(u)
+    });
+    for s in &mut check.violations {
+        s.edge.u = order.node_at(s.edge.u);
+        s.edge.v = order.node_at(s.edge.v);
+    }
+    // The original sweep lists each edge once, from its lower endpoint,
+    // by ascending source and then row order; base rows ascend in the
+    // snapshots that measurement runs on.
+    check
+        .violations
+        .sort_unstable_by_key(|s| (s.edge.u, s.edge.v));
+    check
+}
+
+fn check_chunked<B, S, U>(
     base: &B,
     subgraph: &S,
     limit: f64,
     threads: usize,
     chunk: usize,
+    above: U,
 ) -> StretchCheck
 where
     B: GraphView + Sync,
     S: GraphView + Sync,
+    U: Fn(NodeId, NodeId) -> bool + Sync,
 {
     let chunks = sweep(
         base,
         subgraph,
         threads,
         chunk,
+        above,
         StretchCheck::empty,
         |acc, s| acc.add(s, limit),
     );
@@ -254,8 +302,13 @@ where
 /// Ratio `w(subgraph) / w(MST(base))`; `f64::INFINITY` if the base MST has
 /// zero weight while the subgraph does not.
 pub fn weight_ratio<B: GraphView, S: GraphView>(base: &B, subgraph: &S) -> f64 {
-    let mst_w = mst::mst_weight(base);
-    let sub_w = subgraph.total_weight();
+    ratio_to_mst(subgraph.total_weight(), mst::mst_weight(base))
+}
+
+/// `sub_w / mst_w`, the weight ratio of a subgraph of weight `sub_w` over
+/// a base graph whose MST weighs `mst_w`, with [`weight_ratio`]'s rules
+/// for a zero-weight MST.
+pub fn ratio_to_mst(sub_w: f64, mst_w: f64) -> f64 {
     if mst_w == 0.0 {
         if sub_w == 0.0 {
             1.0
@@ -471,7 +524,7 @@ mod tests {
         let oracle = edge_stretches_seq(&gc, &subc);
         for chunk in [1, 3, 7, SWEEP_CHUNK] {
             for threads in [1, 2] {
-                let check = check_chunked(&gc, &subc, limit, threads, chunk);
+                let check = check_chunked(&gc, &subc, limit, threads, chunk, |u, v| v > u);
                 assert_eq!(
                     check_bits(&check),
                     expected,

@@ -166,7 +166,13 @@ enum LubyMsg {
 /// undecided nodes draw fresh random priorities and exchange them; local
 /// maxima join and announce it; their neighbours block and announce that.
 /// Terminates in `O(log n)` phases with high probability.
-pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
+///
+/// Each node draws from a generator seeded by `seed` and its identifier,
+/// and equal priorities are broken by identifier. With `ids = None` the
+/// identifier is the node index; a caller running the protocol on
+/// renumbered nodes passes their original identifiers and gets the same
+/// set, renumbered.
+pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u64]>) -> MisResult {
     let n = graph.node_count();
     if n == 0 {
         return MisResult {
@@ -175,13 +181,17 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
             phases: 0,
         };
     }
+    if let Some(ids) = ids {
+        assert_eq!(ids.len(), n, "one identifier per node is required");
+    }
+    let id = |v: NodeId| ids.map_or(v as u64, |ids| ids[v]);
     let init: Vec<LubyState> = (0..n)
         .map(|v| LubyState {
             status: Status::Undecided,
             value: 0,
             undecided: graph.neighbors(v).iter().map(|&(u, _)| u).collect(),
             values_seen: Vec::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            rng: ChaCha8Rng::seed_from_u64(seed ^ id(v).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             phase_decided: 0,
         })
         .collect();
@@ -236,11 +246,11 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64) -> MisResult {
                         return StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Blocked)
                             .halt();
                     }
-                    let me = (state.value, node);
+                    let me = (state.value, id(node));
                     let dominated = state
                         .values_seen
                         .iter()
-                        .any(|&(from, v)| state.undecided.contains(&from) && (v, from) > me);
+                        .any(|&(from, v)| state.undecided.contains(&from) && (v, id(from)) > me);
                     if !dominated {
                         state.status = Status::InMis;
                         state.phase_decided = phase + 1;
@@ -345,7 +355,7 @@ mod tests {
                 g.add_edge(u, v, 1.0);
             }
         }
-        let result = luby_mis(&g, 99);
+        let result = luby_mis(&g, 99, None);
         assert_eq!(result.mis.len(), 1);
         assert!(is_maximal_independent_set(&g, &result.mis));
         assert!(result.phases >= 1);
@@ -354,7 +364,7 @@ mod tests {
     #[test]
     fn luby_mis_on_empty_graph() {
         let g = WeightedGraph::new(0);
-        let result = luby_mis(&g, 1);
+        let result = luby_mis(&g, 1, None);
         assert!(result.mis.is_empty());
         assert_eq!(result.stats.rounds, 0);
     }
@@ -362,7 +372,7 @@ mod tests {
     #[test]
     fn luby_phase_count_is_logarithmic_on_random_graphs() {
         let g = random_graph(5, 200, 0.05);
-        let result = luby_mis(&g, 5);
+        let result = luby_mis(&g, 5, None);
         assert!(is_maximal_independent_set(&g, &result.mis));
         // log2(200) ~ 7.6; allow a generous constant.
         assert!(
@@ -390,7 +400,7 @@ mod tests {
             let g = random_graph(seed, n, p);
             let r = rank_mis(&g, None);
             prop_assert!(is_maximal_independent_set(&g, &r.mis));
-            let l = luby_mis(&g, seed);
+            let l = luby_mis(&g, seed, None);
             prop_assert!(is_maximal_independent_set(&g, &l.mis));
         }
     }

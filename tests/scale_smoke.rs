@@ -10,6 +10,12 @@
 //! * `distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes` (tier 1)
 //!   does the same for the distributed construction, pinning its round
 //!   count too.
+//! * `tie_heavy_spanner_hashes_are_pinned` (tier 1) pins the relaxed
+//!   spanner on two deployments full of ties: a lattice, where every axis
+//!   edge and every diagonal has one weight, and duplicated points, whose
+//!   zero-weight edges fill phase 0. Random points have no ties, so only
+//!   these pins catch a tie-break that drifts (the construction breaks
+//!   every tie by node ID).
 //! * `scale_smoke_200k_nodes_build_verify_deterministic` (tier 2) is
 //!   `#[ignore]`d so the default suite stays fast; the release-mode CI job
 //!   runs it explicitly with `--ignored`. It checks the things a scale
@@ -50,6 +56,10 @@ const SPANNER_HASH_20K: u64 = 0xbc37_28e7_a230_abc6;
 const N_DIST_PINNED: usize = 5_000;
 const DIST_SPANNER_HASH_5K: u64 = 0x93c2_b3cf_b9d6_b35a;
 const DIST_ROUNDS_5K: usize = 2_824;
+/// Spanner edge hashes of the tie-heavy deployments (`lattice`,
+/// `duplicated`).
+const LATTICE_SPANNER_HASH: u64 = 0x765f_f349_b70a_e6ec;
+const DUPLICATED_SPANNER_HASH: u64 = 0x6eb3_0774_e2d9_17d5;
 /// Upper bound on `rounds / (log n · log* n)` at 200k nodes. The ratio
 /// reads 54 at 5k, 67 at 20k and 64 at 200k (seed 2006); a per-phase cost
 /// that grew with `n` would push it past the bound.
@@ -115,6 +125,62 @@ fn relaxed_spanner_hash_is_pinned_at_20k_nodes() {
         "the seed-{SEED} {N_PINNED}-node spanner changed: {:016x}",
         edge_hash(&result.spanner)
     );
+}
+
+/// A 70 × 70 square lattice at spacing 0.625 (exact in binary), so every
+/// axis edge weighs 0.625 and every diagonal `0.625·√2`, bit for bit.
+fn lattice() -> UnitBallGraph {
+    let points = (0..70)
+        .flat_map(|i| (0..70).map(move |j| Point::new2(0.625 * i as f64, 0.625 * j as f64)))
+        .collect();
+    UbgBuilder::unit_disk()
+        .build(points)
+        .expect("lattice points share a dimension")
+}
+
+/// 2 000 seed-2006 points at expected degree 8, each twice, and every
+/// third a third time 10^-5 away: zero-weight and near-zero edges that all
+/// fall in phase 0.
+fn duplicated() -> UnitBallGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+    let side = generators::side_for_target_degree(2_000, 2, 8.0);
+    let base = generators::uniform_points(&mut rng, 2_000, 2, side);
+    let mut points = base.clone();
+    for (i, p) in base.iter().enumerate() {
+        points.push(p.clone());
+        if i % 3 == 0 {
+            points.push(p.translated(&[1e-5 * (i % 7) as f64, 1e-5]));
+        }
+    }
+    UbgBuilder::unit_disk()
+        .build(points)
+        .expect("generator points share a dimension")
+}
+
+#[test]
+fn tie_heavy_spanner_hashes_are_pinned() {
+    let params = SpannerParams::for_epsilon(1.0, 1.0).expect("valid parameters");
+    for (name, ubg, pinned) in [
+        ("lattice", lattice(), LATTICE_SPANNER_HASH),
+        ("duplicated", duplicated(), DUPLICATED_SPANNER_HASH),
+    ] {
+        let result = RelaxedGreedy::new(params).run(&ubg);
+        if name == "duplicated" {
+            assert!(
+                result
+                    .phases
+                    .first()
+                    .is_some_and(|p| p.bin == 0 && p.added_edges > 0),
+                "the duplicated deployment must run a non-empty phase 0"
+            );
+        }
+        assert_eq!(
+            edge_hash(&result.spanner),
+            pinned,
+            "the {name} spanner changed: {:016x}",
+            edge_hash(&result.spanner)
+        );
+    }
 }
 
 #[test]
