@@ -83,7 +83,7 @@ pub enum MisProtocol {
 impl MisProtocol {
     /// Runs the protocol on `graph`, whose node identifiers (the ranks,
     /// Luby's seeds and tie-breaks) are `ids`, or the node indices.
-    fn run(self, graph: &WeightedGraph, ids: Option<&[u64]>) -> mis::MisResult {
+    fn run(self, graph: &WeightedGraph, ids: Option<&[u32]>) -> mis::MisResult {
         match self {
             MisProtocol::Rank => mis::rank_mis(graph, ids),
             MisProtocol::Luby { seed } => mis::luby_mis(graph, seed, ids),
@@ -286,8 +286,7 @@ fn mis_cover(
     for (u, v) in per_chunk.into_iter().flatten() {
         j_graph.add_edge(u, v, 1.0);
     }
-    let ids: Vec<u64> = (0..n).map(|p| order.node_at(p) as u64).collect();
-    let centers = protocol.run(&j_graph, Some(&ids));
+    let centers = protocol.run(&j_graph, Some(order.nodes()));
     (
         ClusterCover::from_centers(spanner, &centers.mis, radius, order),
         centers.stats,

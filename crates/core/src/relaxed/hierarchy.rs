@@ -140,11 +140,14 @@ struct PhaseSlots {
 }
 
 /// One worker's scratch, kept from phase to phase: its bucket-search
-/// state and, on the caller, the endpoint index of step (v)'s analysis,
-/// which every phase hands back cleared (see `RedundancySlots::into_index`).
+/// state, the target row step (iv)'s witness test reads (see
+/// [`needs_edge`]) and, on the caller, the endpoint index of step (v)'s
+/// analysis, which every phase hands back cleared (see
+/// `RedundancySlots::into_index`).
 #[derive(Debug, Default)]
 struct WorkerScratch {
     search: BucketScratch,
+    target_row: Vec<(NodeId, f64)>,
     endpoint_index: Vec<u32>,
 }
 
@@ -386,7 +389,7 @@ fn phase_program<P: PointAccess + Sync + ?Sized>(
     let verdicts = w.map_claimed(&slots.verdicts, queries.len(), |k| {
         let edge = &queries[k];
         if input.mechanisms.cluster_graph_queries {
-            needs_edge(&mut scratch.search, contraction, quotient, &config, edge, t)
+            needs_edge(scratch, contraction, quotient, &config, edge, t)
         } else {
             dijkstra::shortest_path_within(input.spanner, edge.u, edge.v, t * edge.weight).is_none()
         }
@@ -427,8 +430,25 @@ fn phase_program<P: PointAccess + Sync + ?Sized>(
 /// Step (iv) for one query edge: `true` when `sp_H(u, v) > t·w(u, v)` on
 /// the contracted `H` (`quotient` is the contraction's quotient or a copy
 /// of it), i.e. when the edge must be added.
+///
+/// The verdict is the bucket search's, `shortest_path_within(su, sv,
+/// remaining).is_none()`, but most queries are settled first from the
+/// rows around the endpoints' supernodes `su` and `sv` (see
+/// [`local_verdict`]), and only the rest run the search. The local
+/// answers agree with the search bit for bit:
+///
+/// * the search labels `sv` with the minimum, over walks from `su`, of
+///   the walk's weights summed left to right from `su`, relaxing only
+///   labels `≤ remaining`. A walk `su – x – y – sv` whose sum
+///   `(w1 + w2) + w3`, formed in that same order, is `≤ remaining`
+///   therefore bounds the label: float addition is monotone and the
+///   weights are non-negative, so each prefix label is at most the
+///   prefix sum, which is at most `remaining`, and the search answers
+///   "found" too. The same holds for one- and two-edge walks;
+/// * a supernode with an empty quotient row is unreachable from any
+///   other, so the search answers "not found" when `su ≠ sv`.
 fn needs_edge<G: GraphView>(
-    scratch: &mut BucketScratch,
+    scratch: &mut WorkerScratch,
     contraction: &Contraction,
     quotient: &G,
     config: &BucketConfig,
@@ -444,9 +464,57 @@ fn needs_edge<G: GraphView>(
     if remaining < 0.0 {
         return true;
     }
-    scratch
-        .shortest_path_within(quotient, su, sv, remaining, config)
-        .is_none()
+    local_verdict(quotient, su, sv, remaining, &mut scratch.target_row).unwrap_or_else(|| {
+        scratch
+            .search
+            .shortest_path_within(quotient, su, sv, remaining, config)
+            .is_none()
+    })
+}
+
+/// Step (iv)'s answer from the quotient rows of `su`, of `su`'s
+/// neighbours and of `sv` alone (`remaining ≥ 0`): `Some(false)` when
+/// `su = sv` (the search's source is its target) or when a walk of at
+/// most three edges `su – x – y – sv` weighs at most `remaining`, summed
+/// left to right; `Some(true)` when either supernode is isolated; and
+/// `None` when only a search can tell. `sv`'s row is read once into
+/// `target_row`, a buffer kept across queries.
+fn local_verdict<G: GraphView>(
+    quotient: &G,
+    su: NodeId,
+    sv: NodeId,
+    remaining: f64,
+    target_row: &mut Vec<(NodeId, f64)>,
+) -> Option<bool> {
+    if su == sv {
+        return Some(false);
+    }
+    if quotient.degree(su) == 0 || quotient.degree(sv) == 0 {
+        return Some(true);
+    }
+    target_row.clear();
+    quotient.for_each_neighbor(sv, |y, w3| target_row.push((y, w3)));
+    let target_row = &*target_row;
+    let mut found = false;
+    quotient.for_each_neighbor(su, |x, w1| {
+        if found {
+            return;
+        }
+        if x == sv {
+            found = w1 <= remaining;
+        } else if w1 <= remaining {
+            quotient.for_each_neighbor(x, |y, w2| {
+                let partial = w1 + w2;
+                if !found && partial <= remaining {
+                    found = y == sv
+                        || target_row
+                            .iter()
+                            .any(|&(z, w3)| z == y && partial + w3 <= remaining);
+                }
+            });
+        }
+    });
+    found.then_some(false)
 }
 
 /// Step (iv) on one worker: entry `k` is `true` when query edge `k` must
@@ -459,7 +527,7 @@ fn answer_queries<G: GraphView>(
     query_edges: &[Edge],
     t: f64,
 ) -> Vec<bool> {
-    let mut scratch = BucketScratch::new();
+    let mut scratch = WorkerScratch::default();
     query_edges
         .iter()
         .map(|edge| needs_edge(&mut scratch, contraction, quotient, config, edge, t))
@@ -557,6 +625,175 @@ mod tests {
             engine.contraction().quotient().sorted_edges(),
             bulk.quotient().sorted_edges()
         );
+    }
+
+    /// Step (iv)'s verdict from the bucket search alone.
+    fn searched(quotient: &WeightedGraph, su: NodeId, sv: NodeId, remaining: f64) -> bool {
+        let config = BucketConfig::for_graph(quotient);
+        BucketScratch::new()
+            .shortest_path_within(quotient, su, sv, remaining, &config)
+            .is_none()
+    }
+
+    /// `local_verdict` on `quotient`, checked against the search whenever
+    /// it answers.
+    fn local(quotient: &WeightedGraph, su: NodeId, sv: NodeId, remaining: f64) -> Option<bool> {
+        let verdict = local_verdict(quotient, su, sv, remaining, &mut Vec::new());
+        if let Some(needed) = verdict {
+            assert_eq!(needed, searched(quotient, su, sv, remaining));
+        }
+        verdict
+    }
+
+    #[test]
+    fn an_isolated_source_needs_the_edge_without_a_search() {
+        let q = WeightedGraph::from_edges(3, [Edge::new(1, 2, 0.5)]);
+        assert_eq!(local(&q, 0, 2, 10.0), Some(true));
+    }
+
+    #[test]
+    fn an_isolated_target_needs_the_edge_without_a_search() {
+        let q = WeightedGraph::from_edges(3, [Edge::new(0, 1, 0.5)]);
+        assert_eq!(local(&q, 0, 2, 10.0), Some(true));
+        assert_eq!(local(&q, 1, 1, 0.0), Some(false));
+    }
+
+    #[test]
+    fn one_edge_within_the_budget_is_a_witness() {
+        let q = WeightedGraph::from_edges(2, [Edge::new(0, 1, 0.5)]);
+        assert_eq!(local(&q, 0, 1, 0.5), Some(false));
+        assert_eq!(local(&q, 0, 1, 0.5_f64.next_down()), None);
+        assert!(searched(&q, 0, 1, 0.5_f64.next_down()));
+    }
+
+    #[test]
+    fn two_edges_within_the_budget_are_a_witness() {
+        let q = WeightedGraph::from_edges(3, [Edge::new(0, 1, 0.1), Edge::new(1, 2, 0.2)]);
+        // 0.1 + 0.2 rounds up to 0.30000000000000004.
+        assert_eq!(local(&q, 0, 2, 0.1 + 0.2), Some(false));
+        assert_eq!(local(&q, 0, 2, 0.3), None);
+        assert!(searched(&q, 0, 2, 0.3));
+    }
+
+    #[test]
+    fn three_edges_are_summed_from_the_source() {
+        let q = WeightedGraph::from_edges(
+            5,
+            [
+                Edge::new(0, 1, 0.1),
+                Edge::new(1, 2, 0.2),
+                Edge::new(2, 3, 0.3),
+            ],
+        );
+        // (0.1 + 0.2) + 0.3 is one ulp above 0.6 = 0.1 + (0.2 + 0.3), so
+        // only the search's own summation order keeps the verdicts equal.
+        let from_source = (0.1 + 0.2) + 0.3;
+        assert_eq!(from_source, 0.6_f64.next_up());
+        assert_eq!(local(&q, 0, 3, from_source), Some(false));
+        assert_eq!(local(&q, 0, 3, 0.6), None);
+        assert!(searched(&q, 0, 3, 0.6));
+        // Four edges are beyond the witness; the search finds them.
+        let mut longer = q.clone();
+        longer.add_edge(3, 4, 0.0);
+        assert_eq!(local(&longer, 0, 4, 1.0), None);
+        assert!(!searched(&longer, 0, 4, 1.0));
+    }
+
+    #[test]
+    fn a_walk_back_through_the_source_is_no_shortcut() {
+        // x's row lists su again: the walk su – x – su – sv (1.5) is the
+        // only three-edge walk, and it is longer than the direct edge.
+        let q = WeightedGraph::from_edges(3, [Edge::new(0, 1, 0.25), Edge::new(0, 2, 1.0)]);
+        assert_eq!(local(&q, 0, 2, 1.0), Some(false));
+        assert_eq!(local(&q, 0, 2, 0.9), None);
+        assert!(searched(&q, 0, 2, 0.9));
+        assert_eq!(local(&q, 1, 2, 1.25), Some(false));
+        assert_eq!(local(&q, 1, 2, 1.25_f64.next_down()), None);
+    }
+
+    /// A random quotient on `n` supernodes whose weights are zero a fifth
+    /// of the time, with supernode `isolated` (if any) left without edges.
+    fn random_quotient(
+        rng: &mut rand::rngs::StdRng,
+        n: usize,
+        p: f64,
+        isolated: Option<usize>,
+    ) -> Vec<Edge> {
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for v in (u + 1)..n {
+                if isolated != Some(u) && isolated != Some(v) && rng.gen_bool(p) {
+                    let w = if rng.gen_bool(0.2) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..1.0)
+                    };
+                    edges.push(Edge::new(u, v, w));
+                }
+            }
+        }
+        edges
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// `needs_edge` answers exactly what the bucket search alone
+        /// answers, on random quotients with zero-weight edges and an
+        /// isolated supernode, for budgets equal to the left-to-right sum
+        /// of a random walk of one to three edges, one ulp below it, or
+        /// random; and a walk's own sum is always answered locally.
+        #[test]
+        fn local_answers_match_the_bucket_search(
+            seed in 0u64..2000,
+            n in 2usize..24,
+            p in 0.05f64..0.4,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let isolated = rng.gen_bool(0.5).then(|| rng.gen_range(0..n));
+            let edges = random_quotient(&mut rng, n, p, isolated);
+            // One node per supernode at offset 0, so the query budget
+            // `1 · w − 0 − 0` is `w` exactly.
+            let identity = (0..n as u32).collect();
+            let contraction = Contraction::from_edges(identity, vec![0.0; n], n, edges);
+            let quotient = contraction.quotient();
+            let config = contraction.bucket_config();
+            let mut scratch = WorkerScratch::default();
+            for _ in 0..16 {
+                let su = rng.gen_range(0..n);
+                // A random walk of one to three edges from `su`, summed
+                // left to right.
+                let (mut sv, mut sum) = (su, 0.0);
+                for _ in 0..rng.gen_range(1..=3) {
+                    let row = quotient.neighbors(sv);
+                    if row.is_empty() {
+                        break;
+                    }
+                    let (next, w) = row[rng.gen_range(0..row.len())];
+                    sv = next;
+                    sum += w;
+                }
+                let walked = sv != su;
+                if !walked {
+                    sv = (su + rng.gen_range(1..n)) % n;
+                    sum = rng.gen_range(0.0..2.0);
+                }
+                for budget in [sum, sum.next_down(), rng.gen_range(0.0..2.0)] {
+                    // Built by hand to keep the orientation: sums run
+                    // from `su`.
+                    let edge = Edge { u: su, v: sv, weight: budget };
+                    prop_assert_eq!(
+                        needs_edge(&mut scratch, &contraction, quotient, &config, &edge, 1.0),
+                        searched(quotient, su, sv, budget)
+                    );
+                    if budget >= 0.0 && (Some(su) == isolated || Some(sv) == isolated) {
+                        prop_assert_eq!(local(quotient, su, sv, budget), Some(true));
+                    }
+                }
+                if walked {
+                    prop_assert_eq!(local(quotient, su, sv, sum), Some(false));
+                }
+            }
+        }
     }
 
     /// Bit patterns of a ball row, so `-0.0`/`0.0` or a one-ulp drift

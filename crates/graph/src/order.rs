@@ -119,6 +119,12 @@ impl NodeOrder {
         self.nodes[p] as NodeId
     }
 
+    /// The original node at every position: entry `p` is
+    /// [`Self::node_at`]`(p)`.
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
     /// The position of original node `v`.
     pub fn position(&self, v: NodeId) -> usize {
         self.positions[v] as usize

@@ -66,7 +66,7 @@ enum RankMsg {
 ///
 /// With `ranks = None` the node identifier itself is the rank, matching the
 /// paper's "highest identifier" convention.
-pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u64]>) -> MisResult {
+pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u32]>) -> MisResult {
     let n = graph.node_count();
     if n == 0 {
         return MisResult {
@@ -80,7 +80,7 @@ pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u64]>) -> MisResult {
     }
     let init: Vec<RankState> = (0..n)
         .map(|v| RankState {
-            rank: (ranks.map_or(v as u64, |r| r[v]), v),
+            rank: (ranks.map_or(v as u64, |r| u64::from(r[v])), v),
             status: Status::Undecided,
             undecided: Vec::new(),
             decided_round: 0,
@@ -172,7 +172,7 @@ enum LubyMsg {
 /// identifier is the node index; a caller running the protocol on
 /// renumbered nodes passes their original identifiers and gets the same
 /// set, renumbered.
-pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u64]>) -> MisResult {
+pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisResult {
     let n = graph.node_count();
     if n == 0 {
         return MisResult {
@@ -184,7 +184,7 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u64]>) -> MisRes
     if let Some(ids) = ids {
         assert_eq!(ids.len(), n, "one identifier per node is required");
     }
-    let id = |v: NodeId| ids.map_or(v as u64, |ids| ids[v]);
+    let id = |v: NodeId| ids.map_or(v as u64, |ids| u64::from(ids[v]));
     let init: Vec<LubyState> = (0..n)
         .map(|v| LubyState {
             status: Status::Undecided,

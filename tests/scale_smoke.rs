@@ -33,7 +33,8 @@
 //! * `distributed_scale_smoke_200k_nodes` (tier 2, `#[ignore]`d likewise)
 //!   runs the distributed construction on the same 200k deployment and
 //!   checks the stretch of *every* base edge, the maximum degree and the
-//!   round count against the paper's `O(log n · log* n)` bound.
+//!   round count against the paper's `O(log n · log* n)` bound, and pins
+//!   its edge hash and round count as `scale 200000` reports them.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,6 +57,10 @@ const SPANNER_HASH_20K: u64 = 0xbc37_28e7_a230_abc6;
 const N_DIST_PINNED: usize = 5_000;
 const DIST_SPANNER_HASH_5K: u64 = 0x93c2_b3cf_b9d6_b35a;
 const DIST_ROUNDS_5K: usize = 2_824;
+/// Edge hash and round count of the seed-2006 200k-node distributed
+/// build.
+const DIST_SPANNER_HASH_200K: u64 = 0xdd53_8dee_40b9_19bd;
+const DIST_ROUNDS_200K: usize = 5_747;
 /// Spanner edge hashes of the tie-heavy deployments (`lattice`,
 /// `duplicated`).
 const LATTICE_SPANNER_HASH: u64 = 0x765f_f349_b70a_e6ec;
@@ -221,6 +226,13 @@ fn distributed_scale_smoke_200k_nodes() {
         "{} rounds = {:.1} · log n · log* n, over the bound {DIST_NORMALIZED_ROUNDS_BOUND}",
         out.rounds,
         out.normalized_rounds()
+    );
+    assert_eq!(
+        (edge_hash(&out.result.spanner), out.rounds),
+        (DIST_SPANNER_HASH_200K, DIST_ROUNDS_200K),
+        "the seed-{SEED} {N}-node distributed spanner changed: {:016x}, {} rounds",
+        edge_hash(&out.result.spanner),
+        out.rounds
     );
 }
 
