@@ -58,13 +58,20 @@
 //! otherwise `available_parallelism`); outputs do not depend on it, wall
 //! clock does.
 //!
-//! Peak RSS is read from `/proc/self/status` (`VmHWM`) after each run; it
-//! is a process-lifetime high-water mark, so per-size attribution is only
-//! meaningful for the run that raised it — sizes are run in ascending
-//! order so the last record's value is the 10^6 figure. The sequential
-//! `peak_rss_kb` is read after verification and before the distributed
-//! construction runs; the distributed one after it, so it covers both
-//! constructions. Edge hashes are stable FNV-1a fingerprints of the sorted
+//! Peak RSS is read from `/proc/self/status` (`VmHWM`), a high-water
+//! mark that would otherwise last the whole process. The harness resets
+//! it to the current resident set (writing `5` to `/proc/self/clear_refs`)
+//! before each size and again before the distributed construction, so
+//! each size reports its own peaks: the sequential `peak_rss_kb` (read
+//! after verification) covers that size's generation, UBG build, spanner
+//! construction and verification, and the distributed one covers the
+//! distributed construction alone, on top of what is resident when it
+//! starts (the UBG and the sequential spanner). Both still depend on the
+//! heap the earlier sizes left behind (pages the allocator kept, and how
+//! it then places large blocks): at 10^6 on one worker the sequential
+//! figure reads 587 MB after the 100k and 500k sizes but 670 MB when
+//! 10^6 runs alone. Off Linux the reset does nothing and both figures
+//! are `null`. Edge hashes are stable FNV-1a fingerprints of the sorted
 //! `(u, v, weight-bits)` stream, comparable across runs and machines.
 //!
 //! Usage: `scale [n ...]` (defaults to 100000 500000 1000000); the
@@ -164,6 +171,13 @@ struct ScaleReport {
     runs: Vec<ScaleRun>,
 }
 
+/// Resets `VmHWM` to the current resident set, so the next
+/// [`peak_rss_kb`] covers only what runs in between. Errors (off Linux)
+/// are ignored.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// `VmHWM` (peak resident set, kB) from `/proc/self/status`; `None` where
 /// procfs is unavailable.
 fn peak_rss_kb() -> Option<u64> {
@@ -220,6 +234,7 @@ fn sizes() -> Vec<usize> {
 }
 
 fn run_one(n: usize) -> ScaleRun {
+    reset_peak_rss();
     let side = generators::side_for_target_degree(n, DIM, TARGET_DEGREE);
     eprintln!("[scale] n={n} side={side:.1} generating points...");
     let t0 = Instant::now();
@@ -265,6 +280,7 @@ fn run_one(n: usize) -> ScaleRun {
     );
     let sequential_peak_rss_kb = peak_rss_kb();
 
+    reset_peak_rss();
     let t4 = Instant::now();
     let dist = DistributedRelaxedGreedy::new(params).run(&ubg);
     let dist_seconds = t4.elapsed().as_secs_f64();
@@ -396,8 +412,8 @@ fn write_compact(value: &Value, indent: usize, out: &mut String) {
 
 fn main() {
     let mut sizes = sizes();
-    // Ascending order so VmHWM attribution (a process-lifetime high-water
-    // mark) is dominated by the final, largest run.
+    // Ascending order, as the committed records were taken: a size's
+    // peak depends on the heap the sizes before it left (module docs).
     sizes.sort_unstable();
     let report = ScaleReport {
         schema: "tc-scale/6",

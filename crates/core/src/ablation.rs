@@ -15,13 +15,13 @@
 //!    bound.
 //!
 //! [`AblationConfig`] switches each choice off individually so the
-//! ablation experiment (E9, bench target `ablation`) can quantify what
-//! each one buys: how the spanner size, degree, weight and stretch move
-//! when a mechanism is removed. Every variant still produces a valid
-//! `t`-spanner — the mechanisms only affect sparsity, degree, weight and
-//! round complexity, never correctness of the stretch bound (disabling
-//! the cluster graph can only make queries more accurate; disabling a
-//! filter can only add edges).
+//! ablation experiment (table E9 of the `experiments` binary) can
+//! quantify what each one buys: how the spanner size, degree, weight and
+//! stretch move when a mechanism is removed. Every variant still
+//! produces a valid `t`-spanner — the mechanisms only affect sparsity,
+//! degree, weight and round complexity, never correctness of the stretch
+//! bound (disabling the cluster graph can only make queries more
+//! accurate; disabling a filter can only add edges).
 //!
 //! The switches are rules of the production phase loop
 //! ([`RelaxedGreedy`]'s): the configuration is read once per run, and

@@ -50,20 +50,17 @@
 
 use crate::params::SpannerParams;
 use crate::relaxed::{
-    BinPartition, ClusterCover, PhaseRules, PhaseStats, PointCountMismatch, RelaxedGreedy,
-    SpannerResult,
+    BinPartition, Level, PhaseRules, PhaseStats, PointCountMismatch, RelaxedGreedy, SpannerResult,
 };
 use crate::weighting::EdgeWeighting;
 use serde::Serialize;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::{par, NodeId, NodeOrder, WeightedGraph};
+use tc_graph::{par, CsrGraph, Edge, NodeId, NodeOrder, WeightedGraph};
 use tc_simnet::{log2_ceil, log_star, mis, CommStats, RoundLedger};
 use tc_ubg::UnitBallGraph;
 
 /// Sources per parallel work item of the J-graph construction sweep.
-/// Fixed (and independent of the thread count) so the derived graph is
-/// bitwise identical no matter how many workers run.
 const J_SWEEP_CHUNK: usize = 4096;
 
 /// Which distributed MIS protocol stands in for the paper's
@@ -83,7 +80,7 @@ pub enum MisProtocol {
 impl MisProtocol {
     /// Runs the protocol on `graph`, whose node identifiers (the ranks,
     /// Luby's seeds and tie-breaks) are `ids`, or the node indices.
-    fn run(self, graph: &WeightedGraph, ids: Option<&[u32]>) -> mis::MisResult {
+    fn run(self, graph: &CsrGraph, ids: Option<&[u32]>) -> mis::MisResult {
         match self {
             MisProtocol::Rank => mis::rank_mis(graph, ids),
             MisProtocol::Luby { seed } => mis::luby_mis(graph, seed, ids),
@@ -244,51 +241,53 @@ impl DistributedRelaxedGreedy {
 /// Step (i) of a level rebuild, Section 3.2.1: the graph `J` joining the
 /// nodes within spanner distance `radius` of each other, a
 /// message-passing MIS of `J` as the centres, and every other node
-/// attached to a reachable centre. Returns the cover and the MIS protocol's
-/// measured communication. `spanner` is numbered by the positions of
-/// `order`; the nodes' identifiers in the protocol and the cover are
-/// their original IDs.
+/// attached to a reachable centre. Returns the level and the MIS
+/// protocol's measured communication. `spanner` is numbered by the
+/// positions of `order`; the nodes' identifiers in the protocol and the
+/// cover are their original IDs.
 fn mis_cover(
     spanner: &WeightedGraph,
     radius: f64,
     protocol: MisProtocol,
     order: &NodeOrder,
-) -> (ClusterCover, CommStats) {
+) -> (Level, CommStats) {
     let n = spanner.node_count();
     let config = BucketConfig::for_graph(spanner);
     // Each source's J-neighbours come from a radius-bounded visitor
     // sweep — O(nodes reached) per source, never O(n) — fanned over
-    // TC_THREADS workers in fixed chunks. Sorting each chunk and merging
-    // in chunk order reproduces the sequential (u, v) insertion order
-    // exactly, for any thread count.
+    // TC_THREADS workers in fixed chunks. J is built once as a CSR,
+    // which sorts every row, so it does not depend on the order the
+    // pairs arrive in, whatever the thread count.
     let chunks: Vec<(usize, usize)> = (0..n)
         .step_by(J_SWEEP_CHUNK)
         .map(|start| (start, (start + J_SWEEP_CHUNK).min(n)))
         .collect();
-    let per_chunk: Vec<Vec<(usize, usize)>> = par::par_map_with(
+    let per_chunk: Vec<Vec<(u32, u32)>> = par::par_map_with(
         &chunks,
         0,
         BucketScratch::new,
         |scratch, _idx, &(start, end)| {
-            let mut local: Vec<(usize, usize)> = Vec::new();
+            let mut local: Vec<(u32, u32)> = Vec::new();
             for u in start..end {
                 scratch.for_each_within(spanner, u, radius, &config, |v, _d| {
                     if v > u {
-                        local.push((u, v));
+                        local.push((u as u32, v as u32));
                     }
                 });
             }
-            local.sort_unstable();
             local
         },
     );
-    let mut j_graph = WeightedGraph::new(n);
-    for (u, v) in per_chunk.into_iter().flatten() {
-        j_graph.add_edge(u, v, 1.0);
-    }
+    let pairs = per_chunk.into_iter().flatten();
+    let j_graph = CsrGraph::from_edges(
+        n,
+        pairs.map(|(u, v)| Edge::new(u as NodeId, v as NodeId, 1.0)),
+    );
     let centers = protocol.run(&j_graph, Some(order.nodes()));
+    // J is freed before the level's assignment and quotient are built.
+    drop(j_graph);
     (
-        ClusterCover::from_centers(spanner, &centers.mis, radius, order),
+        Level::from_centers(spanner, &centers.mis, radius, order),
         centers.stats,
     )
 }
@@ -332,13 +331,13 @@ impl PhaseRules for DistributedRules {
         radius: f64,
         _previous: &[bool],
         order: &NodeOrder,
-    ) -> ClusterCover {
-        let (cover, stats) = mis_cover(spanner, radius, self.protocol, order);
+    ) -> Level {
+        let (level, stats) = mis_cover(spanner, radius, self.protocol, order);
         self.cover_mis = Some(stats);
-        cover
+        level
     }
 
-    fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+    fn conflict_mis(&mut self, conflict_graph: &CsrGraph) -> Vec<NodeId> {
         let result = self.protocol.run(conflict_graph, None);
         self.conflict_mis = Some(result.stats);
         result.mis
@@ -466,18 +465,17 @@ mod tests {
             radius: f64,
             previous: &[bool],
             order: &NodeOrder,
-        ) -> ClusterCover {
-            let cover = self.inner.level_cover(spanner, radius, previous, order);
+        ) -> Level {
+            let level = self.inner.level_cover(spanner, radius, previous, order);
             assert!(
-                cover.is_valid_cover(spanner),
+                level.is_valid_cover(spanner, radius),
                 "the MIS cover at radius {radius} is not a valid cover"
             );
-            assert_eq!(cover.radius(), radius);
             self.rebuilt = true;
-            cover
+            level
         }
 
-        fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+        fn conflict_mis(&mut self, conflict_graph: &CsrGraph) -> Vec<NodeId> {
             self.inner.conflict_mis(conflict_graph)
         }
 

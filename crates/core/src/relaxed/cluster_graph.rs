@@ -19,7 +19,7 @@
 //! `H` (see `hierarchy`), and the per-phase-rescan oracle (`oracle`)
 //! builds the full `H` with [`build_cluster_graph`] to check them.
 
-use super::cover::ClusterCover;
+use super::cover::Level;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::{par, WeightedGraph};
 
@@ -36,26 +36,29 @@ pub struct ClusterGraphStats {
 }
 
 /// Builds the cluster graph `H_{i-1}` for the given partial spanner and
-/// cover. `w_prev` is `W_{i-1}` (the upper weight threshold of the previous
+/// cover level. `w_prev` is `W_{i-1}` (the upper weight threshold of the previous
 /// bin) and `delta` the cluster-radius fraction.
 ///
 /// Returns the graph together with construction statistics.
 pub fn build_cluster_graph(
     spanner: &WeightedGraph,
-    cover: &ClusterCover,
+    level: &Level,
     w_prev: f64,
     delta: f64,
 ) -> (WeightedGraph, ClusterGraphStats) {
     let n = spanner.node_count();
     let mut h = WeightedGraph::new(n);
     let mut stats = ClusterGraphStats::default();
+    let centers = &level.centers;
+    let contraction = &level.contraction;
 
     // Intra-cluster edges: centre -> member, weight = sp distance recorded
     // by the cover construction.
     for v in 0..n {
-        let center = cover.center_of(v);
+        let (cluster, dist) = contraction.project(v);
+        let center = centers[cluster];
         if center != v {
-            h.add_edge(center, v, cover.dist_to_center(v));
+            h.add_edge(center, v, dist);
             stats.intra_edges += 1;
         }
     }
@@ -68,7 +71,6 @@ pub fn build_cluster_graph(
     // sweeps fan out over `TC_THREADS` workers with one reusable scratch
     // each; merging in centre order keeps the replay deterministic.
     let reach = (2.0 * delta + 1.0) * w_prev;
-    let centers = cover.centers();
     let mut center_index: Vec<usize> = vec![usize::MAX; n];
     for (i, &a) in centers.iter().enumerate() {
         center_index[a] = i;
@@ -112,7 +114,7 @@ pub fn build_cluster_graph(
 
     // Condition (ii): an edge of the spanner crossing two clusters.
     for e in spanner.edges() {
-        let (ca, cb) = (cover.cluster_of(e.u), cover.cluster_of(e.v));
+        let ((ca, du), (cb, dv)) = (contraction.project(e.u), contraction.project(e.v));
         if ca == cb {
             continue;
         }
@@ -127,7 +129,7 @@ pub fn build_cluster_graph(
             // Lemma 5 guarantees the distance is within the bounded reach;
             // fall back to the triangle-inequality upper bound if a
             // floating-point boundary put it just outside.
-            .unwrap_or(cover.dist_to_center(e.u) + e.weight + cover.dist_to_center(e.v));
+            .unwrap_or(du + e.weight + dv);
         add_inter(&mut h, &mut stats, ca, cb, d);
     }
 
@@ -136,7 +138,7 @@ pub fn build_cluster_graph(
         let inter = h
             .neighbors(a)
             .iter()
-            .filter(|&&(v, _)| cover.center_of(v) == v && v != a)
+            .filter(|&&(v, _)| centers[contraction.supernode_of(v)] == v && v != a)
             .count();
         stats.max_inter_degree = stats.max_inter_degree.max(inter);
     }
@@ -150,35 +152,36 @@ mod tests {
     use tc_graph::dijkstra::shortest_path_to;
 
     /// A path with unit-ish weights, clustered with a small radius.
-    fn setup() -> (WeightedGraph, ClusterCover) {
+    fn setup() -> (WeightedGraph, Level) {
         let mut g = WeightedGraph::new(8);
         for i in 0..7 {
             g.add_edge(i, i + 1, 0.1);
         }
-        let cover = ClusterCover::greedy(&g, 0.15);
-        (g, cover)
+        let level = Level::greedy(&g, 0.15);
+        (g, level)
     }
 
     #[test]
     fn intra_edges_connect_members_to_their_centres() {
-        let (g, cover) = setup();
-        let (h, stats) = build_cluster_graph(&g, &cover, 0.3, 0.5);
+        let (g, level) = setup();
+        let (h, stats) = build_cluster_graph(&g, &level, 0.3, 0.5);
         assert!(stats.intra_edges > 0);
         for v in 0..g.node_count() {
-            let c = cover.center_of(v);
+            let (cluster, dist) = level.contraction.project(v);
+            let c = level.centers[cluster];
             if c != v {
                 assert!(h.has_edge(c, v), "missing intra edge {c}-{v}");
-                assert!((h.edge_weight(c, v).unwrap() - cover.dist_to_center(v)).abs() < 1e-12);
+                assert!((h.edge_weight(c, v).unwrap() - dist).abs() < 1e-12);
             }
         }
     }
 
     #[test]
     fn inter_edges_respect_the_lemma5_bound() {
-        let (g, cover) = setup();
+        let (g, level) = setup();
         let w_prev = 0.3;
         let delta = 0.5;
-        let (h, stats) = build_cluster_graph(&g, &cover, w_prev, delta);
+        let (h, stats) = build_cluster_graph(&g, &level, w_prev, delta);
         assert!(stats.inter_edges > 0);
         let bound = (2.0 * delta + 1.0) * w_prev;
         for e in h.edges() {
@@ -198,9 +201,9 @@ mod tests {
         let mut g = WeightedGraph::new(3);
         g.add_edge(0, 1, 0.2);
         g.add_edge(1, 2, 0.2);
-        let cover = ClusterCover::greedy(&g, 0.05);
-        assert_eq!(cover.cluster_count(), 3);
-        let (h, stats) = build_cluster_graph(&g, &cover, 0.5, 0.1);
+        let level = Level::greedy(&g, 0.05);
+        assert_eq!(level.centers.len(), 3);
+        let (h, stats) = build_cluster_graph(&g, &level, 0.5, 0.1);
         // sp(0,1) = 0.2 <= 0.5 and sp(1,2) = 0.2 <= 0.5 and sp(0,2) = 0.4 <= 0.5.
         assert!(h.has_edge(0, 1));
         assert!(h.has_edge(1, 2));
@@ -221,8 +224,8 @@ mod tests {
         }
         let delta = 0.2;
         let w_prev = 0.25;
-        let cover = ClusterCover::greedy(&g, delta * w_prev);
-        let (h, _) = build_cluster_graph(&g, &cover, w_prev, delta);
+        let level = Level::greedy(&g, delta * w_prev);
+        let (h, _) = build_cluster_graph(&g, &level, w_prev, delta);
         for u in 0..10 {
             for v in (u + 1)..10 {
                 let in_g = shortest_path_to(&g, u, v).unwrap();
@@ -236,8 +239,8 @@ mod tests {
     #[test]
     fn empty_spanner_yields_empty_cluster_graph() {
         let g = WeightedGraph::new(5);
-        let cover = ClusterCover::greedy(&g, 0.1);
-        let (h, stats) = build_cluster_graph(&g, &cover, 0.5, 0.2);
+        let level = Level::greedy(&g, 0.1);
+        let (h, stats) = build_cluster_graph(&g, &level, 0.5, 0.2);
         assert_eq!(h.edge_count(), 0);
         assert_eq!(stats.intra_edges, 0);
         assert_eq!(stats.inter_edges, 0);

@@ -11,27 +11,31 @@
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::{Contraction, NodeId, NodeOrder, WeightedGraph};
 
-/// A cluster cover with a unique cluster assignment per node.
+/// One cover level: the cluster centres, by cluster id, and the
+/// contraction of the spanner over the clusters.
 ///
 /// The paper's cover may cover a node by several clusters; for the
 /// query-edge selection each node needs one *home* cluster, so the
-/// constructors also fix an assignment (and record the shortest-path
-/// distance from each node to its assigned centre, which is exactly the
-/// `sp_{G'_{i-1}}(a, x)` term of the selection objective).
-#[derive(Debug, Clone)]
-pub struct ClusterCover {
-    radius: f64,
-    centers: Vec<NodeId>,
-    cluster_of: Vec<usize>,
-    dist_to_center: Vec<f64>,
+/// constructors also fix an assignment. Every later step reads a cluster
+/// only through that assignment and each node's shortest-path distance to
+/// its centre (the `sp_{G'_{i-1}}(a, x)` term of the selection
+/// objective), which are exactly the contraction's `supernode_of` and
+/// `offset`: the cover fills them in directly.
+#[derive(Debug)]
+pub(crate) struct Level {
+    /// The cluster centres, ascending by position.
+    pub centers: Vec<NodeId>,
+    /// The quotient over the clusters; node `v`'s cluster and distance to
+    /// its centre are `contraction.project(v)`.
+    pub contraction: Contraction,
 }
 
-impl ClusterCover {
+impl Level {
     /// The sequential greedy construction from the paper: repeatedly pick
     /// an uncovered node, make it a centre, and claim every still-uncovered
     /// node within shortest-path distance `radius` in `graph`. Test code
     /// only: the phase engine rebuilds its levels with
-    /// [`ClusterCover::greedy_with_candidates`].
+    /// [`Level::greedy_with_candidates`].
     ///
     /// # Panics
     ///
@@ -73,7 +77,7 @@ impl ClusterCover {
             priority.is_empty() || priority.len() == n,
             "the priority marks every node or none"
         );
-        let mut center_of = vec![usize::MAX; n];
+        let mut center_of = vec![u32::MAX; n];
         let mut dist_to_center = vec![f64::INFINITY; n];
         // A node whose every edge is longer than `radius` is reached by no
         // other sweep, and its own sweep reaches no other node: it is a
@@ -83,7 +87,7 @@ impl ClusterCover {
         let mut linked = vec![false; n];
         for u in 0..n {
             if graph.neighbors(u).iter().all(|&(_, w)| w > radius) {
-                center_of[u] = u;
+                center_of[u] = u as u32;
                 dist_to_center[u] = 0.0;
             } else {
                 linked[order.node_at(u)] = true;
@@ -99,24 +103,24 @@ impl ClusterCover {
         let config = BucketConfig::for_graph(graph);
         let mut scratch = BucketScratch::new();
         for u in first.chain(then).map(|v| order.position(v)) {
-            if center_of[u] != usize::MAX {
+            if center_of[u] != u32::MAX {
                 continue;
             }
             // A node is claimed at most once per sweep, so the (unspecified)
             // visit order cannot change the resulting assignment. The
             // centre claims itself first, at distance 0.
             scratch.for_each_within(graph, u, radius, &config, |v, d| {
-                if center_of[v] == usize::MAX {
-                    center_of[v] = u;
+                if center_of[v] == u32::MAX {
+                    center_of[v] = u as u32;
                     dist_to_center[v] = d;
                 }
             });
         }
-        let centers = (0..n).filter(|&v| center_of[v] == v).collect();
-        Self::numbered(radius, centers, center_of, dist_to_center)
+        let centers = (0..n).filter(|&v| center_of[v] as usize == v).collect();
+        Self::numbered(graph, order, centers, center_of, dist_to_center)
     }
 
-    /// Builds a cover from an externally supplied set of distinct centres
+    /// Builds a level from an externally supplied set of distinct centres
     /// (the distributed algorithm obtains them as an MIS of the "within
     /// radius" graph). Every node attaches to the reachable centre with
     /// the *highest identifier*, mirroring the paper's tie-breaking rule;
@@ -132,7 +136,7 @@ impl ClusterCover {
     ) -> Self {
         assert!(radius >= 0.0, "the cluster radius must be non-negative");
         let n = graph.node_count();
-        let mut center_of = vec![usize::MAX; n];
+        let mut center_of = vec![u32::MAX; n];
         let mut dist_to_center = vec![f64::INFINITY; n];
         let mut is_center = vec![false; n];
         let config = BucketConfig::for_graph(graph);
@@ -145,32 +149,38 @@ impl ClusterCover {
             // identical to the dense-vector formulation.
             scratch.for_each_within(graph, c, radius, &config, |v, d| {
                 let current = center_of[v];
-                if current == usize::MAX || order.node_at(c) > order.node_at(current) {
-                    center_of[v] = c;
+                if current == u32::MAX || order.node_at(c) > order.node_at(current as usize) {
+                    center_of[v] = c as u32;
                     dist_to_center[v] = d;
                 }
             });
         }
         for v in 0..n {
-            if center_of[v] == usize::MAX {
-                center_of[v] = v;
+            if center_of[v] == u32::MAX {
+                center_of[v] = v as u32;
                 dist_to_center[v] = 0.0;
                 is_center[v] = true;
             }
         }
         let all_centers = (0..n).filter(|&v| is_center[v]).collect();
-        Self::numbered(radius, all_centers, center_of, dist_to_center)
+        Self::numbered(graph, order, all_centers, center_of, dist_to_center)
     }
 
-    /// The cover in which node `v` belongs to the cluster centred at
-    /// `center_of[v]`, the clusters numbered in ascending centre position
-    /// (`centers`, ascending), so the quotient over them is laid out like
-    /// the nodes. The numbering never decides anything: every consumer
-    /// reads a cluster's members, centre and distances, not its number.
+    /// The level in which node `v` belongs to the cluster centred at
+    /// position `center_of[v]`: the clusters are numbered in place in
+    /// ascending centre position (`centers`, ascending), so the quotient
+    /// over them is laid out like the nodes, and every edge of `graph` is
+    /// absorbed. The numbering never decides anything: every consumer
+    /// reads a cluster's centre and distances, not its number. `graph` is
+    /// numbered by the positions of `order`; each edge is absorbed from its
+    /// endpoint with the lower original ID, as the original graph lists it,
+    /// so every quotient weight `offset + w + offset` is the same sum bit
+    /// for bit.
     fn numbered(
-        radius: f64,
+        graph: &WeightedGraph,
+        order: &NodeOrder,
         centers: Vec<NodeId>,
-        mut center_of: Vec<usize>,
+        mut center_of: Vec<u32>,
         dist_to_center: Vec<f64>,
     ) -> Self {
         let mut index = vec![u32::MAX; center_of.len()];
@@ -178,107 +188,31 @@ impl ClusterCover {
             index[c] = i as u32;
         }
         for c in &mut center_of {
-            *c = index[*c] as usize;
+            *c = index[*c as usize];
         }
-        Self {
-            radius,
-            centers,
-            cluster_of: center_of,
-            dist_to_center,
-        }
-    }
-
-    /// Turns the cover into its contraction of `graph` — one supernode per
-    /// cluster, each node at its distance to its centre, every edge of
-    /// `graph` absorbed — and returns the centres beside it. The cover is
-    /// consumed, so its per-node assignment lives on only in the
-    /// contraction's `supernode_of`/`offset`. `graph` is numbered by the
-    /// positions of `order`; each edge is absorbed from its endpoint with
-    /// the lower original ID, as the original graph lists it, so every
-    /// quotient weight `offset + w + offset` is the same sum bit for bit.
-    pub fn into_contraction(
-        self,
-        graph: &WeightedGraph,
-        order: &NodeOrder,
-    ) -> (Vec<NodeId>, Contraction) {
-        let assignment: Vec<u32> = self.cluster_of.iter().map(|&c| c as u32).collect();
-        let clusters = self.centers.len();
         let edges = graph.edges().map(|e| order.orient(e));
-        let contraction = Contraction::from_edges(assignment, self.dist_to_center, clusters, edges);
-        (self.centers, contraction)
-    }
-
-    /// A cover from its parts (test code rebuilds the engine's level
-    /// cover from the contraction it keeps).
-    #[cfg(test)]
-    pub(crate) fn from_parts(
-        radius: f64,
-        centers: Vec<NodeId>,
-        cluster_of: Vec<usize>,
-        dist_to_center: Vec<f64>,
-    ) -> Self {
+        let contraction = Contraction::from_edges(center_of, dist_to_center, centers.len(), edges);
         Self {
-            radius,
             centers,
-            cluster_of,
-            dist_to_center,
+            contraction,
         }
     }
 
-    /// The cover radius.
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// The cluster centres, indexed by cluster id.
-    pub fn centers(&self) -> &[NodeId] {
-        &self.centers
-    }
-
-    /// Number of clusters.
-    pub fn cluster_count(&self) -> usize {
-        self.centers.len()
-    }
-
-    /// The cluster id of node `v`.
-    pub fn cluster_of(&self, v: NodeId) -> usize {
-        self.cluster_of[v]
-    }
-
-    /// The centre node of `v`'s cluster.
-    pub fn center_of(&self, v: NodeId) -> NodeId {
-        self.centers[self.cluster_of[v]]
-    }
-
-    /// Shortest-path distance (in the cover's graph) from `v` to its
-    /// assigned centre.
-    pub fn dist_to_center(&self, v: NodeId) -> f64 {
-        self.dist_to_center[v]
-    }
-
-    /// Members of each cluster, indexed by cluster id.
-    pub fn members(&self) -> Vec<Vec<NodeId>> {
-        let mut members = vec![Vec::new(); self.centers.len()];
-        for (v, &c) in self.cluster_of.iter().enumerate() {
-            members[c].push(v);
-        }
-        members
-    }
-
-    /// Validates the cover against the defining properties: every node is
-    /// assigned, assigned distances are within the radius, and distinct
-    /// centres are more than `radius` apart in `graph`. Used by tests and
-    /// by the verification layer.
-    pub fn is_valid_cover(&self, graph: &WeightedGraph) -> bool {
+    /// Validates the level as a cover of `graph` with radius `radius`:
+    /// every node is assigned, assigned distances are within the radius,
+    /// and distinct centres are more than `radius` apart in `graph`.
+    #[cfg(test)]
+    pub fn is_valid_cover(&self, graph: &WeightedGraph, radius: f64) -> bool {
         let n = graph.node_count();
-        if self.cluster_of.len() != n {
+        if self.contraction.node_count() != n {
             return false;
         }
         for v in 0..n {
-            if self.cluster_of[v] >= self.centers.len() {
+            let (cluster, dist) = self.contraction.project(v);
+            if cluster >= self.centers.len() {
                 return false;
             }
-            if self.dist_to_center[v] > self.radius + 1e-9 {
+            if dist > radius + 1e-9 {
                 return false;
             }
         }
@@ -292,9 +226,9 @@ impl ClusterCover {
         let mut scratch = BucketScratch::new();
         for (i, &a) in self.centers.iter().enumerate() {
             let mut separated = true;
-            scratch.for_each_within(graph, a, self.radius, &config, |v, d| {
+            scratch.for_each_within(graph, a, radius, &config, |v, d| {
                 let j = center_pos[v];
-                if j != usize::MAX && j > i && d <= self.radius {
+                if j != usize::MAX && j > i && d <= radius {
                     separated = false;
                 }
             });
@@ -320,42 +254,48 @@ mod tests {
         g
     }
 
+    /// The centre of `v`'s cluster.
+    fn center_of(level: &Level, v: NodeId) -> NodeId {
+        level.centers[level.contraction.supernode_of(v)]
+    }
+
     #[test]
     fn greedy_cover_of_a_path() {
         let g = path_graph(10, 1.0);
-        let cover = ClusterCover::greedy(&g, 2.0);
-        assert!(cover.is_valid_cover(&g));
+        let level = Level::greedy(&g, 2.0);
+        assert!(level.is_valid_cover(&g, 2.0));
         // Growing radius-2 clusters from the left end of a 10-node
         // unit-weight path claims nodes {0,1,2}, {3,4,5}, {6,7,8}, {9}.
-        assert_eq!(cover.cluster_count(), 4);
-        assert_eq!(cover.center_of(0), 0);
-        assert_eq!(cover.cluster_of(2), 0);
-        assert!((cover.dist_to_center(2) - 2.0).abs() < 1e-12);
+        assert_eq!(level.centers.len(), 4);
+        assert_eq!(center_of(&level, 0), 0);
+        assert_eq!(level.contraction.supernode_of(2), 0);
+        assert!((level.contraction.offset(2) - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn zero_radius_cover_makes_singletons() {
         let g = path_graph(4, 1.0);
-        let cover = ClusterCover::greedy(&g, 0.0);
-        assert_eq!(cover.cluster_count(), 4);
-        assert!(cover.is_valid_cover(&g));
+        let level = Level::greedy(&g, 0.0);
+        assert_eq!(level.centers.len(), 4);
+        assert!(level.is_valid_cover(&g, 0.0));
         for v in 0..4 {
-            assert_eq!(cover.center_of(v), v);
-            assert_eq!(cover.dist_to_center(v), 0.0);
+            assert_eq!(center_of(&level, v), v);
+            assert_eq!(level.contraction.offset(v), 0.0);
         }
     }
 
     #[test]
     fn members_partition_the_nodes() {
         let g = path_graph(9, 0.5);
-        let cover = ClusterCover::greedy(&g, 1.0);
-        let members = cover.members();
-        let total: usize = members.iter().map(Vec::len).sum();
-        assert_eq!(total, 9);
-        for (c, ms) in members.iter().enumerate() {
-            for &v in ms {
-                assert_eq!(cover.cluster_of(v), c);
-            }
+        let level = Level::greedy(&g, 1.0);
+        let mut members = vec![0; level.centers.len()];
+        for v in 0..9 {
+            members[level.contraction.supernode_of(v)] += 1;
+        }
+        assert_eq!(members.iter().sum::<usize>(), 9);
+        for (c, &center) in level.centers.iter().enumerate() {
+            assert!(members[c] > 0);
+            assert_eq!(level.contraction.supernode_of(center), c);
         }
     }
 
@@ -363,10 +303,10 @@ mod tests {
     fn cover_on_disconnected_graph_covers_isolated_nodes() {
         let mut g = path_graph(3, 1.0);
         g.grow_to(5);
-        let cover = ClusterCover::greedy(&g, 1.0);
-        assert!(cover.is_valid_cover(&g));
-        assert!(cover.cluster_count() >= 3);
-        assert_eq!(cover.dist_to_center(4), 0.0);
+        let level = Level::greedy(&g, 1.0);
+        assert!(level.is_valid_cover(&g, 1.0));
+        assert!(level.centers.len() >= 3);
+        assert_eq!(level.contraction.offset(4), 0.0);
     }
 
     #[test]
@@ -374,22 +314,22 @@ mod tests {
         let g = path_graph(5, 1.0);
         // Centres 0 and 4, radius 2: node 2 can reach both; it must attach
         // to centre 4 (the higher identifier).
-        let cover = ClusterCover::from_centers(&g, &[0, 4], 2.0, &NodeOrder::identity(5));
-        assert_eq!(cover.center_of(2), 4);
-        assert_eq!(cover.center_of(1), 0);
-        assert_eq!(cover.cluster_count(), 2);
+        let level = Level::from_centers(&g, &[0, 4], 2.0, &NodeOrder::identity(5));
+        assert_eq!(center_of(&level, 2), 4);
+        assert_eq!(center_of(&level, 1), 0);
+        assert_eq!(level.centers.len(), 2);
     }
 
     #[test]
     fn from_centers_adds_singletons_for_unreached_nodes() {
         let g = path_graph(5, 1.0);
-        let cover = ClusterCover::from_centers(&g, &[0], 1.0, &NodeOrder::identity(5));
+        let level = Level::from_centers(&g, &[0], 1.0, &NodeOrder::identity(5));
         // Nodes 2, 3, 4 are unreachable within radius 1 from centre 0.
-        assert!(cover.cluster_count() >= 4);
-        assert_eq!(cover.center_of(3), 3);
+        assert!(level.centers.len() >= 4);
+        assert_eq!(center_of(&level, 3), 3);
         // Every node still has an assignment within the radius.
         for v in 0..5 {
-            assert!(cover.dist_to_center(v) <= 1.0 + 1e-9);
+            assert!(level.contraction.offset(v) <= 1.0 + 1e-9);
         }
     }
 
@@ -397,7 +337,7 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_radius_rejected() {
         let g = path_graph(3, 1.0);
-        let _ = ClusterCover::greedy(&g, -1.0);
+        let _ = Level::greedy(&g, -1.0);
     }
 
     /// The quotient edges of a level as `(centre, centre, weight bits)`,
@@ -407,8 +347,10 @@ mod tests {
         radius: f64,
         order: &NodeOrder,
     ) -> Vec<(usize, usize, u64)> {
-        let cover = ClusterCover::greedy_with_candidates(graph, radius, &[], order);
-        let (centers, contraction) = cover.into_contraction(graph, order);
+        let Level {
+            centers,
+            contraction,
+        } = Level::greedy_with_candidates(graph, radius, &[], order);
         let mut edges: Vec<(usize, usize, u64)> = contraction
             .quotient()
             .edges()
@@ -474,12 +416,11 @@ mod tests {
                     }
                 }
             }
-            let cover = ClusterCover::greedy(&g, radius);
-            prop_assert!(cover.is_valid_cover(&g));
+            let level = Level::greedy(&g, radius);
+            prop_assert!(level.is_valid_cover(&g, radius));
             // Centres are exactly the nodes assigned to themselves at distance 0.
-            for (c, &center) in cover.centers().iter().enumerate() {
-                prop_assert_eq!(cover.cluster_of(center), c);
-                prop_assert_eq!(cover.dist_to_center(center), 0.0);
+            for (c, &center) in level.centers.iter().enumerate() {
+                prop_assert_eq!(level.contraction.project(center), (c, 0.0));
             }
         }
     }

@@ -53,7 +53,7 @@
 //! date as it absorbs edges, so a phase starts its searches in O(1)
 //! instead of copying or rescanning the whole quotient.
 
-use super::cover::ClusterCover;
+use super::cover::Level;
 use super::query::{select_in, QuerySelection, SelectionSlots};
 use super::redundant::{analyze_in, RedundancyAnalysis, RedundancySlots};
 use crate::ablation::AblationConfig;
@@ -79,25 +79,6 @@ const LEVEL_GROWTH: f64 = 2.0;
 /// 1 024-edge chunks anyway. Fixed, so it is not a tuning knob: outputs
 /// never depend on it, only where the time goes.
 const PHASE_INLINE_ITEMS: usize = 2048;
-
-/// One cover level: its centres (by cluster id) and the contraction of
-/// the spanner over its clusters, which also holds every node's cluster
-/// and distance to its centre.
-#[derive(Debug)]
-struct Level {
-    centers: Vec<NodeId>,
-    contraction: Contraction,
-}
-
-impl Level {
-    fn new(cover: ClusterCover, spanner: &WeightedGraph, order: &NodeOrder) -> Self {
-        let (centers, contraction) = cover.into_contraction(spanner, order);
-        Self {
-            centers,
-            contraction,
-        }
-    }
-}
 
 /// What one phase's steps read: the frozen partial spanner `G'_{i-1}`,
 /// the bin, and the run's settings.
@@ -223,39 +204,23 @@ impl<'o> PhaseEngine<'o> {
         &mut self,
         spanner: &WeightedGraph,
         radius: f64,
-        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> ClusterCover,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> Level,
     ) -> bool {
         if !self.needs_rebuild(radius) {
             return false;
         }
         let previous = self.retire_level();
-        let cover = build_cover(spanner, radius, &previous, self.order);
-        self.level = Some(Level::new(cover, spanner, self.order));
+        self.level = Some(build_cover(spanner, radius, &previous, self.order));
         self.level_radius = radius;
         self.rebuilds += 1;
         true
     }
 
-    /// The current level's cover, rebuilt from the contraction.
+    /// The current level: its centres and its contraction.
     #[cfg(test)]
-    pub fn cover(&self) -> ClusterCover {
+    pub fn level(&self) -> &Level {
         // Test helper. tc-lint: allow(panic-hygiene)
-        let level = self.level.as_ref().expect("prepare() establishes a level");
-        let nodes = level.contraction.node_count();
-        let (cluster_of, dist): (Vec<usize>, Vec<f64>) =
-            (0..nodes).map(|v| level.contraction.project(v)).unzip();
-        ClusterCover::from_parts(self.level_radius, level.centers.clone(), cluster_of, dist)
-    }
-
-    /// The current contraction (quotient graph over the level's clusters).
-    #[cfg(test)]
-    pub fn contraction(&self) -> &Contraction {
-        &self
-            .level
-            .as_ref()
-            // Test helper. tc-lint: allow(panic-hygiene)
-            .expect("prepare() establishes a level")
-            .contraction
+        self.level.as_ref().expect("prepare() establishes a level")
     }
 
     /// Number of level rebuilds so far (for stats and tests).
@@ -281,7 +246,7 @@ impl<'o> PhaseEngine<'o> {
     pub fn run_phase<P: PointAccess + Sync + ?Sized>(
         &mut self,
         input: &PhaseInput<'_, P>,
-        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> ClusterCover,
+        build_cover: impl FnOnce(&WeightedGraph, f64, &[bool], &NodeOrder) -> Level,
     ) -> PhaseWork {
         let start = Instant::now();
         self.prepare(input.spanner, input.radius, build_cover);
@@ -568,12 +533,14 @@ mod tests {
         let g = random_graph(&mut rng, 30, 0.2, 0.1, 1.0);
         let order = NodeOrder::identity(30);
         let mut engine = PhaseEngine::new(1, &order);
-        assert!(engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
-        let oracle = ClusterCover::greedy(&g, 0.3);
-        assert_eq!(engine.cover().centers(), oracle.centers());
+        assert!(engine.prepare(&g, 0.3, Level::greedy_with_candidates));
+        let oracle = Level::greedy(&g, 0.3);
+        assert_eq!(engine.level().centers, oracle.centers);
         for v in 0..30 {
-            assert_eq!(engine.cover().cluster_of(v), oracle.cluster_of(v));
-            assert_eq!(engine.cover().dist_to_center(v), oracle.dist_to_center(v));
+            assert_eq!(
+                engine.level().contraction.project(v),
+                oracle.contraction.project(v)
+            );
         }
     }
 
@@ -583,15 +550,11 @@ mod tests {
         let g = random_graph(&mut rng, 40, 0.15, 0.1, 1.0);
         let order = NodeOrder::identity(40);
         let mut engine = PhaseEngine::new(1, &order);
-        assert!(engine.prepare(&g, 0.2, ClusterCover::greedy_with_candidates));
-        assert!(!engine.prepare(&g, 0.3, ClusterCover::greedy_with_candidates));
-        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, ClusterCover::greedy_with_candidates));
+        assert!(engine.prepare(&g, 0.2, Level::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.3, Level::greedy_with_candidates));
+        assert!(!engine.prepare(&g, 0.2 * LEVEL_GROWTH, Level::greedy_with_candidates));
         assert_eq!(engine.rebuilds(), 1);
-        assert!(engine.prepare(
-            &g,
-            0.2 * LEVEL_GROWTH + 1e-9,
-            ClusterCover::greedy_with_candidates
-        ));
+        assert!(engine.prepare(&g, 0.2 * LEVEL_GROWTH + 1e-9, Level::greedy_with_candidates));
         assert_eq!(engine.rebuilds(), 2);
     }
 
@@ -604,8 +567,16 @@ mod tests {
         let mut g = random_graph(&mut rng, 25, 0.2, 0.2, 1.0);
         let order = NodeOrder::identity(25);
         let mut engine = PhaseEngine::new(1, &order);
-        engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
-        let cover = engine.cover().clone();
+        engine.prepare(&g, 0.25, Level::greedy_with_candidates);
+        let contraction = &engine.level().contraction;
+        let n = g.node_count();
+        let (assignment, offsets): (Vec<u32>, Vec<f64>) = (0..n)
+            .map(|v| {
+                let (cluster, dist) = contraction.project(v);
+                (cluster as u32, dist)
+            })
+            .unzip();
+        let clusters = contraction.supernode_count();
         // Edges heavier than twice the radius keep the cover frozen-valid.
         let extra: Vec<Edge> = (0..8)
             .filter_map(|_| {
@@ -617,12 +588,9 @@ mod tests {
             g.add(e);
         }
         engine.absorb_kept(extra.iter().copied());
-        let n = g.node_count();
-        let assignment: Vec<u32> = (0..n).map(|v| cover.cluster_of(v) as u32).collect();
-        let offsets: Vec<f64> = (0..n).map(|v| cover.dist_to_center(v)).collect();
-        let bulk = Contraction::from_edges(assignment, offsets, cover.cluster_count(), g.edges());
+        let bulk = Contraction::from_edges(assignment, offsets, clusters, g.edges());
         assert_eq!(
-            engine.contraction().quotient().sorted_edges(),
+            engine.level().contraction.quotient().sorted_edges(),
             bulk.quotient().sorted_edges()
         );
     }
@@ -824,7 +792,7 @@ mod tests {
             let mut g = random_graph(&mut rng, n, p, 0.05, 0.6);
             let order = NodeOrder::identity(n);
             let mut engine = PhaseEngine::new(1, &order);
-            engine.prepare(&g, 0.25, ClusterCover::greedy_with_candidates);
+            engine.prepare(&g, 0.25, Level::greedy_with_candidates);
             let mut kept = Vec::new();
             for _ in 0..extra {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
@@ -836,7 +804,7 @@ mod tests {
             }
             engine.absorb_kept(kept);
 
-            let contraction = engine.contraction();
+            let contraction = &engine.level().contraction;
             let live = contraction.quotient();
             let live_config = contraction.bucket_config();
             let csr = CsrGraph::from(live);
@@ -870,10 +838,7 @@ mod tests {
             let on_live = analyze_redundancy_contracted(&queries, contraction, live, &live_config, t1);
             let on_csr = analyze_redundancy_contracted(&queries, contraction, &csr, &csr_config, t1);
             prop_assert_eq!(on_live.involved, on_csr.involved);
-            prop_assert_eq!(
-                on_live.conflict_graph.sorted_edges(),
-                on_csr.conflict_graph.sorted_edges()
-            );
+            prop_assert_eq!(on_live.conflict_graph, on_csr.conflict_graph);
         }
     }
 
@@ -914,9 +879,9 @@ mod tests {
                 // Phase radius from the heaviest edge already *in* the
                 // spanner — the next chunk's edges are all heavier.
                 let radius = delta * w_prev;
-                engine.prepare(&spanner, radius, ClusterCover::greedy_with_candidates);
+                engine.prepare(&spanner, radius, Level::greedy_with_candidates);
                 prop_assert!(
-                    engine.cover().is_valid_cover(&spanner),
+                    engine.level().is_valid_cover(&spanner, engine.level_radius),
                     "cover invalid at radius {radius} with {} spanner edges",
                     spanner.edge_count()
                 );
@@ -929,8 +894,8 @@ mod tests {
                 processed = next;
             }
             // Final check after all additions.
-            engine.prepare(&spanner, delta * w_prev, ClusterCover::greedy_with_candidates);
-            prop_assert!(engine.cover().is_valid_cover(&spanner));
+            engine.prepare(&spanner, delta * w_prev, Level::greedy_with_candidates);
+            prop_assert!(engine.level().is_valid_cover(&spanner, engine.level_radius));
         }
     }
 }

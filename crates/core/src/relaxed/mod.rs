@@ -55,7 +55,6 @@ mod query;
 mod redundant;
 
 pub use bins::BinPartition;
-pub use cover::ClusterCover;
 pub use query::{is_covered, select_query_edges, QuerySelection};
 pub use redundant::{
     analyze_redundancy_contracted, redundant_removals, removals_from_mis, RedundancyAnalysis,
@@ -65,12 +64,13 @@ use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::seq_greedy::seq_greedy;
 use crate::weighting::EdgeWeighting;
+pub(crate) use cover::Level;
 use hierarchy::{PhaseEngine, PhaseInput};
 use serde::Serialize;
 use std::fmt;
 use std::time::Instant;
 use tc_geometry::PointAccess;
-use tc_graph::{components, mis, par, Edge, NodeId, NodeOrder, WeightedGraph};
+use tc_graph::{components, mis, par, CsrGraph, Edge, NodeId, NodeOrder, WeightedGraph};
 use tc_ubg::UnitBallGraph;
 
 /// The `points` slice handed to a construction does not have one point per
@@ -212,13 +212,13 @@ pub(crate) trait PhaseRules {
         radius: f64,
         prev: &[bool],
         order: &NodeOrder,
-    ) -> ClusterCover {
-        ClusterCover::greedy_with_candidates(graph, radius, prev, order)
+    ) -> Level {
+        Level::greedy_with_candidates(graph, radius, prev, order)
     }
 
     /// Step (v): a maximal independent set of a non-trivial conflict
     /// graph of mutually redundant edges.
-    fn conflict_mis(&mut self, conflict_graph: &WeightedGraph) -> Vec<NodeId> {
+    fn conflict_mis(&mut self, conflict_graph: &CsrGraph) -> Vec<NodeId> {
         mis::greedy_mis(conflict_graph)
     }
 

@@ -11,8 +11,9 @@
 //! (i)), but both must meet the paper's guarantees.
 
 use super::cluster_graph::build_cluster_graph;
+use super::cover::Level;
 use super::redundant::sequential_redundant_removals;
-use super::{select_query_edges, BinPartition, ClusterCover, RelaxedGreedy};
+use super::{select_query_edges, BinPartition, RelaxedGreedy};
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::weighting::EdgeWeighting;
@@ -39,17 +40,16 @@ pub(crate) fn per_phase_rescan(ubg: &UnitBallGraph, params: SpannerParams) -> We
             continue;
         }
         let w_prev = bins.upper(bin_index - 1);
-        let cover = ClusterCover::greedy(&spanner, params.delta * w_prev);
-        let (_, contraction) = cover.clone().into_contraction(&spanner, &order);
+        let level = Level::greedy(&spanner, params.delta * w_prev);
         let selection = select_query_edges(
             points,
             &params,
             &spanner,
-            &contraction,
+            &level.contraction,
             bin_edges,
             &AblationConfig::full(),
         );
-        let (h, _) = build_cluster_graph(&spanner, &cover, w_prev, params.delta);
+        let (h, _) = build_cluster_graph(&spanner, &level, w_prev, params.delta);
         let added: Vec<Edge> = selection
             .query_edges
             .into_iter()

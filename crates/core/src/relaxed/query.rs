@@ -279,16 +279,13 @@ pub fn select_query_edges<P: PointAccess + Sync + ?Sized>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cover::ClusterCover;
+    use super::super::cover::Level;
     use super::*;
     use tc_geometry::Point;
-    use tc_graph::NodeOrder;
 
     /// The contraction of the greedy cover of `spanner` at `radius`.
     fn greedy_level(spanner: &WeightedGraph, radius: f64) -> Contraction {
-        ClusterCover::greedy(spanner, radius)
-            .into_contraction(spanner, &NodeOrder::identity(spanner.node_count()))
-            .1
+        Level::greedy(spanner, radius).contraction
     }
 
     fn params() -> SpannerParams {

@@ -19,15 +19,17 @@
 use std::sync::OnceLock;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
 use tc_graph::par::{self, ClaimQueue, Worker};
-use tc_graph::{Contraction, Edge, GraphView, NodeId, WeightedGraph};
+#[cfg(test)]
+use tc_graph::WeightedGraph;
+use tc_graph::{Contraction, CsrGraph, Edge, GraphView, NodeId};
 
 /// The conflict structure among the edges added in one phase.
 #[derive(Debug, Clone)]
 pub struct RedundancyAnalysis {
     /// Conflict graph `J`: one vertex per added edge (same indexing as the
     /// `added` slice passed to [`analyze_redundancy_contracted`]), one
-    /// edge per mutually redundant pair.
-    pub conflict_graph: WeightedGraph,
+    /// edge per mutually redundant pair, each of unit weight.
+    pub conflict_graph: CsrGraph,
     /// Indices (into the added-edge slice) of edges involved in at least
     /// one mutually redundant pair.
     pub involved: Vec<usize>,
@@ -38,6 +40,23 @@ impl RedundancyAnalysis {
     pub fn is_trivial(&self) -> bool {
         self.conflict_graph.is_edgeless()
     }
+
+    /// The analysis of `added` edges whose mutually redundant pairs are
+    /// `pairs`, sorted and without repeats.
+    fn from_pairs(added: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut involved = vec![false; added];
+        for &(i, j) in pairs {
+            involved[i as usize] = true;
+            involved[j as usize] = true;
+        }
+        let edges = pairs
+            .iter()
+            .map(|&(i, j)| Edge::new(i as NodeId, j as NodeId, 1.0));
+        Self {
+            conflict_graph: CsrGraph::from_edges(added, edges),
+            involved: (0..added).filter(|&i| involved[i]).collect(),
+        }
+    }
 }
 
 /// Finds all mutually redundant pairs among `added` (the edges added in the
@@ -46,12 +65,8 @@ impl RedundancyAnalysis {
 #[cfg(test)]
 pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> RedundancyAnalysis {
     assert!(t1 > 1.0, "t1 must exceed 1");
-    let conflict_graph = WeightedGraph::new(added.len());
     if added.len() < 2 {
-        return RedundancyAnalysis {
-            conflict_graph,
-            involved: Vec::new(),
-        };
+        return RedundancyAnalysis::from_pairs(added.len(), &[]);
     }
     // Distances in H from every endpoint of an added edge, bounded by the
     // largest value any redundancy condition can need. Only
@@ -86,7 +101,7 @@ pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> Redunda
     let sp = |x: NodeId, y: NodeId| -> f64 {
         dmat[endpoint_index[x] as usize * k + endpoint_index[y] as usize]
     };
-    conflict_pairs(added, t1, sp, conflict_graph)
+    conflict_pairs(added, t1, sp)
 }
 
 /// The largest `H`-distance any single leg of a qualifying redundancy
@@ -206,10 +221,7 @@ pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
     t1: f64,
 ) -> RedundancyAnalysis {
     let slots = RedundancySlots::default();
-    let trivial = || RedundancyAnalysis {
-        conflict_graph: WeightedGraph::new(added.len()),
-        involved: Vec::new(),
-    };
+    let trivial = || RedundancyAnalysis::from_pairs(added.len(), &[]);
     par::region(
         &mut [(BucketScratch::new(), Vec::new())],
         |w, (search, index)| {
@@ -254,12 +266,10 @@ pub(crate) fn analyze_in<G: GraphView + Sync>(
     t1: f64,
 ) -> Option<RedundancyAnalysis> {
     assert!(t1 > 1.0, "t1 must exceed 1");
-    let mut conflict_graph = WeightedGraph::new(added.len());
     if added.len() < 2 {
-        return w.is_caller().then(|| RedundancyAnalysis {
-            conflict_graph,
-            involved: Vec::new(),
-        });
+        return w
+            .is_caller()
+            .then(|| RedundancyAnalysis::from_pairs(added.len(), &[]));
     }
     w.serial(|| {
         let index = std::mem::take(endpoint_index);
@@ -329,22 +339,8 @@ pub(crate) fn analyze_in<G: GraphView + Sync>(
     if !w.is_caller() {
         return None;
     }
-    let mut involved = vec![false; added.len()];
-    for (i, j) in conflicts.into_iter().flatten() {
-        let (i, j) = (i as usize, j as usize);
-        conflict_graph.add_edge(i, j, 1.0);
-        involved[i] = true;
-        involved[j] = true;
-    }
-    Some(RedundancyAnalysis {
-        conflict_graph,
-        involved: involved
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x)
-            .map(|(i, _)| i)
-            .collect(),
-    })
+    let pairs: Vec<(u32, u32)> = conflicts.into_iter().flatten().collect();
+    Some(RedundancyAnalysis::from_pairs(added.len(), &pairs))
 }
 
 /// The added edges (by index) at each endpoint supernode (by endpoint
@@ -420,27 +416,16 @@ fn conflict_pairs(
     added: &[Edge],
     t1: f64,
     sp: impl Fn(NodeId, NodeId) -> f64,
-    mut conflict_graph: WeightedGraph,
 ) -> RedundancyAnalysis {
-    let mut involved = vec![false; added.len()];
+    let mut pairs = Vec::new();
     for i in 0..added.len() {
         for j in (i + 1)..added.len() {
             if mutually_redundant(added[i], added[j], t1, &sp) {
-                conflict_graph.add_edge(i, j, 1.0);
-                involved[i] = true;
-                involved[j] = true;
+                pairs.push((i as u32, j as u32));
             }
         }
     }
-    RedundancyAnalysis {
-        conflict_graph,
-        involved: involved
-            .iter()
-            .enumerate()
-            .filter(|(_, &x)| x)
-            .map(|(i, _)| i)
-            .collect(),
-    }
+    RedundancyAnalysis::from_pairs(added.len(), &pairs)
 }
 
 /// Given a maximal independent set of the conflict graph (indices into the
@@ -471,7 +456,7 @@ pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64)
 /// asks for no MIS.
 pub fn redundant_removals(
     analysis: &RedundancyAnalysis,
-    choose_mis: impl FnOnce(&WeightedGraph) -> Vec<NodeId>,
+    choose_mis: impl FnOnce(&CsrGraph) -> Vec<NodeId>,
 ) -> Vec<usize> {
     if analysis.is_trivial() {
         return Vec::new();
@@ -601,10 +586,7 @@ mod tests {
         let oracle = analyze_redundancy(added, h, t1);
         let contracted = analyze_redundancy_contracted(added, &c, c.quotient(), &config, t1);
         assert_eq!(oracle.involved, contracted.involved);
-        assert_eq!(
-            oracle.conflict_graph.sorted_edges(),
-            contracted.conflict_graph.sorted_edges()
-        );
+        assert_eq!(oracle.conflict_graph, contracted.conflict_graph);
         assert_eq!(
             sequential_redundant_removals(added, h, t1),
             redundant_removals(&contracted, mis::greedy_mis)

@@ -7,7 +7,8 @@
 //! the paper's phases issue:
 //!
 //! * **radius-bounded sweeps** — cluster covers grow to `δ·W_{i-1}`
-//!   ([`BucketScratch::distances_bounded`]);
+//!   ([`BucketScratch::for_each_within`], which visits only the nodes it
+//!   reaches);
 //! * **budgeted point queries** — spanner-path tests `sp(u,v) ≤ t·|uv|`
 //!   ([`BucketScratch::shortest_path_within`], which stops as soon as the
 //!   target settles);
@@ -130,7 +131,8 @@ impl BucketConfig {
 /// g.add_edge(1, 2, 2.0);
 /// let cfg = BucketConfig::for_graph(&g);
 /// let mut scratch = BucketScratch::new();
-/// let fast = scratch.distances_bounded(&g, 0, f64::INFINITY, &cfg);
+/// let mut fast = vec![None; 4];
+/// scratch.for_each_within(&g, 0, f64::INFINITY, &cfg, |v, d| fast[v] = Some(d));
 /// // Bitwise identical to the binary-heap oracle.
 /// assert_eq!(fast, dijkstra::shortest_path_distances(&g, 0));
 /// ```
@@ -158,29 +160,6 @@ impl BucketScratch {
     /// Creates an empty scratch; arrays are allocated lazily on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Radius-bounded single-source distances, bitwise identical to
-    /// [`crate::dijkstra::shortest_path_distances_bounded`]. Nodes beyond
-    /// `radius` (or unreachable) are `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range.
-    pub fn distances_bounded<G: GraphView>(
-        &mut self,
-        graph: &G,
-        source: NodeId,
-        radius: f64,
-        config: &BucketConfig,
-    ) -> Vec<Option<f64>> {
-        self.run(graph, source, radius, config, &mut []);
-        let out = self.dist[..graph.node_count()]
-            .iter()
-            .map(|&d| if d.is_finite() { Some(d) } else { None })
-            .collect();
-        self.reset();
-        out
     }
 
     /// Distances from `source` to each node of `targets`, with
@@ -221,11 +200,10 @@ impl BucketScratch {
     /// is called once for every node `v` with `sp(source, v) ≤ radius`,
     /// including the source itself (at distance `0.0`).
     ///
-    /// This is the million-node counterpart of
-    /// [`Self::distances_bounded`]: the cost is `O(nodes actually
-    /// reached)`, so a sweep over all `n` sources of a bounded-radius
-    /// cover stays near-linear instead of `O(n²)`. Every visited distance
-    /// is bitwise identical to the heap oracle's.
+    /// The cost is `O(nodes actually reached)`, so a sweep over all `n`
+    /// sources of a bounded-radius cover stays near-linear instead of
+    /// `O(n²)`. Every visited distance is bitwise identical to
+    /// [`crate::dijkstra::shortest_path_distances_bounded`]'s.
     ///
     /// The visit order is unspecified (it follows the internal touched
     /// list); callers that need a canonical order must collect and sort.
@@ -400,6 +378,23 @@ mod tests {
         g
     }
 
+    /// The sweep of [`BucketScratch::for_each_within`] as a dense vector:
+    /// entry `v` is `Some(d)` when the sweep visited `v` at distance `d`.
+    fn within<G: GraphView>(
+        scratch: &mut BucketScratch,
+        graph: &G,
+        source: NodeId,
+        radius: f64,
+        cfg: &BucketConfig,
+    ) -> Vec<Option<f64>> {
+        let mut dense = vec![None; graph.node_count()];
+        scratch.for_each_within(graph, source, radius, cfg, |v, d| {
+            assert!(dense[v].is_none(), "node {v} visited twice");
+            dense[v] = Some(d);
+        });
+        dense
+    }
+
     fn assert_bitwise_equal(a: &[Option<f64>], b: &[Option<f64>]) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
@@ -418,7 +413,7 @@ mod tests {
         let g = path_graph(6);
         let cfg = BucketConfig::for_graph(&g);
         assert_bitwise_equal(
-            &BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg),
+            &within(&mut BucketScratch::new(), &g, 0, f64::INFINITY, &cfg),
             &dijkstra::shortest_path_distances(&g, 0),
         );
     }
@@ -427,7 +422,7 @@ mod tests {
     fn bounded_search_cuts_off_at_radius() {
         let g = path_graph(6);
         let cfg = BucketConfig::for_graph(&g);
-        let d = BucketScratch::new().distances_bounded(&g, 0, 2.5, &cfg);
+        let d = within(&mut BucketScratch::new(), &g, 0, 2.5, &cfg);
         assert_eq!(d[2], Some(2.0));
         assert_eq!(d[3], None);
     }
@@ -457,7 +452,7 @@ mod tests {
         let cfg = BucketConfig::for_graph(&g);
         let mut scratch = BucketScratch::new();
         for source in 0..8 {
-            let fast = scratch.distances_bounded(&g, source, f64::INFINITY, &cfg);
+            let fast = within(&mut scratch, &g, source, f64::INFINITY, &cfg);
             assert_bitwise_equal(&fast, &dijkstra::shortest_path_distances(&g, source));
         }
     }
@@ -469,35 +464,25 @@ mod tests {
         let mut scratch = BucketScratch::new();
         let cfg_small = BucketConfig::for_graph(&small);
         let cfg_big = BucketConfig::for_graph(&big);
-        let a = scratch.distances_bounded(&big, 0, f64::INFINITY, &cfg_big);
+        let a = within(&mut scratch, &big, 0, f64::INFINITY, &cfg_big);
         assert_eq!(a.len(), 40);
-        let b = scratch.distances_bounded(&small, 2, f64::INFINITY, &cfg_small);
+        let b = within(&mut scratch, &small, 2, f64::INFINITY, &cfg_small);
         assert_eq!(b, vec![Some(2.0), Some(1.0), Some(0.0)]);
-        let c = scratch.distances_bounded(&big, 39, f64::INFINITY, &cfg_big);
+        let c = within(&mut scratch, &big, 39, f64::INFINITY, &cfg_big);
         assert_bitwise_equal(&c, &dijkstra::shortest_path_distances(&big, 39));
     }
 
     #[test]
-    fn visitor_sweep_matches_distances_bounded() {
+    fn visitor_sweep_matches_the_bounded_oracle() {
         let g = path_graph(10);
         let cfg = BucketConfig::for_graph(&g);
         let mut scratch = BucketScratch::new();
         for source in 0..10 {
             for radius in [0.0, 1.5, 3.0, f64::INFINITY] {
-                let dense = scratch.distances_bounded(&g, source, radius, &cfg);
-                let mut visited: Vec<(usize, f64)> = Vec::new();
-                scratch.for_each_within(&g, source, radius, &cfg, |v, d| visited.push((v, d)));
-                visited.sort_by_key(|&(v, _)| v);
-                let expected: Vec<(usize, f64)> = dense
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(v, d)| d.map(|d| (v, d)))
-                    .collect();
-                assert_eq!(visited.len(), expected.len());
-                for ((va, da), (vb, db)) in visited.iter().zip(expected.iter()) {
-                    assert_eq!(va, vb);
-                    assert_eq!(da.to_bits(), db.to_bits());
-                }
+                assert_bitwise_equal(
+                    &within(&mut scratch, &g, source, radius, &cfg),
+                    &dijkstra::shortest_path_distances_bounded(&g, source, radius),
+                );
             }
         }
     }
@@ -511,7 +496,7 @@ mod tests {
         scratch.for_each_within(&g, 0, 2.0, &cfg, |_, _| count += 1);
         assert_eq!(count, 3); // nodes 0, 1, 2
                               // A dense query on the same scratch still matches the oracle.
-        let after = scratch.distances_bounded(&g, 3, f64::INFINITY, &cfg);
+        let after = within(&mut scratch, &g, 3, f64::INFINITY, &cfg);
         assert_bitwise_equal(&after, &dijkstra::shortest_path_distances(&g, 3));
     }
 
@@ -548,7 +533,7 @@ mod tests {
         g.add_edge(3, 4, 0.0);
         let cfg = BucketConfig::for_graph(&g);
         assert_bitwise_equal(
-            &BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg),
+            &within(&mut BucketScratch::new(), &g, 0, f64::INFINITY, &cfg),
             &dijkstra::shortest_path_distances(&g, 0),
         );
     }
@@ -560,7 +545,7 @@ mod tests {
         g.add_edge(1, 2, 0.0);
         g.add_edge(2, 0, 0.0);
         let cfg = BucketConfig::for_graph(&g);
-        let d = BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg);
+        let d = within(&mut BucketScratch::new(), &g, 0, f64::INFINITY, &cfg);
         assert_eq!(d, vec![Some(0.0), Some(0.0), Some(0.0), None]);
     }
 
@@ -573,7 +558,7 @@ mod tests {
         let cfg = BucketConfig::for_graph(&g);
         assert!(cfg.slots <= MAX_SPAN + 3);
         assert_bitwise_equal(
-            &BucketScratch::new().distances_bounded(&g, 0, f64::INFINITY, &cfg),
+            &within(&mut BucketScratch::new(), &g, 0, f64::INFINITY, &cfg),
             &dijkstra::shortest_path_distances(&g, 0),
         );
     }
@@ -583,7 +568,7 @@ mod tests {
     fn source_out_of_range_panics() {
         let g = path_graph(2);
         let cfg = BucketConfig::for_graph(&g);
-        let _ = BucketScratch::new().distances_bounded(&g, 5, f64::INFINITY, &cfg);
+        let _ = within(&mut BucketScratch::new(), &g, 5, f64::INFINITY, &cfg);
     }
 
     fn random_graph(seed: u64, n: usize, p: f64, zero_weight_p: f64) -> WeightedGraph {
@@ -622,7 +607,7 @@ mod tests {
             let cfg = BucketConfig::for_graph(&csr);
             let mut scratch = BucketScratch::new();
             for s in 0..n {
-                let fast = scratch.distances_bounded(&csr, s, f64::INFINITY, &cfg);
+                let fast = within(&mut scratch, &csr, s, f64::INFINITY, &cfg);
                 let oracle = dijkstra::shortest_path_distances(&g, s);
                 for (i, (a, b)) in fast.iter().zip(oracle.iter()).enumerate() {
                     match (a, b) {
@@ -646,7 +631,7 @@ mod tests {
             let g = random_graph(seed, n, 0.25, 0.05);
             let cfg = BucketConfig::for_graph(&g);
             let mut scratch = BucketScratch::new();
-            let fast = scratch.distances_bounded(&g, 0, radius, &cfg);
+            let fast = within(&mut scratch, &g, 0, radius, &cfg);
             let oracle = dijkstra::shortest_path_distances_bounded(&g, 0, radius);
             for (a, b) in fast.iter().zip(oracle.iter()) {
                 match (a, b) {

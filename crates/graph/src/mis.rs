@@ -5,9 +5,11 @@
 //! edges. The distributed MIS lives in `tc-simnet`; this module provides
 //! the sequential reference implementations that the distributed versions
 //! and the sequential relaxed-greedy algorithm use, plus a validity
-//! checker shared by tests.
+//! checker shared by tests. Every graph an MIS runs on is built once and
+//! only read, so all of them take a [`CsrGraph`] and read its rows in
+//! place.
 
-use crate::{NodeId, WeightedGraph};
+use crate::{CsrGraph, NodeId};
 
 /// Greedy MIS scanning nodes in the given priority order (first-come,
 /// first-served). With the natural order `0..n` this is the classical
@@ -16,7 +18,7 @@ use crate::{NodeId, WeightedGraph};
 /// to cluster centres.
 ///
 /// Returns the chosen nodes in ascending order.
-pub fn greedy_mis_with_order(graph: &WeightedGraph, order: &[NodeId]) -> Vec<NodeId> {
+pub fn greedy_mis_with_order(graph: &CsrGraph, order: &[NodeId]) -> Vec<NodeId> {
     assert_eq!(
         order.len(),
         graph.node_count(),
@@ -28,9 +30,9 @@ pub fn greedy_mis_with_order(graph: &WeightedGraph, order: &[NodeId]) -> Vec<Nod
             continue;
         }
         state[u] = 1;
-        for &(v, _) in graph.neighbors(u) {
-            if state[v] == 0 {
-                state[v] = 2;
+        for &v in graph.neighbor_ids(u) {
+            if state[v as usize] == 0 {
+                state[v as usize] = 2;
             }
         }
     }
@@ -38,13 +40,13 @@ pub fn greedy_mis_with_order(graph: &WeightedGraph, order: &[NodeId]) -> Vec<Nod
 }
 
 /// Greedy MIS in natural node order.
-pub fn greedy_mis(graph: &WeightedGraph) -> Vec<NodeId> {
+pub fn greedy_mis(graph: &CsrGraph) -> Vec<NodeId> {
     let order: Vec<NodeId> = (0..graph.node_count()).collect();
     greedy_mis_with_order(graph, &order)
 }
 
 /// Checks that `set` is an independent set of `graph`.
-pub fn is_independent_set(graph: &WeightedGraph, set: &[NodeId]) -> bool {
+pub fn is_independent_set(graph: &CsrGraph, set: &[NodeId]) -> bool {
     for (i, &u) in set.iter().enumerate() {
         for &v in &set[i + 1..] {
             if graph.has_edge(u, v) {
@@ -57,10 +59,7 @@ pub fn is_independent_set(graph: &WeightedGraph, set: &[NodeId]) -> bool {
 
 /// Checks that `set` is a *maximal* independent set of `graph`: independent
 /// and such that every node outside the set has a neighbour inside it.
-pub fn is_maximal_independent_set(graph: &WeightedGraph, set: &[NodeId]) -> bool {
-    if !is_independent_set(graph, set) {
-        return false;
-    }
+pub fn is_maximal_independent_set(graph: &CsrGraph, set: &[NodeId]) -> bool {
     let mut in_set = vec![false; graph.node_count()];
     for &u in set {
         if u >= graph.node_count() {
@@ -68,21 +67,28 @@ pub fn is_maximal_independent_set(graph: &WeightedGraph, set: &[NodeId]) -> bool
         }
         in_set[u] = true;
     }
-    (0..graph.node_count()).all(|v| in_set[v] || graph.neighbors(v).iter().any(|&(u, _)| in_set[u]))
+    if !is_independent_set(graph, set) {
+        return false;
+    }
+    (0..graph.node_count())
+        .all(|v| in_set[v] || graph.neighbor_ids(v).iter().any(|&u| in_set[u as usize]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Edge;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
+    /// The unit-weight graph on `n` nodes with the given edges.
+    fn graph(n: usize, edges: &[(NodeId, NodeId)]) -> CsrGraph {
+        CsrGraph::from_edges(n, edges.iter().map(|&(u, v)| Edge::new(u, v, 1.0)))
+    }
+
     #[test]
     fn mis_of_a_path_alternates() {
-        let mut g = WeightedGraph::new(5);
-        for i in 0..4 {
-            g.add_edge(i, i + 1, 1.0);
-        }
+        let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let mis = greedy_mis(&g);
         assert_eq!(mis, vec![0, 2, 4]);
         assert!(is_maximal_independent_set(&g, &mis));
@@ -90,12 +96,7 @@ mod tests {
 
     #[test]
     fn mis_of_a_clique_is_a_single_node() {
-        let mut g = WeightedGraph::new(4);
-        for u in 0..4 {
-            for v in (u + 1)..4 {
-                g.add_edge(u, v, 1.0);
-            }
-        }
+        let g = graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let mis = greedy_mis(&g);
         assert_eq!(mis.len(), 1);
         assert!(is_maximal_independent_set(&g, &mis));
@@ -103,9 +104,7 @@ mod tests {
 
     #[test]
     fn order_changes_the_chosen_set() {
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
+        let g = graph(3, &[(0, 1), (1, 2)]);
         let natural = greedy_mis(&g);
         let reversed = greedy_mis_with_order(&g, &[2, 1, 0]);
         assert_eq!(natural, vec![0, 2]);
@@ -117,8 +116,7 @@ mod tests {
 
     #[test]
     fn validity_checkers_reject_bad_sets() {
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(0, 1, 1.0);
+        let g = graph(3, &[(0, 1)]);
         assert!(!is_independent_set(&g, &[0, 1]));
         // {0} is independent but not maximal because 2 has no neighbour in it.
         assert!(is_independent_set(&g, &[0]));
@@ -126,18 +124,19 @@ mod tests {
         assert!(is_maximal_independent_set(&g, &[0, 2]));
         // Out-of-range member is rejected rather than panicking.
         assert!(!is_maximal_independent_set(&g, &[7]));
+        assert!(!is_maximal_independent_set(&g, &[7, 0]));
     }
 
     #[test]
     fn empty_graph_mis_is_all_nodes() {
-        let g = WeightedGraph::new(4);
+        let g = CsrGraph::new(4);
         assert_eq!(greedy_mis(&g), vec![0, 1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "every node")]
     fn order_must_cover_all_nodes() {
-        let g = WeightedGraph::new(3);
+        let g = CsrGraph::new(3);
         let _ = greedy_mis_with_order(&g, &[0, 1]);
     }
 
@@ -146,14 +145,15 @@ mod tests {
         #[test]
         fn greedy_mis_is_always_maximal_independent(seed in 0u64..1000, n in 1usize..40, p in 0.0f64..0.8) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut g = WeightedGraph::new(n);
+            let mut edges = Vec::new();
             for u in 0..n {
                 for v in (u + 1)..n {
                     if rng.gen_bool(p) {
-                        g.add_edge(u, v, 1.0);
+                        edges.push((u, v));
                     }
                 }
             }
+            let g = graph(n, &edges);
             let mis = greedy_mis(&g);
             prop_assert!(is_maximal_independent_set(&g, &mis));
         }

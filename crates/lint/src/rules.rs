@@ -378,7 +378,7 @@ fn locality(ws: &WorkspaceCtx<'_>, out: &mut Vec<Finding>) {
                 format!(
                     "`{}` is a global graph API; the distributed/relaxed phases \
                      must stay within bounded-hop neighborhoods — use \
-                     distances_bounded / distances_to_targets / \
+                     for_each_within / distances_to_targets / \
                      shortest_path_within / GridIndex queries, or justify with \
                      `// tc-lint: allow(locality)`",
                     site.callee

@@ -30,11 +30,10 @@
 //! # Example: flooding a token
 //!
 //! ```
-//! use tc_graph::WeightedGraph;
+//! use tc_graph::{CsrGraph, Edge};
 //! use tc_simnet::{StepResult, SyncNetwork};
 //!
-//! let mut g = WeightedGraph::new(4);
-//! for i in 0..3 { g.add_edge(i, i + 1, 1.0); }
+//! let g = CsrGraph::from_edges(4, (0..3).map(|i| Edge::new(i, i + 1, 1.0)));
 //! let mut net = SyncNetwork::new(&g);
 //! // State: whether the node has seen the token yet.
 //! let states = net.run(
@@ -43,7 +42,7 @@
 //!         let newly = !*seen && !inbox.is_empty();
 //!         if newly || (ctx.round() == 0 && *seen) {
 //!             *seen = true;
-//!             StepResult::broadcast(ctx.neighbors().to_vec(), ()).halt()
+//!             StepResult::broadcast(ctx.neighbors(), ()).halt()
 //!         } else {
 //!             StepResult::idle().halt()
 //!         }

@@ -23,7 +23,7 @@ use crate::{CommStats, StepResult, SyncNetwork};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
-use tc_graph::{NodeId, WeightedGraph};
+use tc_graph::{CsrGraph, NodeId};
 
 /// The outcome of a distributed MIS execution.
 #[derive(Debug, Clone)]
@@ -66,7 +66,7 @@ enum RankMsg {
 ///
 /// With `ranks = None` the node identifier itself is the rank, matching the
 /// paper's "highest identifier" convention.
-pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u32]>) -> MisResult {
+pub fn rank_mis(graph: &CsrGraph, ranks: Option<&[u32]>) -> MisResult {
     let n = graph.node_count();
     if n == 0 {
         return MisResult {
@@ -113,18 +113,18 @@ pub fn rank_mis(graph: &WeightedGraph, ranks: Option<&[u32]>) -> MisResult {
             }
             if round == 0 {
                 // Advertise the rank; decisions start next round.
-                return StepResult::broadcast(ctx.neighbors().to_vec(), RankMsg::Rank(state.rank));
+                return StepResult::broadcast(ctx.neighbors(), RankMsg::Rank(state.rank));
             }
             if neighbour_joined {
                 state.status = Status::Blocked;
                 state.decided_round = round;
-                return StepResult::broadcast(ctx.neighbors().to_vec(), RankMsg::Blocked).halt();
+                return StepResult::broadcast(ctx.neighbors(), RankMsg::Blocked).halt();
             }
             let dominated = state.undecided.iter().any(|&(_, r)| r > state.rank);
             if !dominated {
                 state.status = Status::InMis;
                 state.decided_round = round;
-                StepResult::broadcast(ctx.neighbors().to_vec(), RankMsg::Joined).halt()
+                StepResult::broadcast(ctx.neighbors(), RankMsg::Joined).halt()
             } else {
                 StepResult::idle()
             }
@@ -172,7 +172,7 @@ enum LubyMsg {
 /// identifier is the node index; a caller running the protocol on
 /// renumbered nodes passes their original identifiers and gets the same
 /// set, renumbered.
-pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisResult {
+pub fn luby_mis(graph: &CsrGraph, seed: u64, ids: Option<&[u32]>) -> MisResult {
     let n = graph.node_count();
     if n == 0 {
         return MisResult {
@@ -189,7 +189,7 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisRes
         .map(|v| LubyState {
             status: Status::Undecided,
             value: 0,
-            undecided: graph.neighbors(v).iter().map(|&(u, _)| u).collect(),
+            undecided: graph.neighbor_ids(v).iter().map(|&u| u as NodeId).collect(),
             values_seen: Vec::new(),
             rng: ChaCha8Rng::seed_from_u64(seed ^ id(v).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             phase_decided: 0,
@@ -224,27 +224,25 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisRes
                     // harmless.
                     state.value = state.rng.gen();
                     state.values_seen.clear();
-                    let targets: Vec<NodeId> = ctx
+                    let targets: Vec<u32> = ctx
                         .neighbors()
                         .iter()
                         .copied()
-                        .filter(|v| state.undecided.contains(v))
+                        .filter(|&v| state.undecided.contains(&(v as NodeId)))
                         .collect();
                     if targets.is_empty() {
                         // Isolated (or fully decided neighbourhood): join.
                         state.status = Status::InMis;
                         state.phase_decided = phase + 1;
-                        return StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Joined)
-                            .halt();
+                        return StepResult::broadcast(ctx.neighbors(), LubyMsg::Joined).halt();
                     }
-                    StepResult::broadcast(targets, LubyMsg::Value(state.value))
+                    StepResult::broadcast(&targets, LubyMsg::Value(state.value))
                 }
                 1 => {
                     if neighbour_joined {
                         state.status = Status::Blocked;
                         state.phase_decided = phase + 1;
-                        return StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Blocked)
-                            .halt();
+                        return StepResult::broadcast(ctx.neighbors(), LubyMsg::Blocked).halt();
                     }
                     let me = (state.value, id(node));
                     let dominated = state
@@ -254,7 +252,7 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisRes
                     if !dominated {
                         state.status = Status::InMis;
                         state.phase_decided = phase + 1;
-                        StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Joined).halt()
+                        StepResult::broadcast(ctx.neighbors(), LubyMsg::Joined).halt()
                     } else {
                         StepResult::idle()
                     }
@@ -263,8 +261,7 @@ pub fn luby_mis(graph: &WeightedGraph, seed: u64, ids: Option<&[u32]>) -> MisRes
                     if neighbour_joined {
                         state.status = Status::Blocked;
                         state.phase_decided = phase + 1;
-                        return StepResult::broadcast(ctx.neighbors().to_vec(), LubyMsg::Blocked)
-                            .halt();
+                        return StepResult::broadcast(ctx.neighbors(), LubyMsg::Blocked).halt();
                     }
                     StepResult::idle()
                 }
@@ -292,26 +289,29 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
     use tc_graph::mis::is_maximal_independent_set;
+    use tc_graph::Edge;
 
-    fn random_graph(seed: u64, n: usize, p: f64) -> WeightedGraph {
+    /// The unit-weight graph on `n` nodes with the given edges.
+    fn graph(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> CsrGraph {
+        CsrGraph::from_edges(n, edges.into_iter().map(|(u, v)| Edge::new(u, v, 1.0)))
+    }
+
+    fn random_graph(seed: u64, n: usize, p: f64) -> CsrGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut g = WeightedGraph::new(n);
+        let mut edges = Vec::new();
         for u in 0..n {
             for v in (u + 1)..n {
                 if rng.gen_bool(p) {
-                    g.add_edge(u, v, 1.0);
+                    edges.push((u, v));
                 }
             }
         }
-        g
+        graph(n, edges)
     }
 
     #[test]
     fn rank_mis_on_a_path_is_valid() {
-        let mut g = WeightedGraph::new(6);
-        for i in 0..5 {
-            g.add_edge(i, i + 1, 1.0);
-        }
+        let g = graph(6, (0..5).map(|i| (i, i + 1)));
         let result = rank_mis(&g, None);
         assert!(is_maximal_independent_set(&g, &result.mis));
         assert!(result.stats.rounds > 0);
@@ -320,9 +320,7 @@ mod tests {
 
     #[test]
     fn rank_mis_with_identifier_ranks_prefers_high_ids() {
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
+        let g = graph(3, [(0, 1), (1, 2)]);
         let result = rank_mis(&g, None);
         // Node 2 has the highest id and must be chosen; node 0 is then free.
         assert_eq!(result.mis, vec![0, 2]);
@@ -330,9 +328,7 @@ mod tests {
 
     #[test]
     fn rank_mis_with_custom_ranks() {
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 2, 1.0);
+        let g = graph(3, [(0, 1), (1, 2)]);
         let result = rank_mis(&g, Some(&[1, 10, 1]));
         assert_eq!(result.mis, vec![1]);
         assert!(is_maximal_independent_set(&g, &result.mis));
@@ -340,21 +336,16 @@ mod tests {
 
     #[test]
     fn rank_mis_on_empty_and_edgeless_graphs() {
-        let empty = WeightedGraph::new(0);
+        let empty = CsrGraph::new(0);
         assert!(rank_mis(&empty, None).mis.is_empty());
-        let edgeless = WeightedGraph::new(4);
+        let edgeless = CsrGraph::new(4);
         let result = rank_mis(&edgeless, None);
         assert_eq!(result.mis, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn luby_mis_on_a_clique_picks_exactly_one() {
-        let mut g = WeightedGraph::new(8);
-        for u in 0..8 {
-            for v in (u + 1)..8 {
-                g.add_edge(u, v, 1.0);
-            }
-        }
+        let g = graph(8, (0..8).flat_map(|u| ((u + 1)..8).map(move |v| (u, v))));
         let result = luby_mis(&g, 99, None);
         assert_eq!(result.mis.len(), 1);
         assert!(is_maximal_independent_set(&g, &result.mis));
@@ -363,7 +354,7 @@ mod tests {
 
     #[test]
     fn luby_mis_on_empty_graph() {
-        let g = WeightedGraph::new(0);
+        let g = CsrGraph::new(0);
         let result = luby_mis(&g, 1, None);
         assert!(result.mis.is_empty());
         assert_eq!(result.stats.rounds, 0);

@@ -1,7 +1,7 @@
 //! The synchronous message-passing executor.
 
 use crate::CommStats;
-use tc_graph::{NodeId, WeightedGraph};
+use tc_graph::{CsrGraph, NodeId};
 
 /// What a node does in one round: messages to send (each addressed to a
 /// *neighbour*) and whether the node is now passive.
@@ -41,10 +41,14 @@ impl<M> StepResult<M> {
 }
 
 impl<M: Clone> StepResult<M> {
-    /// Sends a copy of `message` to every node in `targets`.
-    pub fn broadcast(targets: Vec<NodeId>, message: M) -> Self {
+    /// Sends a copy of `message` to every node in `targets`, in order
+    /// (a node's whole row is [`NodeContext::neighbors`]).
+    pub fn broadcast(targets: &[u32], message: M) -> Self {
         Self {
-            outgoing: targets.into_iter().map(|t| (t, message.clone())).collect(),
+            outgoing: targets
+                .iter()
+                .map(|&t| (t as NodeId, message.clone()))
+                .collect(),
             halt: false,
         }
     }
@@ -55,7 +59,7 @@ impl<M: Clone> StepResult<M> {
 pub struct NodeContext<'a> {
     node: NodeId,
     round: usize,
-    neighbors: &'a [NodeId],
+    neighbors: &'a [u32],
 }
 
 impl<'a> NodeContext<'a> {
@@ -69,8 +73,9 @@ impl<'a> NodeContext<'a> {
         self.round
     }
 
-    /// The node's neighbours in the communication graph.
-    pub fn neighbors(&self) -> &[NodeId] {
+    /// The node's neighbours in the communication graph: its CSR row,
+    /// ascending.
+    pub fn neighbors(&self) -> &'a [u32] {
         self.neighbors
     }
 
@@ -89,31 +94,18 @@ impl<'a> NodeContext<'a> {
 /// recent [`SyncNetwork::run`].
 #[derive(Debug)]
 pub struct SyncNetwork<'a> {
-    graph: &'a WeightedGraph,
-    neighbor_lists: Vec<Vec<NodeId>>,
+    graph: &'a CsrGraph,
     stats: CommStats,
 }
 
 impl<'a> SyncNetwork<'a> {
-    /// Creates an executor over the given communication graph.
-    pub fn new(graph: &'a WeightedGraph) -> Self {
-        let neighbor_lists = (0..graph.node_count())
-            .map(|u| {
-                let mut nbrs: Vec<NodeId> = graph.neighbors(u).iter().map(|&(v, _)| v).collect();
-                nbrs.sort_unstable();
-                nbrs
-            })
-            .collect();
+    /// Creates an executor over the given communication graph, whose
+    /// sorted CSR rows are read in place as the nodes' neighbour lists.
+    pub fn new(graph: &'a CsrGraph) -> Self {
         Self {
             graph,
-            neighbor_lists,
             stats: CommStats::default(),
         }
-    }
-
-    /// The communication graph.
-    pub fn graph(&self) -> &WeightedGraph {
-        self.graph
     }
 
     /// Statistics of the most recent [`SyncNetwork::run`].
@@ -162,16 +154,17 @@ impl<'a> SyncNetwork<'a> {
                 if halted[node] && inbox.is_empty() {
                     continue;
                 }
+                let neighbors = self.graph.neighbor_ids(node);
                 let ctx = NodeContext {
                     node,
                     round,
-                    neighbors: &self.neighbor_lists[node],
+                    neighbors,
                 };
                 let result = step(round, node, &mut states[node], &inbox, &ctx);
                 let sent = result.outgoing.len();
                 for (to, message) in result.outgoing {
                     assert!(
-                        self.neighbor_lists[node].binary_search(&to).is_ok(),
+                        neighbors.binary_search(&(to as u32)).is_ok(),
                         "node {node} attempted to message non-neighbour {to}"
                     );
                     next_inboxes[to].push((node, message));
@@ -193,13 +186,10 @@ impl<'a> SyncNetwork<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_graph::Edge;
 
-    fn path(n: usize) -> WeightedGraph {
-        let mut g = WeightedGraph::new(n);
-        for i in 0..n - 1 {
-            g.add_edge(i, i + 1, 1.0);
-        }
-        g
+    fn path(n: usize) -> CsrGraph {
+        CsrGraph::from_edges(n, (0..n - 1).map(|i| Edge::new(i, i + 1, 1.0)))
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
                 let newly = !*seen && !inbox.is_empty();
                 if newly || (round == 0 && *seen) {
                     *seen = true;
-                    StepResult::broadcast(ctx.neighbors().to_vec(), ()).halt()
+                    StepResult::broadcast(ctx.neighbors(), ()).halt()
                 } else {
                     StepResult::idle().halt()
                 }
@@ -236,9 +226,7 @@ mod tests {
         // A protocol that never halts and keeps chattering.
         let _ = net.run(
             vec![(); 3],
-            |_, _, _: &mut (), _: &[(usize, u8)], ctx| {
-                StepResult::broadcast(ctx.neighbors().to_vec(), 1u8)
-            },
+            |_, _, _: &mut (), _: &[(usize, u8)], ctx| StepResult::broadcast(ctx.neighbors(), 1u8),
             10,
         );
         assert_eq!(net.stats().rounds, 10);
@@ -308,8 +296,7 @@ mod tests {
 
     #[test]
     fn ping_pong_counts_messages() {
-        let mut g = WeightedGraph::new(2);
-        g.add_edge(0, 1, 1.0);
+        let g = path(2);
         let mut net = SyncNetwork::new(&g);
         // Node 0 sends one ping; node 1 replies once; then both halt.
         let _ = net.run(

@@ -9,7 +9,8 @@
 //!   construction iterates the rows, and its output depends on that order.
 //! * `distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes` (tier 1)
 //!   does the same for the distributed construction, pinning its round
-//!   count too.
+//!   count and its MIS message count too: a change to a graph the MIS
+//!   protocols run on moves the message count first.
 //! * `tie_heavy_spanner_hashes_are_pinned` (tier 1) pins the relaxed
 //!   spanner on two deployments full of ties: a lattice, where every axis
 //!   edge and every diagonal has one weight, and duplicated points, whose
@@ -34,7 +35,8 @@
 //!   runs the distributed construction on the same 200k deployment and
 //!   checks the stretch of *every* base edge, the maximum degree and the
 //!   round count against the paper's `O(log n · log* n)` bound, and pins
-//!   its edge hash and round count as `scale 200000` reports them.
+//!   its edge hash, round count and MIS message count as `scale 200000`
+//!   reports them.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -52,15 +54,17 @@ const SPANNER_HASH_200K: u64 = 0xea51_9293_3fa4_9d03;
 const N_PINNED: usize = 20_000;
 const UBG_HASH_20K: u64 = 0xb637_117a_bb29_7747;
 const SPANNER_HASH_20K: u64 = 0xbc37_28e7_a230_abc6;
-/// Size, edge hash and round count of the tier-1 pinned distributed build
-/// (seed 2006).
+/// Size, edge hash, round count and MIS message count of the tier-1
+/// pinned distributed build (seed 2006).
 const N_DIST_PINNED: usize = 5_000;
 const DIST_SPANNER_HASH_5K: u64 = 0x93c2_b3cf_b9d6_b35a;
 const DIST_ROUNDS_5K: usize = 2_824;
-/// Edge hash and round count of the seed-2006 200k-node distributed
-/// build.
+const DIST_MESSAGES_5K: usize = 400;
+/// Edge hash, round count and MIS message count of the seed-2006
+/// 200k-node distributed build.
 const DIST_SPANNER_HASH_200K: u64 = 0xdd53_8dee_40b9_19bd;
 const DIST_ROUNDS_200K: usize = 5_747;
+const DIST_MESSAGES_200K: usize = 15_016;
 /// Spanner edge hashes of the tie-heavy deployments (`lattice`,
 /// `duplicated`).
 const LATTICE_SPANNER_HASH: u64 = 0x765f_f349_b70a_e6ec;
@@ -193,11 +197,13 @@ fn distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes() {
     let (ubg, params) = deploy(N_DIST_PINNED);
     let out = DistributedRelaxedGreedy::new(params).run(&ubg);
     assert_eq!(
-        (edge_hash(&out.result.spanner), out.rounds),
-        (DIST_SPANNER_HASH_5K, DIST_ROUNDS_5K),
-        "the seed-{SEED} {N_DIST_PINNED}-node distributed spanner changed: {:016x}, {} rounds",
+        (edge_hash(&out.result.spanner), out.rounds, out.messages),
+        (DIST_SPANNER_HASH_5K, DIST_ROUNDS_5K, DIST_MESSAGES_5K),
+        "the seed-{SEED} {N_DIST_PINNED}-node distributed spanner changed: {:016x}, {} rounds, \
+         {} MIS messages",
         edge_hash(&out.result.spanner),
-        out.rounds
+        out.rounds,
+        out.messages
     );
 }
 
@@ -228,11 +234,13 @@ fn distributed_scale_smoke_200k_nodes() {
         out.normalized_rounds()
     );
     assert_eq!(
-        (edge_hash(&out.result.spanner), out.rounds),
-        (DIST_SPANNER_HASH_200K, DIST_ROUNDS_200K),
-        "the seed-{SEED} {N}-node distributed spanner changed: {:016x}, {} rounds",
+        (edge_hash(&out.result.spanner), out.rounds, out.messages),
+        (DIST_SPANNER_HASH_200K, DIST_ROUNDS_200K, DIST_MESSAGES_200K),
+        "the seed-{SEED} {N}-node distributed spanner changed: {:016x}, {} rounds, \
+         {} MIS messages",
         edge_hash(&out.result.spanner),
-        out.rounds
+        out.rounds,
+        out.messages
     );
 }
 
