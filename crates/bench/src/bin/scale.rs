@@ -74,9 +74,7 @@
 //! are `null`. Edge hashes are stable FNV-1a fingerprints of the sorted
 //! `(u, v, weight-bits)` stream, comparable across runs and machines.
 //!
-//! Usage: `scale [n ...]` (defaults to 100000 500000 1000000); the
-//! `TC_SCALE_SIZES` environment variable (comma-separated) is used when
-//! no arguments are given.
+//! Usage: `scale [n ...]` (defaults to 100000 500000 1000000).
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -218,19 +216,11 @@ fn sizes() -> Vec<usize> {
         .skip(1)
         .filter_map(|a| a.replace('_', "").parse().ok())
         .collect();
-    if !args.is_empty() {
-        return args;
+    if args.is_empty() {
+        vec![100_000, 500_000, 1_000_000]
+    } else {
+        args
     }
-    if let Ok(raw) = std::env::var("TC_SCALE_SIZES") {
-        let env_sizes: Vec<usize> = raw
-            .split(',')
-            .filter_map(|s| s.trim().replace('_', "").parse().ok())
-            .collect();
-        if !env_sizes.is_empty() {
-            return env_sizes;
-        }
-    }
-    vec![100_000, 500_000, 1_000_000]
 }
 
 fn run_one(n: usize) -> ScaleRun {

@@ -138,9 +138,10 @@ pub fn run_ablation_on<P: PointAccess + Sync + ?Sized>(
     weighting: EdgeWeighting,
     config: AblationConfig,
 ) -> Result<SpannerResult, PointCountMismatch> {
-    RelaxedGreedy::new(params)
+    let (result, _) = RelaxedGreedy::new(params)
         .with_weighting(weighting)
-        .run_with_rules(points, graph, &mut AblationRules(config), None)
+        .run_with_rules(points, graph, &mut AblationRules(config))?;
+    Ok(result)
 }
 
 /// The sequential rules with some mechanisms switched off.

@@ -52,7 +52,6 @@ use crate::params::SpannerParams;
 use crate::relaxed::{
     BinPartition, Level, PhaseRules, PhaseStats, PointCountMismatch, RelaxedGreedy, SpannerResult,
 };
-use crate::weighting::EdgeWeighting;
 use serde::Serialize;
 use tc_geometry::PointAccess;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
@@ -139,25 +138,17 @@ impl DistributedSpannerResult {
 #[derive(Debug, Clone)]
 pub struct DistributedRelaxedGreedy {
     params: SpannerParams,
-    weighting: EdgeWeighting,
     mis_protocol: MisProtocol,
 }
 
 impl DistributedRelaxedGreedy {
-    /// Creates a distributed construction with the given parameters, the
-    /// Euclidean weighting and the deterministic rank MIS.
+    /// Creates a distributed construction with the given parameters and
+    /// the deterministic rank MIS, under the Euclidean weighting.
     pub fn new(params: SpannerParams) -> Self {
         Self {
             params,
-            weighting: EdgeWeighting::Euclidean,
             mis_protocol: MisProtocol::Rank,
         }
-    }
-
-    /// Selects the edge weighting.
-    pub fn with_weighting(mut self, weighting: EdgeWeighting) -> Self {
-        self.weighting = weighting;
-        self
     }
 
     /// Selects the distributed MIS protocol.
@@ -173,16 +164,18 @@ impl DistributedRelaxedGreedy {
 
     /// Runs the distributed construction on a realised α-UBG.
     pub fn run(&self, ubg: &UnitBallGraph) -> DistributedSpannerResult {
-        let graph = self.weighting.weighted_graph(ubg);
-        // weighted_graph() derives the graph from ubg.points(), so the
-        // counts agree by construction.
-        self.run_on(ubg.points(), &graph)
+        // The UBG's graph is built from its own points, so the counts
+        // agree by construction.
+        self.run_on(ubg.points(), ubg.graph())
             // tc-lint: allow(panic-hygiene)
             .expect("the UBG's own points match its graph by construction")
     }
 
     /// Runs the construction on an explicit (points, weighted graph) pair;
-    /// see [`crate::RelaxedGreedy::run_on`].
+    /// see [`crate::RelaxedGreedy::run_on`]. The graph's weights must be
+    /// the Euclidean lengths of its edges, as in a [`UnitBallGraph`]'s
+    /// graph: the hop bounds the round ledger charges read them as
+    /// distances.
     ///
     /// # Errors
     ///
@@ -194,9 +187,8 @@ impl DistributedRelaxedGreedy {
         graph: &WeightedGraph,
     ) -> Result<DistributedSpannerResult, PointCountMismatch> {
         let mut rules = self.rules();
-        let result = self
-            .sequential()
-            .run_with_rules(points, graph, &mut rules, None)?;
+        let (result, _) =
+            RelaxedGreedy::new(self.params).run_with_rules(points, graph, &mut rules)?;
         Ok(rules.finish(result))
     }
 
@@ -208,29 +200,19 @@ impl DistributedRelaxedGreedy {
         ubg: &UnitBallGraph,
         order: &NodeOrder,
     ) -> DistributedSpannerResult {
-        let graph = self.weighting.weighted_graph(ubg);
         let mut rules = self.rules();
-        let result = self
-            .sequential()
-            .run_in_order(ubg.points(), &graph, &mut rules, None, order)
+        let (result, _) = RelaxedGreedy::new(self.params)
+            .run_in_order(ubg.points(), ubg.graph(), &mut rules, order)
             // Test seam. tc-lint: allow(panic-hygiene)
             .expect("the UBG's own points match its graph by construction");
         rules.finish(result)
-    }
-
-    /// The sequential construction whose phase loop this one runs on.
-    fn sequential(&self) -> RelaxedGreedy {
-        RelaxedGreedy::new(self.params).with_weighting(self.weighting)
     }
 
     fn rules(&self) -> DistributedRules {
         DistributedRules {
             params: self.params,
             protocol: self.mis_protocol,
-            alpha_w: self
-                .weighting
-                .weight_of_distance(self.params.alpha)
-                .max(f64::MIN_POSITIVE),
+            alpha_w: self.params.alpha.max(f64::MIN_POSITIVE),
             ledger: RoundLedger::new(),
             cover_mis: None,
             conflict_mis: None,
@@ -493,15 +475,13 @@ mod tests {
         construction: &DistributedRelaxedGreedy,
         ubg: &UnitBallGraph,
     ) -> (DistributedSpannerResult, Vec<usize>) {
-        let graph = construction.weighting.weighted_graph(ubg);
         let mut rules = Audited {
             inner: construction.rules(),
             rebuilt: false,
             rebuild_bins: Vec::new(),
         };
-        let result = construction
-            .sequential()
-            .run_with_rules(ubg.points(), &graph, &mut rules, None)
+        let (result, _) = RelaxedGreedy::new(construction.params)
+            .run_with_rules(ubg.points(), ubg.graph(), &mut rules)
             .unwrap();
         let out = rules.inner.finish(result);
         (out, rules.rebuild_bins)

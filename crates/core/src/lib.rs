@@ -249,8 +249,8 @@ mod relabel_invariance {
                     .with_mis_protocol(MisProtocol::Luby { seed: 5 });
                 let mut outputs = Vec::new();
                 for order in orders(&ubg) {
-                    let seq = sequential
-                        .run_in_order(ubg.points(), graph, &mut SequentialRules, None, &order)
+                    let (seq, _) = sequential
+                        .run_in_order(ubg.points(), graph, &mut SequentialRules, &order)
                         .unwrap();
                     let mut runs = vec![(rows(&seq.spanner), format!("{:?}", seq.phases), 0, 0)];
                     for construction in [&rank, &luby] {

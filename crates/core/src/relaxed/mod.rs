@@ -18,19 +18,21 @@
 //! 4. mutually redundant edges added in the same phase are pruned through
 //!    an MIS of their conflict graph, which the weight bound needs.
 //!
-//! The phase loop executes steps (i), (iii) and (iv) through the
-//! `hierarchy` engine: covers are kept frozen across geometric *levels*
-//! of phases and rebuilt on the previous level's contraction, and the
-//! cluster graph is maintained incrementally as a quotient
-//! ([`tc_graph::Contraction`]) that each phase queries in place — it only
-//! changes after the phase's queries and redundancy sweeps, so it is the
-//! frozen `H_{i-1}` of lazy updating without a per-phase copy. The
-//! per-phase cost then tracks the work of the phase's queries instead of
-//! `n` — see `docs/PERFORMANCE.md`, "Phase engine". Because nothing a
-//! phase reads changes until the phase is applied, each phase's
-//! selection, queries and redundancy sweeps run in one parallel region (`tc_graph::par::region`) on every worker, with per-worker
-//! scratch the engine keeps across phases, and every merge in item order
-//! — the spanner is the same bit for bit at any `TC_THREADS`.
+//! The phase loop runs every phase `i ≥ 1` as one call of the
+//! `hierarchy` engine, steps (i)–(v) end to end: covers are kept frozen
+//! across geometric *levels* of phases and rebuilt on the previous
+//! level's contraction, and the cluster graph is maintained
+//! incrementally as a quotient ([`tc_graph::Contraction`]) that each
+//! phase queries in place — it only changes after the phase's queries
+//! and redundancy sweeps, so it is the frozen `H_{i-1}` of lazy updating
+//! without a per-phase copy. The per-phase cost then tracks the work of
+//! the phase's queries instead of `n` — see `docs/PERFORMANCE.md`,
+//! "Phase engine". Because nothing a phase reads changes until its
+//! redundancy analysis is done, each phase's selection, queries and
+//! redundancy sweeps run in one parallel region
+//! (`tc_graph::par::region`) on every worker, with per-worker scratch
+//! the engine keeps across phases, and every merge in item order — the
+//! spanner is the same bit for bit at any `TC_THREADS`.
 //! No construction builds `H` itself: the per-phase-rescan pipeline that
 //! does (a fresh greedy cover, the full cluster graph and the dense
 //! redundancy analysis in every phase) is test code, the oracle the
@@ -55,17 +57,13 @@ mod query;
 mod redundant;
 
 pub use bins::BinPartition;
-pub use query::{is_covered, select_query_edges, QuerySelection};
-pub use redundant::{
-    analyze_redundancy_contracted, redundant_removals, removals_from_mis, RedundancyAnalysis,
-};
 
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::seq_greedy::seq_greedy;
 use crate::weighting::EdgeWeighting;
 pub(crate) use cover::Level;
-use hierarchy::{PhaseEngine, PhaseInput};
+use hierarchy::PhaseEngine;
 use serde::Serialize;
 use std::fmt;
 use std::time::Instant;
@@ -100,7 +98,7 @@ impl fmt::Display for PointCountMismatch {
 
 impl std::error::Error for PointCountMismatch {}
 
-/// Wall-clock duration of one construction phase.
+/// Wall-clock duration of one construction phase and of its steps.
 ///
 /// Timing is reported *beside* [`PhaseStats`], never inside it: the stats
 /// (and everything else in [`SpannerResult`]) are part of the deterministic
@@ -110,7 +108,8 @@ impl std::error::Error for PointCountMismatch {}
 pub struct PhaseTiming {
     /// Bin index `i` the timed phase processed.
     pub bin: usize,
-    /// Wall-clock seconds the whole phase took.
+    /// Wall-clock seconds the whole phase took, its rules' bookkeeping
+    /// included; at least the sum of the step fields.
     pub seconds: f64,
     /// Step (i): cluster-cover preparation (0 when the engine reused the
     /// frozen level, and for phase 0).
@@ -125,7 +124,8 @@ pub struct PhaseTiming {
     pub h_build_seconds: f64,
     /// Step (iv): answering the spanner-path queries (0 for phase 0).
     pub query_seconds: f64,
-    /// Step (v): redundant-edge analysis and removal (0 for phase 0).
+    /// Step (v): redundant-edge analysis, the conflict MIS, the spanner
+    /// update and the quotient absorption (0 for phase 0).
     pub redundant_seconds: f64,
 }
 
@@ -304,7 +304,8 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<SpannerResult, PointCountMismatch> {
-        self.run_with_rules(points, graph, &mut SequentialRules, None)
+        let (result, _) = self.run_with_rules(points, graph, &mut SequentialRules)?;
+        Ok(result)
     }
 
     /// [`RelaxedGreedy::run_on`] with per-phase wall-clock timings (for
@@ -320,15 +321,13 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
     ) -> Result<(SpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
-        let mut timings = Vec::new();
-        let result =
-            self.run_with_rules(points, graph, &mut SequentialRules, Some(&mut timings))?;
-        Ok((result, timings))
+        self.run_with_rules(points, graph, &mut SequentialRules)
     }
 
-    /// The phase loop both constructions run: phase 0, then steps
+    /// The phase loop every construction runs: phase 0, then steps
     /// (i)–(v) of every non-empty bin, with `rules` supplying the
-    /// construction's variant steps. The loop runs on the nodes renumbered
+    /// construction's variant steps; returns the result and one timing
+    /// per phase, in phase order. The loop runs on the nodes renumbered
     /// in the breadth-first [`NodeOrder`] of `graph`, so each step's
     /// neighbourhoods sit close together in memory (see
     /// `docs/PERFORMANCE.md`, "Node order"); the result is in the caller's
@@ -338,10 +337,9 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
         rules: &mut R,
-        timings: Option<&mut Vec<PhaseTiming>>,
-    ) -> Result<SpannerResult, PointCountMismatch> {
+    ) -> Result<(SpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
         let order = NodeOrder::breadth_first(graph);
-        self.run_in_order(points, graph, rules, timings, &order)
+        self.run_in_order(points, graph, rules, &order)
     }
 
     /// [`Self::run_with_rules`] on the nodes renumbered by `order`, which
@@ -356,9 +354,8 @@ impl RelaxedGreedy {
         points: &P,
         graph: &WeightedGraph,
         rules: &mut R,
-        mut timings: Option<&mut Vec<PhaseTiming>>,
         order: &NodeOrder,
-    ) -> Result<SpannerResult, PointCountMismatch> {
+    ) -> Result<(SpannerResult, Vec<PhaseTiming>), PointCountMismatch> {
         let n = graph.node_count();
         if points.len() != n {
             return Err(PointCountMismatch {
@@ -367,57 +364,42 @@ impl RelaxedGreedy {
             });
         }
         let mut phases = Vec::new();
+        let mut timings = Vec::new();
         let mut spanner = WeightedGraph::new(n);
-        if n == 0 || graph.is_edgeless() {
-            return Ok(SpannerResult {
-                spanner,
-                params: self.params,
-                weighting: self.weighting,
-                phases,
-            });
-        }
-
-        let points = OrderedPoints::gather(points, order);
-        let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
-        let bins = BinPartition::in_order(graph, w0, self.params.r, order);
-        let mut engine = PhaseEngine::new(par::thread_count(0), order);
-        let mechanisms = rules.mechanisms();
-
-        for bin_index in bins.non_empty_bins() {
-            let phase_start = Instant::now();
-            let mut timing = PhaseTiming::for_bin(bin_index);
-            let bin_edges = bins.bin(bin_index);
-            let stats = if bin_index == 0 {
-                self.process_short_edges(&mut spanner, bin_edges, &bins, order)
-            } else {
-                self.process_long_edges(
-                    &points,
-                    &mut spanner,
-                    bin_edges,
-                    &bins,
-                    bin_index,
-                    &mut engine,
-                    rules,
-                    &mechanisms,
-                    &mut timing,
-                )
-            };
-            rules.phase_done(&bins, &stats);
-            phases.push(stats);
-            if let Some(timings) = timings.as_deref_mut() {
-                timing.seconds = phase_start.elapsed().as_secs_f64();
+        // The block's end frees the bins, which alone hold every edge,
+        // before the rows move.
+        if n > 0 && !graph.is_edgeless() {
+            let points = OrderedPoints::gather(points, order);
+            let w0 = self.weighting.weight_of_distance(self.params.alpha) / n as f64;
+            let bins = BinPartition::in_order(graph, w0, self.params.r, order);
+            let mut engine = PhaseEngine::new(
+                par::thread_count(0),
+                order,
+                &points,
+                &self.params,
+                rules.mechanisms(),
+            );
+            for bin_index in bins.non_empty_bins() {
+                let start = Instant::now();
+                let (stats, mut timing) = if bin_index == 0 {
+                    let stats = self.process_short_edges(&mut spanner, bins.bin(0), &bins, order);
+                    (stats, PhaseTiming::for_bin(0))
+                } else {
+                    engine.run_phase(&mut spanner, &bins, bin_index, rules)
+                };
+                rules.phase_done(&bins, &stats);
+                timing.seconds = start.elapsed().as_secs_f64();
+                phases.push(stats);
                 timings.push(timing);
             }
         }
-        // The bins alone hold every edge: free them before the rows move.
-        drop((engine, bins, points));
-
-        Ok(SpannerResult {
+        let result = SpannerResult {
             spanner: in_original_ids(spanner, order),
             params: self.params,
             weighting: self.weighting,
             phases,
-        })
+        };
+        Ok((result, timings))
     }
 
     /// Phase 0 (Section 2.1): the graph `G_0` of short edges has clique
@@ -473,91 +455,6 @@ impl RelaxedGreedy {
             removed_redundant: 0,
         }
     }
-
-    /// Phase `i ≥ 1` (Section 2.2): cluster cover, query-edge selection,
-    /// cluster graph, query answering, redundant-edge removal. Steps
-    /// (i)–(iv) and the redundancy analysis run in the hierarchical
-    /// [`PhaseEngine`], all but the level rebuild in one parallel region (frozen level covers, an
-    /// incremental contraction queried in place); the conflict MIS comes
-    /// from `rules`, and the outcome is applied to the spanner and the
-    /// quotient afterwards. The steps each of `mechanisms` switches off
-    /// are skipped.
-    #[allow(clippy::too_many_arguments)]
-    fn process_long_edges<P: PointAccess + Sync + ?Sized, R: PhaseRules>(
-        &self,
-        points: &P,
-        spanner: &mut WeightedGraph,
-        bin_edges: &[Edge],
-        bins: &BinPartition,
-        bin_index: usize,
-        engine: &mut PhaseEngine,
-        rules: &mut R,
-        mechanisms: &AblationConfig,
-        timing: &mut PhaseTiming,
-    ) -> PhaseStats {
-        let w_prev = bins.upper(bin_index - 1);
-        let input = PhaseInput {
-            points,
-            params: &self.params,
-            spanner,
-            bin_edges,
-            mechanisms,
-            radius: self.params.delta * w_prev,
-        };
-        // Step (i): the engine's frozen level when the radius still fits,
-        // otherwise a new level from the rules' cover.
-        let work = engine.run_phase(&input, |g, r, previous, order| {
-            rules.level_cover(g, r, previous, order)
-        });
-        let [cover, selection, h_build, query, analysis] = work.seconds;
-        timing.cover_seconds = cover;
-        timing.selection_seconds = selection;
-        timing.h_build_seconds = h_build;
-        timing.query_seconds = query;
-
-        // Step (iv)'s additions, then step (v): remove mutually redundant
-        // edges, then fold the kept additions into the quotient so the
-        // next phase's H sees them. Removals only ever withdraw this
-        // phase's own additions, so absorbing after removal keeps the
-        // contraction exact without any quotient-deletion machinery.
-        let step = Instant::now();
-        let added = work.added;
-        for e in &added {
-            spanner.add(*e);
-        }
-        let removals = match &work.conflicts {
-            Some(analysis) => redundant_removals(analysis, |j| rules.conflict_mis(j)),
-            None => Vec::new(),
-        };
-        let mut keep = vec![true; added.len()];
-        for &idx in &removals {
-            keep[idx] = false;
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
-        }
-        engine.absorb_kept(
-            added
-                .iter()
-                .zip(&keep)
-                .filter(|&(_, &kept)| kept)
-                .map(|(&e, _)| e),
-        );
-        timing.redundant_seconds = analysis + step.elapsed().as_secs_f64();
-
-        let selection = work.selection;
-        PhaseStats {
-            bin: bin_index,
-            bin_upper: bins.upper(bin_index),
-            edges_in_bin: bin_edges.len(),
-            clusters: work.clusters,
-            covered_edges: selection.covered,
-            same_cluster_edges: selection.same_cluster,
-            candidate_edges: selection.candidates,
-            query_edges: selection.query_edges.len(),
-            added_edges: added.len(),
-            removed_redundant: removals.len(),
-        }
-    }
 }
 
 /// `graph`, numbered by the positions of `order`, in the original IDs:
@@ -580,7 +477,7 @@ fn in_original_ids(graph: WeightedGraph, order: &NodeOrder) -> WeightedGraph {
 /// The input points renumbered by a [`NodeOrder`], each point's
 /// coordinates stored together, so the covered-edge tests read a node's
 /// neighbours from nearby memory.
-struct OrderedPoints {
+pub(crate) struct OrderedPoints {
     len: usize,
     dim: usize,
     coords: Vec<f64>,
@@ -588,7 +485,7 @@ struct OrderedPoints {
 
 impl OrderedPoints {
     /// Point `p` is the point of original node `order.node_at(p)`.
-    fn gather<P: PointAccess + ?Sized>(points: &P, order: &NodeOrder) -> Self {
+    pub(crate) fn gather<P: PointAccess + ?Sized>(points: &P, order: &NodeOrder) -> Self {
         let dim = points.dim();
         let mut coords = Vec::with_capacity(order.len() * dim);
         for p in 0..order.len() {
@@ -911,6 +808,50 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("one point per graph vertex"));
+    }
+
+    #[test]
+    fn run_on_timed_returns_run_on_and_times_every_phase() {
+        // Duplicated points give phase 0 edges, the rest long phases.
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        let mut points = generators::uniform_points(&mut rng, 400, 2, 6.0);
+        points.extend(points[..40].to_vec());
+        let ubg = UbgBuilder::unit_disk().build(points).unwrap();
+        let construction = RelaxedGreedy::new(SpannerParams::for_epsilon(0.5, 1.0).unwrap());
+        let plain = construction.run_on(ubg.points(), ubg.graph()).unwrap();
+        let (timed, timings) = construction
+            .run_on_timed(ubg.points(), ubg.graph())
+            .unwrap();
+        let rows = |g: &WeightedGraph| -> Vec<Vec<(NodeId, u64)>> {
+            (0..g.node_count())
+                .map(|u| {
+                    g.neighbors(u)
+                        .iter()
+                        .map(|&(v, w)| (v, w.to_bits()))
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(rows(&timed.spanner), rows(&plain.spanner));
+        assert_eq!(timed.phases, plain.phases);
+        assert_eq!(plain.phases[0].bin, 0);
+        assert!(plain.phases.len() > 1);
+        let timed_bins: Vec<usize> = timings.iter().map(|t| t.bin).collect();
+        let phase_bins: Vec<usize> = plain.phases.iter().map(|p| p.bin).collect();
+        assert_eq!(timed_bins, phase_bins);
+        for t in &timings {
+            let steps = [
+                t.cover_seconds,
+                t.selection_seconds,
+                t.h_build_seconds,
+                t.query_seconds,
+                t.redundant_seconds,
+            ];
+            for seconds in steps.iter().chain([&t.seconds]) {
+                assert!(seconds.is_finite() && *seconds >= 0.0, "{t:?}");
+            }
+            assert!(steps.iter().sum::<f64>() <= t.seconds + 1e-6, "{t:?}");
+        }
     }
 
     proptest! {

@@ -12,8 +12,9 @@
 
 use super::cluster_graph::build_cluster_graph;
 use super::cover::Level;
+use super::query::select_query_edges;
 use super::redundant::sequential_redundant_removals;
-use super::{select_query_edges, BinPartition, RelaxedGreedy};
+use super::{BinPartition, RelaxedGreedy};
 use crate::ablation::AblationConfig;
 use crate::params::SpannerParams;
 use crate::weighting::EdgeWeighting;
@@ -45,7 +46,7 @@ pub(crate) fn per_phase_rescan(ubg: &UnitBallGraph, params: SpannerParams) -> We
             points,
             &params,
             &spanner,
-            &level.contraction,
+            &level,
             bin_edges,
             &AblationConfig::full(),
         );

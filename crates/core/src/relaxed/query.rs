@@ -13,16 +13,17 @@
 //! the `|uz| ≤ |uv|` comparison is made on the weights, which every
 //! weighting keeps monotone in the Euclidean length.
 
-use crate::ablation::AblationConfig;
+use super::cover::Level;
+use super::hierarchy::PhaseInput;
 use crate::params::SpannerParams;
 use std::sync::OnceLock;
 use tc_geometry::{angle_at_indices, PointAccess};
-use tc_graph::par::{self, ClaimQueue, Worker};
-use tc_graph::{Contraction, Edge, WeightedGraph};
+use tc_graph::par::{ClaimQueue, Worker};
+use tc_graph::{Edge, WeightedGraph};
 
 /// The outcome of query-edge selection for one bin.
 #[derive(Debug, Clone, Default)]
-pub struct QuerySelection {
+pub(crate) struct QuerySelection {
     /// The selected query edges (at most one per unordered cluster pair).
     pub query_edges: Vec<Edge>,
     /// Number of bin edges filtered out as covered.
@@ -36,7 +37,7 @@ pub struct QuerySelection {
 
 /// Whether the bin edge `edge` is covered with respect to the current
 /// partial spanner (Section 2.2.2's definition, both symmetric cases).
-pub fn is_covered<P: PointAccess + ?Sized>(
+fn is_covered<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
     spanner: &WeightedGraph,
@@ -90,27 +91,23 @@ enum EdgeClass {
 }
 
 /// Classifies `edge` against the frozen partial spanner and the level's
-/// clusters, read as `(cluster, distance to centre)` through `contraction`.
-fn classify<P: PointAccess + ?Sized>(
-    points: &P,
-    params: &SpannerParams,
-    spanner: &WeightedGraph,
-    contraction: &Contraction,
-    mechanisms: &AblationConfig,
-    edge: &Edge,
-) -> EdgeClass {
-    let (ca, da) = contraction.project(edge.u);
-    let (cb, db) = contraction.project(edge.v);
+/// clusters, read as `(cluster, distance to centre)` through its
+/// contraction.
+fn classify(input: &PhaseInput<'_>, level: &Level, edge: &Edge) -> EdgeClass {
+    let (ca, da) = level.contraction.project(edge.u);
+    let (cb, db) = level.contraction.project(edge.v);
     if ca == cb {
         return EdgeClass::SameCluster;
     }
-    if mechanisms.covered_filter && is_covered(points, params, spanner, edge) {
+    if input.mechanisms.covered_filter
+        && is_covered(input.points, input.params, input.spanner, edge)
+    {
         return EdgeClass::Covered;
     }
     let pair = if ca < cb { (ca, cb) } else { (cb, ca) };
     EdgeClass::Candidate {
         pair: (pair.0 as u32, pair.1 as u32),
-        objective: params.t * edge.weight - da - db,
+        objective: input.params.t * edge.weight - da - db,
     }
 }
 
@@ -151,24 +148,27 @@ pub(crate) struct SelectionSlots {
     winner_queue: ClaimQueue<Vec<u32>>,
 }
 
-/// Step (ii) on every worker of a phase's region. The bin edges are
-/// classified in fixed chunks of [`SELECTION_CHUNK`], and each chunk
-/// files its candidates' offers by cluster pair into [`PAIR_PARTS`]
-/// partitions; then each partition keeps, per pair, the first offer (in
-/// bin order) of strictly minimal objective. The caller gathers the
-/// winners. Returns the selection on the caller, `None` on the other
-/// workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
+/// Step (ii) on every worker of a phase's region: filters covered and
+/// same-cluster edges, then keeps one edge per cluster pair minimising
+/// `t·w(x, y) − sp(a, x) − sp(b, y)`, with each node's cluster and
+/// distance to its centre read from `level`'s contraction. Without the
+/// covered-edge filter no edge counts as covered; without the
+/// one-per-cluster-pair rule every candidate is a query edge. The query
+/// edges keep their order in the bin.
+///
+/// The bin edges are classified in fixed chunks of [`SELECTION_CHUNK`],
+/// and each chunk files its candidates' offers by cluster pair into
+/// [`PAIR_PARTS`] partitions; then each partition keeps, per pair, the
+/// first offer (in bin order) of strictly minimal objective. The caller
+/// gathers the winners. Returns the selection on the caller, `None` on
+/// the other workers.
+pub(crate) fn select_in(
     w: &Worker<'_>,
     slots: &SelectionSlots,
-    points: &P,
-    params: &SpannerParams,
-    spanner: &WeightedGraph,
-    contraction: &Contraction,
-    bin_edges: &[Edge],
-    mechanisms: &AblationConfig,
+    input: &PhaseInput<'_>,
+    level: &Level,
 ) -> Option<QuerySelection> {
+    let (bin_edges, mechanisms) = (input.bin_edges, input.mechanisms);
     let chunk_count = bin_edges.len().div_ceil(SELECTION_CHUNK);
     let chunks = w.map_claimed(&slots.chunk_queue, chunk_count, |c| {
         let start = c * SELECTION_CHUNK;
@@ -178,7 +178,7 @@ pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
             chunk.offers = vec![Vec::new(); PAIR_PARTS];
         }
         for (position, edge) in bin_edges.iter().enumerate().take(end).skip(start) {
-            match classify(points, params, spanner, contraction, mechanisms, edge) {
+            match classify(input, level, edge) {
                 EdgeClass::SameCluster => chunk.same_cluster += 1,
                 EdgeClass::Covered => chunk.covered += 1,
                 EdgeClass::Candidate { pair, objective } => {
@@ -245,48 +245,33 @@ pub(crate) fn select_in<P: PointAccess + Sync + ?Sized>(
     Some(selection)
 }
 
-/// Selects the query edges of one bin: filters covered and same-cluster
-/// edges, then keeps one edge per cluster pair minimising
-/// `t·w(x, y) − sp(a, x) − sp(b, y)`, with each node's cluster and
-/// distance to its centre read from the level's `contraction`. Without
-/// [`AblationConfig::covered_filter`] no edge counts as covered; without
-/// [`AblationConfig::per_cluster_pair`] every candidate is a query edge.
-/// The query edges keep their order in `bin_edges`. This is the
-/// one-worker form of the phase loop's step (ii).
-pub fn select_query_edges<P: PointAccess + Sync + ?Sized>(
+/// Step (ii) on one worker, on `points` in their own numbering.
+#[cfg(test)]
+pub(super) fn select_query_edges<P: PointAccess + ?Sized>(
     points: &P,
     params: &SpannerParams,
     spanner: &WeightedGraph,
-    contraction: &Contraction,
+    level: &Level,
     bin_edges: &[Edge],
-    mechanisms: &AblationConfig,
+    mechanisms: &crate::AblationConfig,
 ) -> QuerySelection {
+    let points = super::OrderedPoints::gather(points, &tc_graph::NodeOrder::identity(points.len()));
+    let input = PhaseInput {
+        points: &points,
+        params,
+        spanner,
+        bin_edges,
+        mechanisms,
+    };
     let slots = SelectionSlots::default();
-    par::region(&mut [()], |w, _| {
-        select_in(
-            w,
-            &slots,
-            points,
-            params,
-            spanner,
-            contraction,
-            bin_edges,
-            mechanisms,
-        )
-    })
-    .unwrap_or_default()
+    tc_graph::par::region(&mut [()], |w, _| select_in(w, &slots, &input, level)).unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::cover::Level;
     use super::*;
+    use crate::AblationConfig;
     use tc_geometry::Point;
-
-    /// The contraction of the greedy cover of `spanner` at `radius`.
-    fn greedy_level(spanner: &WeightedGraph, radius: f64) -> Contraction {
-        Level::greedy(spanner, radius).contraction
-    }
 
     fn params() -> SpannerParams {
         SpannerParams::for_epsilon(1.0, 1.0).unwrap()
@@ -382,8 +367,8 @@ mod tests {
             g.add_edge(2, 3, 0.1);
             g
         };
-        let cover = greedy_level(&spanner, 0.15);
-        assert_eq!(cover.supernode_count(), 2);
+        let cover = Level::greedy(&spanner, 0.15);
+        assert_eq!(cover.contraction.supernode_count(), 2);
         let bin_edges = vec![
             Edge::new(0, 2, 1.0),
             Edge::new(1, 3, 1.0),
@@ -418,7 +403,7 @@ mod tests {
         ];
         let mut spanner = WeightedGraph::new(5);
         spanner.add_edge(0, 2, 0.2);
-        let cover = greedy_level(&spanner, 0.0);
+        let cover = Level::greedy(&spanner, 0.0);
         let bin_edges = vec![Edge::new(0, 1, 0.9), Edge::new(3, 4, 0.9)];
         let select = |mechanisms: AblationConfig| {
             select_query_edges(
@@ -445,7 +430,7 @@ mod tests {
         let mut joined = spanner.clone();
         joined.add_edge(0, 3, 0.1);
         joined.add_edge(1, 4, 0.1);
-        let cover = greedy_level(&joined, 0.15);
+        let cover = Level::greedy(&joined, 0.15);
         let pair = |mechanisms: AblationConfig| {
             select_query_edges(&points, &params(), &joined, &cover, &bin_edges, &mechanisms)
                 .query_edges
@@ -470,8 +455,8 @@ mod tests {
         let points = vec![Point::new2(0.0, 0.0), Point::new2(0.05, 0.0)];
         let mut spanner = WeightedGraph::new(2);
         spanner.add_edge(0, 1, 0.05);
-        let cover = greedy_level(&spanner, 0.1);
-        assert_eq!(cover.supernode_count(), 1);
+        let cover = Level::greedy(&spanner, 0.1);
+        assert_eq!(cover.contraction.supernode_count(), 1);
         let sel = select_query_edges(
             &points,
             &params(),
@@ -488,7 +473,7 @@ mod tests {
     fn empty_bin_selects_nothing() {
         let points = vec![Point::new2(0.0, 0.0)];
         let spanner = WeightedGraph::new(1);
-        let cover = greedy_level(&spanner, 0.1);
+        let cover = Level::greedy(&spanner, 0.1);
         let sel = select_query_edges(
             &points,
             &params(),

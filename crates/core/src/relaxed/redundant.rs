@@ -16,57 +16,23 @@
 //! guarantees each deleted edge retains at least one surviving partner,
 //! which is what the stretch argument needs.
 
+use super::cover::Level;
 use std::sync::OnceLock;
 use tc_graph::bucket::{BucketConfig, BucketScratch};
-use tc_graph::par::{self, ClaimQueue, Worker};
+use tc_graph::par::{ClaimQueue, Worker};
 #[cfg(test)]
 use tc_graph::WeightedGraph;
 use tc_graph::{Contraction, CsrGraph, Edge, GraphView, NodeId};
 
-/// The conflict structure among the edges added in one phase.
-#[derive(Debug, Clone)]
-pub struct RedundancyAnalysis {
-    /// Conflict graph `J`: one vertex per added edge (same indexing as the
-    /// `added` slice passed to [`analyze_redundancy_contracted`]), one
-    /// edge per mutually redundant pair, each of unit weight.
-    pub conflict_graph: CsrGraph,
-    /// Indices (into the added-edge slice) of edges involved in at least
-    /// one mutually redundant pair.
-    pub involved: Vec<usize>,
-}
-
-impl RedundancyAnalysis {
-    /// Whether no redundant pair was found.
-    pub fn is_trivial(&self) -> bool {
-        self.conflict_graph.is_edgeless()
-    }
-
-    /// The analysis of `added` edges whose mutually redundant pairs are
-    /// `pairs`, sorted and without repeats.
-    fn from_pairs(added: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut involved = vec![false; added];
-        for &(i, j) in pairs {
-            involved[i as usize] = true;
-            involved[j as usize] = true;
-        }
-        let edges = pairs
-            .iter()
-            .map(|&(i, j)| Edge::new(i as NodeId, j as NodeId, 1.0));
-        Self {
-            conflict_graph: CsrGraph::from_edges(added, edges),
-            involved: (0..added).filter(|&i| involved[i]).collect(),
-        }
-    }
-}
-
 /// Finds all mutually redundant pairs among `added` (the edges added in the
 /// current phase), measuring path lengths on the cluster graph `h`: the
-/// dense all-pairs oracle of [`analyze_redundancy_contracted`].
+/// dense all-pairs oracle of [`analyze_in`]. The pairs `(i, j)`, `i < j`,
+/// index `added` and come sorted.
 #[cfg(test)]
-pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> RedundancyAnalysis {
+pub fn analyze_redundancy(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<(u32, u32)> {
     assert!(t1 > 1.0, "t1 must exceed 1");
     if added.len() < 2 {
-        return RedundancyAnalysis::from_pairs(added.len(), &[]);
+        return Vec::new();
     }
     // Distances in H from every endpoint of an added edge, bounded by the
     // largest value any redundancy condition can need. Only
@@ -191,86 +157,53 @@ impl RedundancySlots {
     }
 }
 
-/// Finds all mutually redundant pairs among `added` (the edges added in
-/// the current phase), measuring path lengths on the *contracted*
-/// cluster graph instead of the full `n`-node `H`: `quotient` is
-/// `contraction.quotient()` (one node per cluster) or any view with the
-/// same edges, such as a CSR copy, and a non-centre endpoint `x` reaches
-/// the quotient through its projection, so
+/// Step (v)'s analysis on every worker of a phase's region: finds all
+/// mutually redundant pairs among `added` (the edges added in the current
+/// phase), measuring path lengths on the *contracted* cluster graph, the
+/// quotient of `level`'s contraction (one node per cluster), instead of
+/// the full `n`-node `H`. A non-centre endpoint `x` reaches the quotient
+/// through its projection, so
 /// `sp_H(x, y) = offset(x) + sp_Q(super(x), super(y)) + offset(y)`.
 /// Every non-centre node of the full `H` has exactly one edge (to its
 /// centre), so this equality is exact — the contracted analysis finds the
 /// same conflicts `H` would, without ever materialising `H`.
 ///
-/// Unlike the dense test oracle on the full `H`, this path never builds a
-/// dense `k×k` distance
-/// matrix or tests all `O(a²)` edge pairs: it keeps one sparse distance
-/// row per endpoint supernode (only the ball the budgeted sweep settles)
-/// and derives candidate pairs from ball membership — a pair with no
-/// endpoint in any shared ball has every pairing sum infinite and cannot
-/// conflict. At 10^6 nodes the dense form allocated gigabytes per phase
-/// and its scattered lookups dominated the whole build (see
-/// docs/PERFORMANCE.md, "Phase engine").
+/// Unlike the dense test oracle on the full `H`, this never builds a
+/// dense `k×k` distance matrix or tests all `O(a²)` edge pairs: it keeps
+/// one sparse distance row per endpoint supernode (only the ball the
+/// budgeted sweep settles) and derives candidate pairs from ball
+/// membership — a pair with no endpoint in any shared ball has every
+/// pairing sum infinite and cannot conflict. At 10^6 nodes the dense form
+/// allocated gigabytes per phase and its scattered lookups dominated the
+/// whole build (see docs/PERFORMANCE.md, "Phase engine").
 ///
-/// This is the one-worker form of the phase loop's step (v) analysis.
-pub fn analyze_redundancy_contracted<G: GraphView + Sync>(
-    added: &[Edge],
-    contraction: &Contraction,
-    quotient: &G,
-    config: &BucketConfig,
-    t1: f64,
-) -> RedundancyAnalysis {
-    let slots = RedundancySlots::default();
-    let trivial = || RedundancyAnalysis::from_pairs(added.len(), &[]);
-    par::region(
-        &mut [(BucketScratch::new(), Vec::new())],
-        |w, (search, index)| {
-            analyze_in(
-                w,
-                search,
-                index,
-                &slots,
-                added,
-                contraction,
-                quotient,
-                config,
-                t1,
-            )
-        },
-    )
-    .unwrap_or_else(trivial)
-}
-
-/// [`analyze_redundancy_contracted`] on every worker of a phase's region:
-/// the ball rows are swept one endpoint supernode per claimed item, and
+/// The ball rows are swept one endpoint supernode per claimed item, and
 /// the candidate pairs are derived and tested in fixed chunks of
 /// [`PAIR_CHUNK`] added edges, both merged in order, while the caller
-/// indexes the edges by endpoint and builds the conflict graph. Returns the analysis on the caller, `None` on the
-/// other workers; every worker must pass the same `added`. The caller's
+/// indexes the edges by endpoint. Returns the pairs `(i, j)`, `i < j`,
+/// indexing `added`, sorted, on the caller and `None` on the other
+/// workers; every worker must pass the same `added`. The caller's
 /// `endpoint_index` (every entry `u32::MAX`, any length) moves into
 /// `slots` for the analysis; [`RedundancySlots::into_index`] returns it.
 ///
 /// # Panics
 ///
 /// Panics if `t1 <= 1`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn analyze_in<G: GraphView + Sync>(
+pub(crate) fn analyze_in(
     w: &Worker<'_>,
     scratch: &mut BucketScratch,
     endpoint_index: &mut Vec<u32>,
     slots: &RedundancySlots,
     added: &[Edge],
-    contraction: &Contraction,
-    quotient: &G,
-    config: &BucketConfig,
+    level: &Level,
     t1: f64,
-) -> Option<RedundancyAnalysis> {
+) -> Option<Vec<(u32, u32)>> {
     assert!(t1 > 1.0, "t1 must exceed 1");
     if added.len() < 2 {
-        return w
-            .is_caller()
-            .then(|| RedundancyAnalysis::from_pairs(added.len(), &[]));
+        return w.is_caller().then(Vec::new);
     }
+    let contraction = &level.contraction;
+    let (quotient, config) = (contraction.quotient(), contraction.bucket_config());
     w.serial(|| {
         let index = std::mem::take(endpoint_index);
         slots
@@ -282,7 +215,7 @@ pub(crate) fn analyze_in<G: GraphView + Sync>(
         ball_row(
             scratch,
             quotient,
-            config,
+            &config,
             ends.supers[i],
             &ends.super_index,
             ends.budget,
@@ -336,11 +269,23 @@ pub(crate) fn analyze_in<G: GraphView + Sync>(
         pairs.retain(|&(i, j)| mutually_redundant(added[i as usize], added[j as usize], t1, sp));
         pairs
     });
-    if !w.is_caller() {
-        return None;
-    }
-    let pairs: Vec<(u32, u32)> = conflicts.into_iter().flatten().collect();
-    Some(RedundancyAnalysis::from_pairs(added.len(), &pairs))
+    w.is_caller()
+        .then(|| conflicts.into_iter().flatten().collect())
+}
+
+/// [`analyze_in`] on one worker.
+#[cfg(test)]
+pub(super) fn analyze_redundancy_contracted(
+    added: &[Edge],
+    level: &Level,
+    t1: f64,
+) -> Vec<(u32, u32)> {
+    let slots = RedundancySlots::default();
+    tc_graph::par::region(
+        &mut [(BucketScratch::new(), Vec::new())],
+        |w, (search, index)| analyze_in(w, search, index, &slots, added, level, t1),
+    )
+    .unwrap_or_default()
 }
 
 /// The added edges (by index) at each endpoint supernode (by endpoint
@@ -412,11 +357,7 @@ pub(super) fn ball_rows<G: GraphView>(
 /// The oracle's pairing loop: tests both endpoint pairings of every edge
 /// pair against the mutual-redundancy conditions and records conflicts.
 #[cfg(test)]
-fn conflict_pairs(
-    added: &[Edge],
-    t1: f64,
-    sp: impl Fn(NodeId, NodeId) -> f64,
-) -> RedundancyAnalysis {
+fn conflict_pairs(added: &[Edge], t1: f64, sp: impl Fn(NodeId, NodeId) -> f64) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     for i in 0..added.len() {
         for j in (i + 1)..added.len() {
@@ -425,20 +366,7 @@ fn conflict_pairs(
             }
         }
     }
-    RedundancyAnalysis::from_pairs(added.len(), &pairs)
-}
-
-/// Given a maximal independent set of the conflict graph (indices into the
-/// added-edge slice), returns the indices of the edges to remove: those
-/// involved in some redundant pair but not chosen by the MIS.
-pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec<usize> {
-    let in_mis: std::collections::HashSet<usize> = chosen.iter().copied().collect();
-    analysis
-        .involved
-        .iter()
-        .copied()
-        .filter(|idx| !in_mis.contains(idx))
-        .collect()
+    pairs
 }
 
 /// Step (v) on the full cluster graph `h`: analyses redundancy, computes a
@@ -446,23 +374,39 @@ pub fn removals_from_mis(analysis: &RedundancyAnalysis, chosen: &[usize]) -> Vec
 /// to remove — the oracle of the phase engine's step (v).
 #[cfg(test)]
 pub fn sequential_redundant_removals(added: &[Edge], h: &WeightedGraph, t1: f64) -> Vec<usize> {
-    redundant_removals(&analyze_redundancy(added, h, t1), tc_graph::mis::greedy_mis)
+    removals(
+        added.len(),
+        &analyze_redundancy(added, h, t1),
+        tc_graph::mis::greedy_mis,
+    )
 }
 
-/// Step (v)'s removal rule: lets `choose_mis` pick a maximal independent
-/// set of `analysis`'s conflict graph (greedy in the sequential algorithm,
-/// a message-passing protocol in the distributed one) and returns the
-/// indices of the edges to remove. A trivial analysis removes nothing and
-/// asks for no MIS.
-pub fn redundant_removals(
-    analysis: &RedundancyAnalysis,
+/// Step (v)'s removal rule for `added` edges whose mutually redundant
+/// pairs are `pairs` (sorted, without repeats): lets `choose_mis` pick a
+/// maximal independent set of the conflict graph `J` (one node per added
+/// edge, one edge per pair; greedy in the sequential algorithm, a
+/// message-passing protocol in the distributed one) and returns the
+/// indices of the edges to remove, ascending: those with a conflict,
+/// outside the MIS. No pair removes nothing and asks for no MIS.
+pub(super) fn removals(
+    added: usize,
+    pairs: &[(u32, u32)],
     choose_mis: impl FnOnce(&CsrGraph) -> Vec<NodeId>,
 ) -> Vec<usize> {
-    if analysis.is_trivial() {
+    if pairs.is_empty() {
         return Vec::new();
     }
-    let chosen = choose_mis(&analysis.conflict_graph);
-    removals_from_mis(analysis, &chosen)
+    let edges = pairs
+        .iter()
+        .map(|&(i, j)| Edge::new(i as NodeId, j as NodeId, 1.0));
+    let conflicts = CsrGraph::from_edges(added, edges);
+    let mut in_mis = vec![false; added];
+    for v in choose_mis(&conflicts) {
+        in_mis[v] = true;
+    }
+    (0..added)
+        .filter(|&i| conflicts.degree(i) > 0 && !in_mis[i])
+        .collect()
 }
 
 #[cfg(test)]
@@ -486,10 +430,7 @@ mod tests {
     #[test]
     fn parallel_edges_are_mutually_redundant() {
         let (added, h) = parallel_setup();
-        let analysis = analyze_redundancy(&added, &h, 1.5);
-        assert!(!analysis.is_trivial());
-        assert_eq!(analysis.involved, vec![0, 1]);
-        assert!(analysis.conflict_graph.has_edge(0, 1));
+        assert_eq!(analyze_redundancy(&added, &h, 1.5), vec![(0, 1)]);
         let removals = sequential_redundant_removals(&added, &h, 1.5);
         assert_eq!(removals.len(), 1, "exactly one of the pair must be removed");
     }
@@ -500,8 +441,7 @@ mod tests {
         // endpoints in H.
         let h = WeightedGraph::new(4);
         let added = vec![Edge::new(0, 2, 1.0), Edge::new(1, 3, 1.0)];
-        let analysis = analyze_redundancy(&added, &h, 1.5);
-        assert!(analysis.is_trivial());
+        assert!(analyze_redundancy(&added, &h, 1.5).is_empty());
         assert!(sequential_redundant_removals(&added, &h, 1.5).is_empty());
     }
 
@@ -510,8 +450,7 @@ mod tests {
         let (added, h) = parallel_setup();
         // With t1 barely above 1, the detour 0-1-3 of weight 0.01 + 1.0
         // exceeds t1 * 1.0, so the pair is not redundant.
-        let analysis = analyze_redundancy(&added, &h, 1.005);
-        assert!(analysis.is_trivial());
+        assert!(analyze_redundancy(&added, &h, 1.005).is_empty());
     }
 
     #[test]
@@ -522,17 +461,14 @@ mod tests {
         h.add_edge(0, 1, 0.01);
         h.add_edge(2, 3, 0.01);
         let added = vec![Edge::new(0, 2, 1.0), Edge::new(3, 1, 1.0)];
-        let analysis = analyze_redundancy(&added, &h, 1.5);
-        assert!(!analysis.is_trivial());
+        assert!(!analyze_redundancy(&added, &h, 1.5).is_empty());
     }
 
     #[test]
     fn single_edge_is_never_redundant() {
         let h = WeightedGraph::new(2);
         let added = vec![Edge::new(0, 1, 1.0)];
-        let analysis = analyze_redundancy(&added, &h, 1.5);
-        assert!(analysis.is_trivial());
-        assert!(analysis.involved.is_empty());
+        assert!(analyze_redundancy(&added, &h, 1.5).is_empty());
     }
 
     #[test]
@@ -560,9 +496,13 @@ mod tests {
     #[test]
     fn removals_from_mis_respects_membership() {
         let (added, h) = parallel_setup();
-        let analysis = analyze_redundancy(&added, &h, 1.5);
-        assert_eq!(removals_from_mis(&analysis, &[0]), vec![1]);
-        assert_eq!(removals_from_mis(&analysis, &[1]), vec![0]);
+        let pairs = analyze_redundancy(&added, &h, 1.5);
+        assert_eq!(removals(added.len(), &pairs, |_| vec![0]), vec![1]);
+        assert_eq!(removals(added.len(), &pairs, |_| vec![1]), vec![0]);
+        // Edges without a conflict stay, whatever the MIS.
+        let pairs = [(1, 3)];
+        assert_eq!(removals(4, &pairs, |_| vec![0, 1, 2]), vec![3]);
+        assert!(removals(4, &[], |_| unreachable!("no MIS is asked for")).is_empty());
     }
 
     #[test]
@@ -581,15 +521,16 @@ mod tests {
     }
 
     fn assert_contracted_matches_oracle(added: &[Edge], h: &WeightedGraph, t1: f64) {
-        let c = identity_contraction(h);
-        let config = c.bucket_config();
+        let level = Level {
+            centers: (0..h.node_count()).collect(),
+            contraction: identity_contraction(h),
+        };
         let oracle = analyze_redundancy(added, h, t1);
-        let contracted = analyze_redundancy_contracted(added, &c, c.quotient(), &config, t1);
-        assert_eq!(oracle.involved, contracted.involved);
-        assert_eq!(oracle.conflict_graph, contracted.conflict_graph);
+        let contracted = analyze_redundancy_contracted(added, &level, t1);
+        assert_eq!(oracle, contracted);
         assert_eq!(
             sequential_redundant_removals(added, h, t1),
-            redundant_removals(&contracted, mis::greedy_mis)
+            removals(added.len(), &contracted, mis::greedy_mis)
         );
     }
 

@@ -148,14 +148,6 @@ pub struct BucketScratch {
     ring: Vec<Vec<u32>>,
 }
 
-/// Outcome of the core loop: why the search stopped.
-enum Stop {
-    /// The queue drained — every reachable node within the radius settled.
-    Exhausted,
-    /// All requested targets settled (early exit).
-    TargetsSettled,
-}
-
 impl BucketScratch {
     /// Creates an empty scratch; arrays are allocated lazily on first use.
     pub fn new() -> Self {
@@ -273,7 +265,7 @@ impl BucketScratch {
         radius: f64,
         config: &BucketConfig,
         targets: &mut [u32],
-    ) -> Stop {
+    ) {
         let n = graph.node_count();
         assert!(source < n, "source node out of range");
         debug_assert!(self.touched.is_empty(), "scratch was not reset");
@@ -337,12 +329,11 @@ impl BucketScratch {
                 }
                 if unsettled == 0 {
                     self.clear_ring();
-                    return Stop::TargetsSettled;
+                    return;
                 }
             }
             bucket += 1;
         }
-        Stop::Exhausted
     }
 
     /// Restores the invariant that `dist` is all-infinity and the ring is

@@ -21,7 +21,7 @@
 
 use crate::engine::FileData;
 use crate::symbols::{crate_of, SymbolTable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// How a call site spells its callee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +65,10 @@ const NON_CALLEES: &[&str] = &[
     "String",
 ];
 
-/// All call sites in the workspace plus per-caller adjacency.
+/// All call sites in the workspace.
 #[derive(Debug, Default)]
 pub struct CallGraph {
     sites: Vec<CallSite>,
-    by_caller: BTreeMap<usize, Vec<usize>>,
 }
 
 impl CallGraph {
@@ -80,25 +79,12 @@ impl CallGraph {
         for (file_idx, file) in files.iter().enumerate() {
             extract_sites(file_idx, file, table, &mut graph.sites);
         }
-        for (site_idx, site) in graph.sites.iter().enumerate() {
-            if let Some(caller) = site.caller {
-                graph.by_caller.entry(caller).or_default().push(site_idx);
-            }
-        }
         graph
     }
 
     /// All call sites, indexable by the ids used in [`Reach`] witnesses.
     pub fn sites(&self) -> &[CallSite] {
         &self.sites
-    }
-
-    /// Call sites attributed to the definition `caller`.
-    pub fn sites_of(&self, caller: usize) -> &[usize] {
-        self.by_caller
-            .get(&caller)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Resolves a call site to candidate definition ids.

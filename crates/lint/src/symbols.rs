@@ -18,9 +18,6 @@ use std::collections::BTreeMap;
 pub struct FnDef {
     /// The bare function name.
     pub name: String,
-    /// Module path derived from the crate layout (display only), e.g.
-    /// `core::relaxed` for `crates/core/src/relaxed/mod.rs`.
-    pub module: String,
     /// Repo-relative path of the defining file (for path-scoped rules).
     pub path: String,
     /// Index of the defining file in the input slice.
@@ -43,16 +40,6 @@ pub struct FnDef {
     pub body: Option<(usize, usize)>,
     /// Whether the definition lives inside a `#[cfg(test)]` module.
     pub in_test: bool,
-}
-
-impl FnDef {
-    /// `module::name` (or `module::Type::name` for methods), for messages.
-    pub fn qualified_name(&self) -> String {
-        match &self.self_type {
-            Some(t) => format!("{}::{}::{}", self.module, t, self.name),
-            None => format!("{}::{}", self.module, self.name),
-        }
-    }
 }
 
 /// All definitions across the workspace, indexed by name.
@@ -108,7 +95,6 @@ impl SymbolTable {
 }
 
 fn scan_file(file_idx: usize, file: &FileData, table: &mut SymbolTable) {
-    let module = module_of(&file.path);
     let impls = impl_ranges(&file.tokens);
     let toks = &file.tokens;
     let mut i = 0usize;
@@ -154,7 +140,6 @@ fn scan_file(file_idx: usize, file: &FileData, table: &mut SymbolTable) {
             .next_back();
         table.fns.push(FnDef {
             name: name.to_string(),
-            module: module.clone(),
             path: file.path.clone(),
             file: file_idx,
             line: toks[i].line,
@@ -348,24 +333,6 @@ fn first_param_is_self(toks: &[Token], open: usize, close: usize) -> bool {
     false
 }
 
-/// Derives a display module path from the workspace file layout:
-/// `crates/graph/src/dijkstra.rs` → `graph::dijkstra`,
-/// `crates/core/src/relaxed/mod.rs` → `core::relaxed`, `src/lib.rs` →
-/// `crate`, `tests/determinism.rs` → `tests::determinism`.
-pub fn module_of(path: &str) -> String {
-    let trimmed = path.strip_suffix(".rs").unwrap_or(path);
-    let mut parts: Vec<&str> = trimmed.split('/').collect();
-    if parts.last() == Some(&"mod") || parts.last() == Some(&"lib") || parts.last() == Some(&"main")
-    {
-        parts.pop();
-    }
-    parts.retain(|p| *p != "crates" && *p != "src");
-    if parts.is_empty() {
-        return "crate".to_string();
-    }
-    parts.join("::")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,7 +367,6 @@ mod tests {
                 ("fmt", Some("Foo"), true),
             ]
         );
-        assert_eq!(table.fns()[0].module, "graph::foo");
     }
 
     #[test]
@@ -455,16 +421,6 @@ mod tests {
             .unwrap_or(0);
         let id = table.enclosing_fn(0, helper);
         assert_eq!(id.map(|i| table.fns()[i].name.as_str()), Some("inner"));
-    }
-
-    #[test]
-    fn module_paths_follow_the_crate_layout() {
-        assert_eq!(module_of("crates/graph/src/dijkstra.rs"), "graph::dijkstra");
-        assert_eq!(module_of("crates/core/src/relaxed/mod.rs"), "core::relaxed");
-        assert_eq!(module_of("crates/graph/src/lib.rs"), "graph");
-        assert_eq!(module_of("src/lib.rs"), "crate");
-        assert_eq!(module_of("tests/determinism.rs"), "tests::determinism");
-        assert_eq!(module_of("examples/quickstart.rs"), "examples::quickstart");
     }
 
     #[test]
