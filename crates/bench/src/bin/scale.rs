@@ -69,12 +69,16 @@
 //! starts (the UBG and the sequential spanner). Both still depend on the
 //! heap the earlier sizes left behind (pages the allocator kept, and how
 //! it then places large blocks): at 10^6 on one worker the sequential
-//! figure reads 587 MB after the 100k and 500k sizes but 670 MB when
-//! 10^6 runs alone. Off Linux the reset does nothing and both figures
-//! are `null`. Edge hashes are stable FNV-1a fingerprints of the sorted
-//! `(u, v, weight-bits)` stream, comparable across runs and machines.
+//! figure reads ~600 MB after the 100k and 500k sizes but 620–690 MB
+//! when 10^6 runs alone, depending even on the binary's own layout. Off
+//! Linux the reset does nothing and both figures are `null`. Edge hashes
+//! are stable FNV-1a fingerprints of the sorted `(u, v, weight-bits)`
+//! stream, comparable across runs and machines.
 //!
-//! Usage: `scale [n ...]` (defaults to 100000 500000 1000000).
+//! Usage: `scale [n ...]` (defaults to 100000 500000 1000000). Each `n`
+//! is a positive decimal integer and may contain `_` (`200_000`); any
+//! other argument prints the usage line and exits with status 2 before
+//! anything runs.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -211,16 +215,22 @@ fn edge_hash(graph: &WeightedGraph) -> String {
     format!("{h:016x}")
 }
 
-fn sizes() -> Vec<usize> {
-    let args: Vec<usize> = std::env::args()
-        .skip(1)
-        .filter_map(|a| a.replace('_', "").parse().ok())
-        .collect();
+const USAGE: &str = "usage: scale [n ...]  (node counts in decimal digits, `_` allowed; \
+                     defaults to 100000 500000 1000000)";
+
+/// Parses the arguments after the program name into node counts. A size
+/// that is not a positive decimal integer is an error, so a typo such as
+/// `200k` cannot silently start the default ~1 min, ~0.85 GB run.
+fn parse_sizes(args: &[String]) -> Result<Vec<usize>, String> {
     if args.is_empty() {
-        vec![100_000, 500_000, 1_000_000]
-    } else {
-        args
+        return Ok(vec![100_000, 500_000, 1_000_000]);
     }
+    args.iter()
+        .map(|arg| match arg.replace('_', "").parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("`{arg}` is not a node count")),
+        })
+        .collect()
 }
 
 fn run_one(n: usize) -> ScaleRun {
@@ -401,7 +411,14 @@ fn write_compact(value: &Value, indent: usize, out: &mut String) {
 }
 
 fn main() {
-    let mut sizes = sizes();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut sizes = match parse_sizes(&args) {
+        Ok(sizes) => sizes,
+        Err(err) => {
+            eprintln!("error: {err}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     // Ascending order, as the committed records were taken: a size's
     // peak depends on the heap the sizes before it left (module docs).
     sizes.sort_unstable();
@@ -418,4 +435,28 @@ fn main() {
     json.push('\n');
     std::fs::write("BENCH_scale.json", &json).expect("BENCH_scale.json is writable");
     println!("{json}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Vec<usize>, String> {
+        parse_sizes(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn decimal_sizes_parse_and_none_gives_the_defaults() {
+        assert_eq!(parse(&["200_000"]), Ok(vec![200_000]));
+        assert_eq!(parse(&["1000", "20000"]), Ok(vec![1_000, 20_000]));
+        assert_eq!(parse(&[]), Ok(vec![100_000, 500_000, 1_000_000]));
+    }
+
+    #[test]
+    fn anything_but_a_positive_decimal_size_is_rejected() {
+        for bad in ["200k", "1e6", "-5", "0", "--help", ""] {
+            let err = parse(&["1000", bad]).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+        }
+    }
 }

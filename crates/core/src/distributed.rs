@@ -15,7 +15,8 @@
 //!   yields the cluster centres and every other node attaches to the
 //!   reachable centre with the highest identifier — `O(log* n)` rounds in
 //!   the paper via Kuhn–Moscibroda–Wattenhofer; here the rounds of the
-//!   stand-in MIS protocol are *measured* (see DESIGN.md, substitution 2).
+//!   stand-in MIS protocol are *measured* (the [`tc_simnet::mis`] module
+//!   doc states the stand-in).
 //!   Between rebuilds every node keeps its cluster and its distance to the
 //!   centre locally — every later edge weighs more than twice the cover
 //!   radius, so no path inside a cluster changes — and nothing is
@@ -42,8 +43,8 @@
 //!
 //! The engine computes the *data*; a [`RoundLedger`] is charged for the
 //! *communication* at exactly the hop bounds proved in the paper, and the
-//! two MIS invocations run as genuine message-passing protocols on
-//! [`tc_simnet::SyncNetwork`] whose measured rounds are charged. The
+//! two MIS invocations run round by round in [`tc_simnet::mis`], whose
+//! measured rounds and messages are charged. The
 //! output thus keeps the sequential algorithm's structure (so the
 //! spanner guarantees carry over) with an honest round count for the
 //! complexity experiment (E4).
@@ -98,8 +99,8 @@ pub struct DistributedSpannerResult {
     pub ledger: RoundLedger,
     /// Total rounds across all phases.
     pub rounds: usize,
-    /// Total messages of the MIS sub-protocols (the only genuinely
-    /// message-level simulations).
+    /// Total messages of the MIS sub-protocols (the only steps whose
+    /// messages are counted one by one).
     pub messages: usize,
     /// Number of nodes `n`.
     pub nodes: usize,
@@ -222,7 +223,7 @@ impl DistributedRelaxedGreedy {
 
 /// Step (i) of a level rebuild, Section 3.2.1: the graph `J` joining the
 /// nodes within spanner distance `radius` of each other, a
-/// message-passing MIS of `J` as the centres, and every other node
+/// distributed MIS of `J` as the centres, and every other node
 /// attached to a reachable centre. Returns the level and the MIS
 /// protocol's measured communication. `spanner` is numbered by the
 /// positions of `order`; the nodes' identifiers in the protocol and the
@@ -274,7 +275,7 @@ fn mis_cover(
     )
 }
 
-/// The distributed phase rules: message-passing MIS covers and conflict
+/// The distributed phase rules: distributed MIS covers and conflict
 /// MIS, and the round ledger the finished phases are charged to.
 struct DistributedRules {
     params: SpannerParams,

@@ -17,8 +17,8 @@
 //!   graph, Czumaj–Zhao covered-edge filtering, one query edge per cluster
 //!   pair, and MIS-based removal of mutually redundant edges,
 //! * [`DistributedRelaxedGreedy`] — the distributed version (Section 3) on
-//!   top of the `tc-simnet` synchronous message-passing substrate, with
-//!   full round accounting per phase and step,
+//!   top of `tc-simnet`'s round-synchronous MIS protocols and round
+//!   ledger, with full round accounting per phase and step,
 //! * [`verify`] — measurement of the three guaranteed properties plus a
 //!   leapfrog-property spot check,
 //! * [`extensions`] — the Section 1.6 extensions: energy spanners, the

@@ -1,4 +1,6 @@
-//! The synchronous message-passing executor.
+//! A synchronous message-passing executor: the reference the MIS round
+//! loops are tested against ([`crate::mis`]'s `oracle` module runs both
+//! protocols on it).
 
 use crate::CommStats;
 use tc_graph::{CsrGraph, NodeId};
@@ -90,8 +92,7 @@ impl<'a> NodeContext<'a> {
 /// send a (different) message to each neighbour and receives all messages
 /// addressed to it in the previous round.
 ///
-/// See the crate-level example for usage. Statistics refer to the most
-/// recent [`SyncNetwork::run`].
+/// Statistics refer to the most recent [`SyncNetwork::run`].
 #[derive(Debug)]
 pub struct SyncNetwork<'a> {
     graph: &'a CsrGraph,

@@ -8,7 +8,8 @@
 //! * [`geometry`] — points, metrics, cones, grids ([`tc_geometry`]),
 //! * [`graph`] — the weighted-graph substrate ([`tc_graph`]),
 //! * [`ubg`] — the α-quasi unit ball graph network model ([`tc_ubg`]),
-//! * [`simnet`] — the synchronous message-passing simulator ([`tc_simnet`]),
+//! * [`simnet`] — distributed MIS protocols run round by round, and the
+//!   round ledger ([`tc_simnet`]),
 //! * [`spanner`] — the paper's spanner constructions ([`tc_spanner`]),
 //! * [`baselines`] — classical topology-control baselines ([`tc_baselines`]).
 //!

@@ -10,7 +10,12 @@
 //! * `distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes` (tier 1)
 //!   does the same for the distributed construction, pinning its round
 //!   count and its MIS message count too: a change to a graph the MIS
-//!   protocols run on moves the message count first.
+//!   protocols run on moves the message count first. It also pins the
+//!   ledger's split that perfbench's `dist.*` metrics read: the rounds
+//!   charged to the cover and the conflict MIS, and the most messages a
+//!   node sent in one round.
+//!   `distributed_luby_run_is_pinned_at_5k_nodes` pins the same build
+//!   with Luby's protocol, whose rounds depend on its seeded draws.
 //! * `tie_heavy_spanner_hashes_are_pinned` (tier 1) pins the relaxed
 //!   spanner on two deployments full of ties: a lattice, where every axis
 //!   edge and every diagonal has one weight, and duplicated points, whose
@@ -41,6 +46,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use topology_control::prelude::*;
+use topology_control::spanner::MisProtocol;
 
 const N: usize = 200_000;
 const SEED: u64 = 2006;
@@ -60,6 +66,17 @@ const N_DIST_PINNED: usize = 5_000;
 const DIST_SPANNER_HASH_5K: u64 = 0x93c2_b3cf_b9d6_b35a;
 const DIST_ROUNDS_5K: usize = 2_824;
 const DIST_MESSAGES_5K: usize = 400;
+/// Rounds the 5k ledger charges to the `cover/mis` and `redundant/mis`
+/// steps, and the most messages a node sent in one round.
+const DIST_COVER_MIS_ROUNDS_5K: usize = 22;
+const DIST_REDUNDANT_MIS_ROUNDS_5K: usize = 264;
+const DIST_MAX_MESSAGES_PER_NODE_ROUND_5K: usize = 2;
+/// Luby seed, edge hash, round count and MIS message count of the 5k
+/// distributed build with Luby's protocol.
+const DIST_LUBY_SEED: u64 = 5;
+const DIST_LUBY_HASH_5K: u64 = 0x40aa_3f38_5e33_4865;
+const DIST_LUBY_ROUNDS_5K: usize = 2_819;
+const DIST_LUBY_MESSAGES_5K: usize = 400;
 /// Edge hash, round count and MIS message count of the seed-2006
 /// 200k-node distributed build.
 const DIST_SPANNER_HASH_200K: u64 = 0xdd53_8dee_40b9_19bd;
@@ -201,6 +218,54 @@ fn distributed_spanner_hash_and_rounds_are_pinned_at_5k_nodes() {
         (DIST_SPANNER_HASH_5K, DIST_ROUNDS_5K, DIST_MESSAGES_5K),
         "the seed-{SEED} {N_DIST_PINNED}-node distributed spanner changed: {:016x}, {} rounds, \
          {} MIS messages",
+        edge_hash(&out.result.spanner),
+        out.rounds,
+        out.messages
+    );
+    let step_rounds = |step: &str| -> usize {
+        out.ledger
+            .entries()
+            .filter(|(label, _)| label.split_once('/').is_some_and(|(_, s)| s == step))
+            .map(|(_, stats)| stats.rounds)
+            .sum()
+    };
+    let max_per_node = out
+        .ledger
+        .entries()
+        .map(|(_, stats)| stats.max_messages_per_node_round)
+        .max();
+    assert_eq!(
+        (
+            step_rounds("cover/mis"),
+            step_rounds("redundant/mis"),
+            max_per_node
+        ),
+        (
+            DIST_COVER_MIS_ROUNDS_5K,
+            DIST_REDUNDANT_MIS_ROUNDS_5K,
+            Some(DIST_MAX_MESSAGES_PER_NODE_ROUND_5K)
+        ),
+        "the ledger split of the seed-{SEED} {N_DIST_PINNED}-node distributed build changed"
+    );
+}
+
+#[test]
+fn distributed_luby_run_is_pinned_at_5k_nodes() {
+    let (ubg, params) = deploy(N_DIST_PINNED);
+    let out = DistributedRelaxedGreedy::new(params)
+        .with_mis_protocol(MisProtocol::Luby {
+            seed: DIST_LUBY_SEED,
+        })
+        .run(&ubg);
+    assert_eq!(
+        (edge_hash(&out.result.spanner), out.rounds, out.messages),
+        (
+            DIST_LUBY_HASH_5K,
+            DIST_LUBY_ROUNDS_5K,
+            DIST_LUBY_MESSAGES_5K
+        ),
+        "the seed-{SEED} {N_DIST_PINNED}-node distributed spanner with Luby seed \
+         {DIST_LUBY_SEED} changed: {:016x}, {} rounds, {} MIS messages",
         edge_hash(&out.result.spanner),
         out.rounds,
         out.messages
