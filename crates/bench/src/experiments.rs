@@ -2,8 +2,9 @@
 //!
 //! Every table function returns `Result<Table, ParamError>`: a bad
 //! parameter combination aborts the sweep with a diagnostic instead of
-//! panicking inside a worker thread. The cells themselves fan out over
-//! [`tc_graph::par::run_jobs`] (the `TC_THREADS` override applies).
+//! panicking inside a worker thread. A parallel table is a slice of cells
+//! and one row function, run over [`par_map_with`] on `TC_THREADS`
+//! workers or all available cores.
 
 use crate::table::{fmt_f, Table};
 use crate::workloads::Workload;
@@ -11,7 +12,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use tc_baselines::Baseline;
-use tc_graph::par::run_jobs;
+use tc_graph::par::par_map_with;
 use tc_graph::{mst, CsrGraph, WeightedGraph};
 use tc_spanner::extensions::energy::{energy_spanner, power_cost_comparison};
 use tc_spanner::extensions::fault_tolerant::{
@@ -19,7 +20,8 @@ use tc_spanner::extensions::fault_tolerant::{
 };
 use tc_spanner::verify::{verify_spanner, VerificationReport};
 use tc_spanner::{
-    seq_greedy, DistributedRelaxedGreedy, EdgeWeighting, ParamError, RelaxedGreedy, SpannerParams,
+    seq_greedy, AblationConfig, DistributedRelaxedGreedy, EdgeWeighting, ParamError, RelaxedGreedy,
+    SpannerParams,
 };
 use tc_ubg::UnitBallGraph;
 
@@ -62,13 +64,6 @@ impl Scale {
         }
     }
 
-    fn threads(&self) -> usize {
-        match self {
-            Scale::Smoke => 2,
-            Scale::Paper => 8,
-        }
-    }
-
     fn comparison_n(&self) -> usize {
         match self {
             Scale::Smoke => 60,
@@ -82,6 +77,20 @@ impl Scale {
             Scale::Paper => 40,
         }
     }
+}
+
+/// Runs `row` on every cell over [`par_map_with`] and pushes the rows
+/// onto `table` in cell order. The first failing cell, in cell order,
+/// aborts the table.
+fn push_rows<C: Sync>(
+    mut table: Table,
+    cells: &[C],
+    row: impl Fn(&C) -> RowResult + Sync,
+) -> Result<Table, ParamError> {
+    for result in par_map_with(cells, 0, || (), |_, _, cell| row(cell)) {
+        table.push_row(result?);
+    }
+    Ok(table)
 }
 
 fn run_sequential(
@@ -109,41 +118,38 @@ fn fmt_stretch(report: &VerificationReport) -> String {
 
 /// E1 — Theorem 10: the measured stretch never exceeds `t = 1 + ε`.
 pub fn e1_stretch(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E1",
         "Stretch vs. target (Theorem 10)",
         &["n", "alpha", "eps", "t", "stretch", "within target"],
     );
-    let mut jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = Vec::new();
+    let mut cells = Vec::new();
     for &n in &scale.node_counts() {
         for &eps in &scale.epsilons() {
             for &alpha in &[0.75, 1.0] {
-                jobs.push(Box::new(move || {
-                    let ubg = Workload::alpha_ubg(1000 + n as u64, n, alpha).build();
-                    let (params, spanner) = run_sequential(&ubg, eps)?;
-                    let report = verify_spanner(ubg.graph(), &spanner, params.t);
-                    Ok(vec![
-                        n.to_string(),
-                        fmt_f(alpha),
-                        fmt_f(eps),
-                        fmt_f(params.t),
-                        fmt_stretch(&report),
-                        report.stretch_ok.to_string(),
-                    ])
-                }));
+                cells.push((n, eps, alpha));
             }
         }
     }
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &cells, |&(n, eps, alpha)| {
+        let ubg = Workload::alpha_ubg(1000 + n as u64, n, alpha).build();
+        let (params, spanner) = run_sequential(&ubg, eps)?;
+        let report = verify_spanner(ubg.graph(), &spanner, params.t);
+        Ok(vec![
+            n.to_string(),
+            fmt_f(alpha),
+            fmt_f(eps),
+            fmt_f(params.t),
+            fmt_stretch(&report),
+            report.stretch_ok.to_string(),
+        ])
+    })
 }
 
 /// E2 — Theorem 11: the spanner's maximum degree stays constant as `n`
 /// grows (while the input's maximum degree grows with density/fluctuations).
 pub fn e2_degree(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E2",
         "Maximum degree vs. n (Theorem 11)",
         &[
@@ -155,34 +161,24 @@ pub fn e2_degree(scale: Scale) -> Result<Table, ParamError> {
         ],
     );
     let eps = 0.5;
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = scale
-        .node_counts()
-        .into_iter()
-        .map(|n| {
-            Box::new(move || {
-                let ubg = Workload::udg(2000 + n as u64, n).build();
-                let (params, spanner) = run_sequential(&ubg, eps)?;
-                let report = verify_spanner(ubg.graph(), &spanner, params.t);
-                Ok(vec![
-                    n.to_string(),
-                    ubg.graph().max_degree().to_string(),
-                    report.max_degree.to_string(),
-                    fmt_f(spanner.mean_degree()),
-                    fmt_f(report.spanner_edges as f64 / n as f64),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &scale.node_counts(), |&n| {
+        let ubg = Workload::udg(2000 + n as u64, n).build();
+        let (params, spanner) = run_sequential(&ubg, eps)?;
+        let report = verify_spanner(ubg.graph(), &spanner, params.t);
+        Ok(vec![
+            n.to_string(),
+            ubg.graph().max_degree().to_string(),
+            report.max_degree.to_string(),
+            fmt_f(spanner.mean_degree()),
+            fmt_f(report.spanner_edges as f64 / n as f64),
+        ])
+    })
 }
 
 /// E3 — Theorem 13: the spanner weight stays within a constant factor of
 /// the MST weight as `n` grows.
 pub fn e3_weight(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E3",
         "Weight vs. MST (Theorem 13)",
         &[
@@ -194,34 +190,24 @@ pub fn e3_weight(scale: Scale) -> Result<Table, ParamError> {
         ],
     );
     let eps = 0.5;
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = scale
-        .node_counts()
-        .into_iter()
-        .map(|n| {
-            Box::new(move || {
-                let ubg = Workload::udg(3000 + n as u64, n).build();
-                let (_, spanner) = run_sequential(&ubg, eps)?;
-                let mst_w = mst::mst_weight(&ubg.to_csr());
-                Ok(vec![
-                    n.to_string(),
-                    fmt_f(mst_w),
-                    fmt_f(spanner.total_weight()),
-                    fmt_f(spanner.total_weight() / mst_w),
-                    fmt_f(ubg.graph().total_weight() / mst_w),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &scale.node_counts(), |&n| {
+        let ubg = Workload::udg(3000 + n as u64, n).build();
+        let (_, spanner) = run_sequential(&ubg, eps)?;
+        let mst_w = mst::mst_weight(&ubg.to_csr());
+        Ok(vec![
+            n.to_string(),
+            fmt_f(mst_w),
+            fmt_f(spanner.total_weight()),
+            fmt_f(spanner.total_weight() / mst_w),
+            fmt_f(ubg.graph().total_weight() / mst_w),
+        ])
+    })
 }
 
 /// E4 — the round complexity of the distributed algorithm, normalised by
 /// the paper's `log n · log* n` bound.
 pub fn e4_rounds(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E4",
         "Distributed rounds vs. n (main theorem)",
         &[
@@ -235,30 +221,20 @@ pub fn e4_rounds(scale: Scale) -> Result<Table, ParamError> {
         ],
     );
     let eps = 1.0;
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = scale
-        .rounds_node_counts()
-        .into_iter()
-        .map(|n| {
-            Box::new(move || {
-                let ubg = Workload::udg(4000 + n as u64, n).build();
-                let params = SpannerParams::for_epsilon(eps, ubg.alpha())?;
-                let out = DistributedRelaxedGreedy::new(params).run(&ubg);
-                Ok(vec![
-                    n.to_string(),
-                    out.rounds.to_string(),
-                    fmt_f(out.log_n),
-                    out.log_star_n.to_string(),
-                    fmt_f(out.normalized_rounds()),
-                    out.messages.to_string(),
-                    out.result.phases.len().to_string(),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &scale.rounds_node_counts(), |&n| {
+        let ubg = Workload::udg(4000 + n as u64, n).build();
+        let params = SpannerParams::for_epsilon(eps, ubg.alpha())?;
+        let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+        Ok(vec![
+            n.to_string(),
+            out.rounds.to_string(),
+            fmt_f(out.log_n),
+            out.log_star_n.to_string(),
+            fmt_f(out.normalized_rounds()),
+            out.messages.to_string(),
+            out.result.phases.len().to_string(),
+        ])
+    })
 }
 
 /// E5 — comparison against the classical topology-control baselines
@@ -305,7 +281,7 @@ pub fn e5_baselines(scale: Scale) -> Result<Table, ParamError> {
 
 /// E6 — sensitivity to the α parameter and the grey-zone realisation.
 pub fn e6_alpha(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E6",
         "Sensitivity to alpha (quasi-UBG generality)",
         &[
@@ -323,38 +299,29 @@ pub fn e6_alpha(scale: Scale) -> Result<Table, ParamError> {
         Scale::Smoke => vec![0.5, 1.0],
         Scale::Paper => vec![0.3, 0.5, 0.7, 0.9, 1.0],
     };
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = alphas
-        .into_iter()
-        .map(|alpha| {
-            Box::new(move || {
-                let ubg = Workload::alpha_ubg(6000 + (alpha * 100.0) as u64, n, alpha).build();
-                let (params, spanner) = run_sequential(&ubg, eps)?;
-                let report = verify_spanner(ubg.graph(), &spanner, params.t);
-                Ok(vec![
-                    fmt_f(alpha),
-                    report.base_edges.to_string(),
-                    report.spanner_edges.to_string(),
-                    format!(
-                        "{} ({})",
-                        fmt_stretch(&report),
-                        if report.stretch_ok { "ok" } else { "VIOLATION" }
-                    ),
-                    report.max_degree.to_string(),
-                    fmt_f(report.weight_ratio),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &alphas, |&alpha| {
+        let ubg = Workload::alpha_ubg(6000 + (alpha * 100.0) as u64, n, alpha).build();
+        let (params, spanner) = run_sequential(&ubg, eps)?;
+        let report = verify_spanner(ubg.graph(), &spanner, params.t);
+        Ok(vec![
+            fmt_f(alpha),
+            report.base_edges.to_string(),
+            report.spanner_edges.to_string(),
+            format!(
+                "{} ({})",
+                fmt_stretch(&report),
+                if report.stretch_ok { "ok" } else { "VIOLATION" }
+            ),
+            report.max_degree.to_string(),
+            fmt_f(report.weight_ratio),
+        ])
+    })
 }
 
 /// E7 — energy spanners (extension 2) and the power-cost measure
 /// (extension 3).
 pub fn e7_energy(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E7",
         "Energy spanners and power cost (Section 1.6, extensions 2-3)",
         &[
@@ -372,30 +339,21 @@ pub fn e7_energy(scale: Scale) -> Result<Table, ParamError> {
         Scale::Smoke => vec![2.0],
         Scale::Paper => vec![2.0, 3.0, 4.0],
     };
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = gammas
-        .into_iter()
-        .map(|gamma| {
-            Box::new(move || {
-                let ubg = Workload::udg(7000 + gamma as u64, n).build();
-                let result = energy_spanner(&ubg, eps, 1.0, gamma)?;
-                let energy_base = EdgeWeighting::Power { c: 1.0, gamma }.weighted_graph(&ubg);
-                let report = verify_spanner(&energy_base, &result.spanner, result.params.t);
-                let power = power_cost_comparison(&ubg, &result.spanner, 1.0, gamma);
-                Ok(vec![
-                    fmt_f(gamma),
-                    fmt_stretch(&report),
-                    fmt_f(result.params.t),
-                    fmt_f(power.spanner),
-                    fmt_f(power.full_topology),
-                    fmt_f(power.ratio),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &gammas, |&gamma| {
+        let ubg = Workload::udg(7000 + gamma as u64, n).build();
+        let result = energy_spanner(&ubg, eps, 1.0, gamma)?;
+        let energy_base = EdgeWeighting::Power { c: 1.0, gamma }.weighted_graph(&ubg);
+        let report = verify_spanner(&energy_base, &result.spanner, result.params.t);
+        let power = power_cost_comparison(&ubg, &result.spanner, 1.0, gamma);
+        Ok(vec![
+            fmt_f(gamma),
+            fmt_stretch(&report),
+            fmt_f(result.params.t),
+            fmt_f(power.spanner),
+            fmt_f(power.full_topology),
+            fmt_f(power.ratio),
+        ])
+    })
 }
 
 /// E8 — k-fault-tolerant spanners (extension 1): residual stretch under
@@ -450,7 +408,7 @@ pub fn e8_fault_tolerance(scale: Scale) -> Result<Table, ParamError> {
 /// show what is paid in edges, degree and weight when a mechanism is
 /// removed.
 pub fn e9_ablation(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "E9",
         "Ablation of the relaxed-greedy mechanisms (coarse bins, r = 1.5)",
         &[
@@ -471,29 +429,19 @@ pub fn e9_ablation(scale: Scale) -> Result<Table, ParamError> {
     // covered-edge filter, cluster-pair dedup and redundancy removal do
     // real work. The stretch guarantee (Theorem 10) does not depend on r.
     let params = SpannerParams::for_epsilon(0.5, 1.0)?.with_bin_growth(1.5);
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> =
-        tc_spanner::AblationConfig::named_variants()
-            .into_iter()
-            .map(|(name, config)| {
-                let ubg = ubg.clone();
-                Box::new(move || {
-                    let result = tc_spanner::run_ablation(&ubg, params, config);
-                    let report = verify_spanner(ubg.graph(), &result.spanner, params.t);
-                    Ok(vec![
-                        name.to_string(),
-                        report.spanner_edges.to_string(),
-                        report.max_degree.to_string(),
-                        fmt_stretch(&report),
-                        fmt_f(report.weight_ratio),
-                        report.stretch_ok.to_string(),
-                    ])
-                }) as Box<dyn FnOnce() -> RowResult + Send>
-            })
-            .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    let variants = AblationConfig::named_variants();
+    push_rows(table, &variants, |&(name, config)| {
+        let result = tc_spanner::run_ablation(&ubg, params, config);
+        let report = verify_spanner(ubg.graph(), &result.spanner, params.t);
+        Ok(vec![
+            name.to_string(),
+            report.spanner_edges.to_string(),
+            report.max_degree.to_string(),
+            fmt_stretch(&report),
+            fmt_f(report.weight_ratio),
+            report.stretch_ok.to_string(),
+        ])
+    })
 }
 
 /// F1 — figure-style series: the distribution (percentiles) of per-edge
@@ -529,7 +477,7 @@ pub fn f1_stretch_cdf(scale: Scale) -> Result<Table, ParamError> {
 /// F2 — figure-style series: rounds of the distributed algorithm against
 /// the `c·log n·log* n` reference curve (reports the implied constant `c`).
 pub fn f2_rounds_series(scale: Scale) -> Result<Table, ParamError> {
-    let mut table = Table::new(
+    let table = Table::new(
         "F2",
         "Rounds vs. reference curve c*log(n)*log*(n)",
         &[
@@ -540,28 +488,18 @@ pub fn f2_rounds_series(scale: Scale) -> Result<Table, ParamError> {
         ],
     );
     let eps = 1.0;
-    let jobs: Vec<Box<dyn FnOnce() -> RowResult + Send>> = scale
-        .rounds_node_counts()
-        .into_iter()
-        .map(|n| {
-            Box::new(move || {
-                let ubg = Workload::udg(9000 + n as u64, n).build();
-                let params = SpannerParams::for_epsilon(eps, ubg.alpha())?;
-                let out = DistributedRelaxedGreedy::new(params).run(&ubg);
-                let reference = out.log_n * out.log_star_n.max(1) as f64;
-                Ok(vec![
-                    n.to_string(),
-                    out.rounds.to_string(),
-                    fmt_f(reference),
-                    fmt_f(out.rounds as f64 / reference),
-                ])
-            }) as Box<dyn FnOnce() -> RowResult + Send>
-        })
-        .collect();
-    for row in run_jobs(jobs, scale.threads()) {
-        table.push_row(row?);
-    }
-    Ok(table)
+    push_rows(table, &scale.rounds_node_counts(), |&n| {
+        let ubg = Workload::udg(9000 + n as u64, n).build();
+        let params = SpannerParams::for_epsilon(eps, ubg.alpha())?;
+        let out = DistributedRelaxedGreedy::new(params).run(&ubg);
+        let reference = out.log_n * out.log_star_n.max(1) as f64;
+        Ok(vec![
+            n.to_string(),
+            out.rounds.to_string(),
+            fmt_f(reference),
+            fmt_f(out.rounds as f64 / reference),
+        ])
+    })
 }
 
 /// Runs every experiment at the given scale, in order. The first parameter
@@ -585,6 +523,27 @@ pub fn all_experiments(scale: Scale) -> Result<Vec<Table>, ParamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn numbered(cells: &[usize], failing: &[usize]) -> Result<Table, ParamError> {
+        push_rows(Table::new("T", "cells", &["cell"]), cells, |&cell| {
+            if failing.contains(&cell) {
+                return Err(ParamError::StretchTooSmall { t: cell as f64 });
+            }
+            Ok(vec![cell.to_string()])
+        })
+    }
+
+    #[test]
+    fn push_rows_keeps_cell_order_and_reports_the_first_failing_cell() {
+        let cells: Vec<usize> = (0..40).collect();
+        assert_eq!(
+            numbered(&cells, &[23, 7]).unwrap_err(),
+            ParamError::StretchTooSmall { t: 7.0 }
+        );
+        let rows = numbered(&cells, &[]).unwrap().rows;
+        let expected: Vec<Vec<String>> = cells.iter().map(|c| vec![c.to_string()]).collect();
+        assert_eq!(rows, expected);
+    }
 
     #[test]
     fn e1_smoke_confirms_the_stretch_target() {

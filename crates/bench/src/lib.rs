@@ -27,9 +27,10 @@
 //! verifies spanners at 10^5–10^6 nodes. Speed is measured by the
 //! repository benchmark in `perfbench/`.
 //!
-//! The experiment cells fan out over the shared scheduler in
-//! [`tc_graph::par`] (which started life in this crate); the `TC_THREADS`
-//! environment variable pins the worker count.
+//! The cells of each parallel table run on
+//! [`tc_graph::par::par_map_with`] (the scheduler started life in this
+//! crate); the `TC_THREADS` environment variable pins the worker count,
+//! which otherwise is the number of available cores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -31,11 +31,9 @@
 //! construction.
 
 use crate::params::SpannerParams;
-use crate::relaxed::{PhaseRules, PointCountMismatch, RelaxedGreedy, SpannerResult};
+use crate::relaxed::{PhaseRules, RelaxedGreedy, SpannerResult};
 use crate::weighting::EdgeWeighting;
 use serde::Serialize;
-use tc_geometry::PointAccess;
-use tc_graph::WeightedGraph;
 use tc_ubg::UnitBallGraph;
 
 /// Which mechanisms of the relaxed greedy construction are enabled.
@@ -116,32 +114,14 @@ pub fn run_ablation(
     params: SpannerParams,
     config: AblationConfig,
 ) -> SpannerResult {
-    let weighting = EdgeWeighting::Euclidean;
-    let graph = weighting.weighted_graph(ubg);
+    let graph = EdgeWeighting::Euclidean.weighted_graph(ubg);
     // weighted_graph() derives the graph from ubg.points(), so the counts
     // agree by construction.
-    run_ablation_on(ubg.points(), &graph, params, weighting, config)
-        // tc-lint: allow(panic-hygiene)
-        .expect("the UBG's own points match its graph by construction")
-}
-
-/// Like [`run_ablation`] but on an explicit (points, weighted graph) pair.
-///
-/// # Errors
-///
-/// Returns [`PointCountMismatch`] if `points` does not have exactly one
-/// point per graph vertex.
-pub fn run_ablation_on<P: PointAccess + Sync + ?Sized>(
-    points: &P,
-    graph: &WeightedGraph,
-    params: SpannerParams,
-    weighting: EdgeWeighting,
-    config: AblationConfig,
-) -> Result<SpannerResult, PointCountMismatch> {
     let (result, _) = RelaxedGreedy::new(params)
-        .with_weighting(weighting)
-        .run_with_rules(points, graph, &mut AblationRules(config))?;
-    Ok(result)
+        .run_with_rules(ubg.points(), &graph, &mut AblationRules(config))
+        // tc-lint: allow(panic-hygiene)
+        .expect("the UBG's own points match its graph by construction");
+    result
 }
 
 /// The sequential rules with some mechanisms switched off.
@@ -205,28 +185,6 @@ mod tests {
             ),
             ("duplicate points", duplicate_point_ubg(33), params()),
         ]
-    }
-
-    #[test]
-    fn run_ablation_on_rejects_a_point_count_mismatch() {
-        let ubg = sample(4, 20);
-        let graph = EdgeWeighting::Euclidean.weighted_graph(&ubg);
-        let too_few = vec![tc_geometry::Point::new2(0.0, 0.0); 19];
-        let err = run_ablation_on(
-            too_few.as_slice(),
-            &graph,
-            params(),
-            EdgeWeighting::Euclidean,
-            AblationConfig::full(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            PointCountMismatch {
-                points: 19,
-                nodes: 20
-            }
-        );
     }
 
     #[test]

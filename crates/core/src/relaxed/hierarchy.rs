@@ -228,14 +228,14 @@ impl<'a> PhaseEngine<'a> {
     /// quotient are only read in the region, so every query sees the same
     /// frozen `H_{i-1}` (lazy updating).
     ///
-    /// Step (v)'s tail then runs on the caller: the additions join the
-    /// spanner, `rules.conflict_mis` picks an MIS of a non-trivial
-    /// conflict graph, the edges with a conflict outside it are removed,
-    /// and the kept additions are folded into the quotient so the next
+    /// Step (v)'s tail then runs on the caller: `rules.conflict_mis` picks
+    /// an MIS of a non-trivial conflict graph, the additions with a
+    /// conflict outside it are dropped, and only the kept additions join
+    /// the spanner and then are folded into the quotient so the next
     /// phase's `H` sees them. Removals only ever withdraw this phase's own
-    /// additions, so absorbing after removal keeps the contraction exact
-    /// without any quotient-deletion machinery. Each step the engine's
-    /// mechanisms switch off is skipped.
+    /// additions, so nothing is added and then deleted, and the
+    /// contraction stays exact without any quotient-deletion machinery.
+    /// Each step the engine's mechanisms switch off is skipped.
     pub fn run_phase<R: PhaseRules>(
         &mut self,
         spanner: &mut WeightedGraph,
@@ -282,20 +282,22 @@ impl<'a> PhaseEngine<'a> {
 
         // Step (v)'s tail.
         let tail = Instant::now();
-        for e in &added {
-            spanner.add(*e);
-        }
         let removed = removals(added.len(), &pairs, |j| rules.conflict_mis(j));
-        let mut kept = vec![true; added.len()];
-        for &idx in &removed {
-            kept[idx] = false;
-            let e = added[idx];
-            let _ = spanner.remove_edge(e.u, e.v);
+        let kept = || {
+            added
+                .iter()
+                .enumerate()
+                .filter(|(idx, _)| removed.binary_search(idx).is_err())
+                .map(|(_, &e)| e)
+        };
+        // Every spanner row grows before any quotient row does, so the
+        // heap keeps the spanner's row blocks together; interleaving the
+        // two measured slower (docs/PERFORMANCE.md, "The phase region").
+        for e in kept() {
+            spanner.add(e);
         }
-        for (&e, kept) in added.iter().zip(kept) {
-            if kept {
-                level.contraction.absorb(e);
-            }
+        for e in kept() {
+            level.contraction.absorb(e);
         }
         timing.redundant_seconds += tail.elapsed().as_secs_f64();
 

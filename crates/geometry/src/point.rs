@@ -132,27 +132,6 @@ impl Point {
             .collect()
     }
 
-    /// Coordinate-wise midpoint of `self` and `other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        self.lerp(other, 0.5)
-    }
-
-    /// Linear interpolation: `self + s·(other - self)`.
-    pub fn lerp(&self, other: &Point, s: f64) -> Point {
-        assert_eq!(
-            self.dim(),
-            other.dim(),
-            "lerp between mismatched dimensions"
-        );
-        Point::new(
-            self.coords
-                .iter()
-                .zip(other.coords.iter())
-                .map(|(a, b)| a + s * (b - a))
-                .collect(),
-        )
-    }
-
     /// Translates the point by the given displacement vector.
     pub fn translated(&self, delta: &[f64]) -> Point {
         assert_eq!(
@@ -235,16 +214,6 @@ mod tests {
     #[should_panic(expected = "at least one coordinate")]
     fn empty_point_rejected() {
         let _ = Point::new(vec![]);
-    }
-
-    #[test]
-    fn midpoint_and_lerp() {
-        let u = Point::new2(0.0, 0.0);
-        let v = Point::new2(2.0, 4.0);
-        assert_eq!(u.midpoint(&v), Point::new2(1.0, 2.0));
-        assert_eq!(u.lerp(&v, 0.25), Point::new2(0.5, 1.0));
-        assert_eq!(u.lerp(&v, 0.0), u);
-        assert_eq!(u.lerp(&v, 1.0), v);
     }
 
     #[test]

@@ -37,11 +37,10 @@
 //! worker cannot borrow a closure that outlives the region, and the
 //! region's program is written out as one closure that every worker runs.
 //!
-//! [`par_map_with`] and [`run_jobs`] are the one-shot forms: one region
-//! with one claimed step. The module lives in `tc-graph` (rather than the
-//! bench crate where the first version of [`run_jobs`] grew) so the graph
-//! algorithms themselves can use it; see `docs/PERFORMANCE.md` for the
-//! threading contract.
+//! [`par_map_with`] is the one-shot form: one region with one claimed
+//! step. The module lives in `tc-graph` (rather than the bench crate where
+//! its first version grew) so the graph algorithms themselves can use it;
+//! see `docs/PERFORMANCE.md` for the threading contract.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -185,11 +184,6 @@ impl Worker<'_> {
     /// This worker's index; the calling thread is worker 0.
     pub fn index(&self) -> usize {
         self.index
-    }
-
-    /// Number of workers in the region (1 on the inline path).
-    pub fn count(&self) -> usize {
-        self.team.workers
     }
 
     /// Whether this worker is the calling thread (worker 0).
@@ -370,33 +364,6 @@ where
     })
 }
 
-/// Runs the given closures, each producing one result, on up to
-/// `max_threads` worker threads (subject to the [`THREADS_ENV`] override),
-/// and returns the results in input order.
-///
-/// No worker threads are spawned when `jobs` is empty or when the
-/// effective thread count is 1 (the jobs then run inline, in order). A
-/// panicking job is re-raised on the caller once the pool has drained.
-pub fn run_jobs<T, F>(jobs: Vec<F>, max_threads: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    // Each job is taken out of its slot by the one worker that claimed
-    // its index.
-    let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
-    par_map_with(
-        &slots,
-        max_threads,
-        || (),
-        |_, _, slot| {
-            // Each index is claimed exactly once. tc-lint: allow(panic-hygiene)
-            let job = lock(slot).take().expect("every job runs once");
-            job()
-        },
-    )
-}
-
 /// Applies `work` to every item of `items` on up to `max_threads` worker
 /// threads, handing each worker one scratch value built by `init`, and
 /// returns the results in input order.
@@ -442,33 +409,6 @@ fn merge_blocks<T>(mut parts: Blocks<T>, total: usize) -> Vec<T> {
 mod tests {
     use super::*;
 
-    fn boxed_jobs(n: usize) -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-        (0..n)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect()
-    }
-
-    #[test]
-    fn results_preserve_input_order() {
-        let results = run_jobs(boxed_jobs(20), 4);
-        assert_eq!(results, (0..20).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_and_single_thread_inputs_work() {
-        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> = vec![];
-        assert!(run_jobs(jobs, 1).is_empty());
-        let jobs: Vec<Box<dyn FnOnce() -> u8 + Send>> =
-            vec![Box::new(|| 7u8) as Box<dyn FnOnce() -> u8 + Send>];
-        assert_eq!(run_jobs(jobs, 0), vec![7]);
-    }
-
-    #[test]
-    fn saturating_thread_counts_work() {
-        let results = run_jobs(boxed_jobs(3), 64);
-        assert_eq!(results, vec![0, 1, 4]);
-    }
-
     #[test]
     fn par_map_with_matches_sequential_for_every_thread_count() {
         let items: Vec<u64> = (0..97).collect();
@@ -501,29 +441,6 @@ mod tests {
         // Values are in input order regardless of which worker ran them.
         let xs: Vec<usize> = counts.iter().map(|&(x, _)| x).collect();
         assert_eq!(xs, items);
-    }
-
-    #[test]
-    fn panics_propagate_to_the_caller() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 5 {
-                        panic!("job five exploded");
-                    }
-                    i
-                }) as Box<dyn FnOnce() -> usize + Send>
-            })
-            .collect();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(jobs, 4)))
-            .expect_err("a panicking job must propagate");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("exploded"), "unexpected payload: {msg}");
     }
 
     fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -562,6 +479,24 @@ mod tests {
     fn a_panic_in_the_callers_share_propagates() {
         assert_eq!(region_with_panicking_worker(3, 0), "worker 0 exploded");
         assert_eq!(region_with_panicking_worker(1, 0), "worker 0 exploded");
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_payload() {
+        let items: Vec<usize> = (0..8).collect();
+        let err = std::panic::catch_unwind(|| {
+            par_map_with(
+                &items,
+                4,
+                || (),
+                |_, _, &i| {
+                    assert!(i != 5, "item five exploded");
+                    i
+                },
+            )
+        })
+        .expect_err("a panicking item must propagate");
+        assert_eq!(panic_message(err.as_ref()), "item five exploded");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * **locality** — the distributed/relaxed construction phases must reach
 //!   the graph only through bounded-radius / target-directed / `GridIndex`
 //!   queries, never (transitively) through global sweeps;
-//! * **scheduler-discipline** — closures handed to
-//!   `run_jobs`/`par_map_with`, to a parallel `region` or to a
-//!   `map_claimed` step must not write captured state, take locks, or
+//! * **scheduler-discipline** — closures handed to `par_map_with`, to a
+//!   parallel `region`, to a `map_claimed` step or to the experiment
+//!   harness's `push_rows` must not write captured state, take locks, or
 //!   (transitively) perform I/O;
 //! * **panic-hygiene** — library code in the `tc-*` crates must not
 //!   unwrap/panic, directly or through a call whose every resolution does.

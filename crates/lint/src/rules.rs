@@ -37,7 +37,7 @@ pub fn describe(rule: &str) -> &'static str {
              bounded-radius / target-directed / GridIndex queries only"
         }
         SCHEDULER_DISCIPLINE => {
-            "flags closures handed to run_jobs/par_map_with/region/map_claimed that \
+            "flags closures handed to par_map_with/region/map_claimed/push_rows that \
              write captured bindings, take locks, or (transitively) perform I/O; \
              accumulate via returned values, merge in input order"
         }
@@ -555,8 +555,10 @@ fn node_count_key(end_toks: &[&Token], node_idents: &BTreeSet<String>) -> Option
 // Rule: scheduler-discipline
 // ---------------------------------------------------------------------------
 
-/// The `tc_graph::par` entry points whose closures the rule inspects.
-const SCHEDULER_FNS: [&str; 4] = ["run_jobs", "par_map_with", "region", "map_claimed"];
+/// The `tc_graph::par` entry points whose closures the rule inspects, and
+/// the experiment harness's `push_rows`, which hands each row closure to
+/// `par_map_with` through a parameter the call graph cannot follow.
+const SCHEDULER_FNS: [&str; 4] = ["push_rows", "par_map_with", "region", "map_claimed"];
 
 /// Macros that perform I/O when expanded (fmt-`write!` into a `Formatter`
 /// is deliberately excluded).

@@ -4,7 +4,7 @@
 //! I/O through a helper.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tc_graph::par::{par_map_with, run_jobs};
+use tc_graph::par::par_map_with;
 
 fn log_row(x: f64) {
     eprintln!("row {x}");
@@ -17,20 +17,21 @@ pub fn noisy_sweep(items: &[f64]) -> Vec<f64> {
     })
 }
 
+/// A row helper in the shape of the experiments' `push_rows`: the rule
+/// inspects the row closures handed to it.
+fn push_rows(cells: &[f64], row: impl Fn(&f64) -> f64 + Sync) -> Vec<f64> {
+    par_map_with(cells, 0, || (), |_, _, cell| row(cell))
+}
+
 pub fn racy_total(items: &[f64]) -> f64 {
     let mut total = 0.0;
     let counter = AtomicUsize::new(0);
-    run_jobs(
-        vec![
-            Box::new(|| {
-                total += 1.0;
-            }),
-            Box::new(|| {
-                counter.fetch_add(1, Ordering::SeqCst);
-            }),
-            Box::new(|| log_row(2.0)),
-        ],
-        2,
-    );
+    let row = |x: &f64| {
+        total += 1.0;
+        counter.fetch_add(1, Ordering::SeqCst);
+        log_row(*x);
+        *x
+    };
+    push_rows(items, row);
     total + items.len() as f64
 }

@@ -23,24 +23,6 @@ pub struct UnitBallGraph {
 }
 
 impl UnitBallGraph {
-    /// Assembles a realised UBG from its parts. Intended for use by the
-    /// builder and by tests that construct hand-crafted instances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's vertex count differs from the number of
-    /// points, if the points do not all share one dimension, or if `alpha`
-    /// is outside `(0, 1]`.
-    pub fn from_parts(points: Vec<Point>, alpha: f64, graph: WeightedGraph) -> Self {
-        let dim = points.first().map_or(0, Point::dim);
-        let mut store = PointStore::with_capacity(dim, points.len());
-        for p in &points {
-            assert_eq!(p.dim(), dim, "points must all share one dimension");
-            store.push(p.coords());
-        }
-        Self::from_store(store, alpha, graph)
-    }
-
     /// Assembles a realised UBG from a structure-of-arrays point store.
     ///
     /// # Panics
@@ -155,8 +137,12 @@ impl UnitBallGraph {
 mod tests {
     use super::*;
 
+    fn from_points(points: &[Point], alpha: f64, graph: WeightedGraph) -> UnitBallGraph {
+        UnitBallGraph::from_store(PointStore::from_points(points).unwrap(), alpha, graph)
+    }
+
     fn tiny() -> UnitBallGraph {
-        let points = vec![
+        let points = [
             Point::new2(0.0, 0.0),
             Point::new2(0.4, 0.0),
             Point::new2(0.9, 0.0),
@@ -164,7 +150,7 @@ mod tests {
         let mut g = WeightedGraph::new(3);
         g.add_edge(0, 1, 0.4);
         g.add_edge(1, 2, 0.5);
-        UnitBallGraph::from_parts(points, 0.5, g)
+        from_points(&points, 0.5, g)
     }
 
     #[test]
@@ -180,25 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn store_construction_matches_point_construction() {
-        let points = vec![
-            Point::new2(0.0, 0.0),
-            Point::new2(0.4, 0.0),
-            Point::new2(0.9, 0.0),
-        ];
-        let store = PointStore::from_points(&points).unwrap();
-        let mut g = WeightedGraph::new(3);
-        g.add_edge(0, 1, 0.4);
-        let from_store = UnitBallGraph::from_store(store, 0.5, g.clone());
-        let from_parts = UnitBallGraph::from_parts(points, 0.5, g);
-        assert_eq!(from_store.points(), from_parts.points());
-        assert_eq!(
-            from_store.distance(0, 2).to_bits(),
-            from_parts.distance(0, 2).to_bits()
-        );
-    }
-
-    #[test]
     fn validity_check_accepts_and_rejects() {
         let ubg = tiny();
         assert!(ubg.is_valid_alpha_ubg());
@@ -206,8 +173,8 @@ mod tests {
         // Missing a mandatory short edge -> invalid.
         let mut missing = WeightedGraph::new(3);
         missing.add_edge(1, 2, 0.5);
-        let bad = UnitBallGraph::from_parts(
-            vec![
+        let bad = from_points(
+            &[
                 Point::new2(0.0, 0.0),
                 Point::new2(0.4, 0.0),
                 Point::new2(0.9, 0.0),
@@ -220,11 +187,7 @@ mod tests {
         // An edge longer than 1 -> invalid.
         let mut long = WeightedGraph::new(2);
         long.add_edge(0, 1, 1.5);
-        let bad = UnitBallGraph::from_parts(
-            vec![Point::new2(0.0, 0.0), Point::new2(1.5, 0.0)],
-            0.5,
-            long,
-        );
+        let bad = from_points(&[Point::new2(0.0, 0.0), Point::new2(1.5, 0.0)], 0.5, long);
         assert!(!bad.is_valid_alpha_ubg());
     }
 
@@ -251,22 +214,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha must lie in (0, 1]")]
     fn invalid_alpha_rejected() {
-        let _ = UnitBallGraph::from_parts(vec![Point::new2(0.0, 0.0)], 1.5, WeightedGraph::new(1));
+        let _ = from_points(&[Point::new2(0.0, 0.0)], 1.5, WeightedGraph::new(1));
     }
 
     #[test]
     #[should_panic(expected = "must match")]
     fn mismatched_graph_size_rejected() {
-        let _ = UnitBallGraph::from_parts(vec![Point::new2(0.0, 0.0)], 0.5, WeightedGraph::new(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "share one dimension")]
-    fn mixed_dimension_points_rejected_by_from_parts() {
-        let _ = UnitBallGraph::from_parts(
-            vec![Point::new2(0.0, 0.0), Point::new3(0.0, 0.0, 0.0)],
-            0.5,
-            WeightedGraph::new(2),
-        );
+        let _ = from_points(&[Point::new2(0.0, 0.0)], 0.5, WeightedGraph::new(2));
     }
 }
